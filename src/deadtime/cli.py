@@ -287,6 +287,14 @@ def cmd_periodic(args) -> int:
         raise ValueError("need --f or --f-sweep")
     if args.harmonics < 4:
         raise ValueError("--harmonics must be at least 4")
+    tags = [f"{f:g}" for f in freqs]
+    if len(set(tags)) < len(tags):
+        clash = next(t for t in tags if tags.count(t) > 1)
+        same = ", ".join(repr(float(f)) for f, t in zip(freqs, tags) if t == clash)
+        raise ValueError(
+            f"frequencies {same} would all write files tagged f{clash}; "
+            "use a coarser --f-sweep"
+        )
 
     def work(f):
         return _solve_one_frequency(law, lam0, eps, f, args.harmonics, args.samples)
@@ -295,8 +303,7 @@ def cmd_periodic(args) -> int:
         results = list(pool.map(work, freqs))
 
     sweep_lines = [SWEEP_HEADER + (",max_nu" if args.max_rate else "")]
-    for f, (beta, trace) in zip(freqs, results):
-        tag = f"{f:g}"
+    for f, tag, (beta, trace) in zip(freqs, tags, results):
         _write_text(f"{args.out_prefix}-trace-f{tag}.csv", _trace_text(trace))
         _write_text(f"{args.out_prefix}-beta-f{tag}.csv", _spectrum_text(beta))
         peak = float(np.max(trace.rate))
@@ -511,7 +518,7 @@ def _validate_file(path: str) -> str:
         data = load(1)
         _check(data.shape[1] == 3, "trace needs 3 columns")
         _check(bool(np.all(np.isfinite(data))), "trace values must be finite")
-        _check(bool(np.all(np.diff(data[:, 0]) > 0)), "times must increase")
+        TimeGrid.from_times(data[:, 0])
         _check(
             bool(np.all((data[:, 1] > -1e-6) & (data[:, 1] < 1 + 1e-6))),
             "active fraction outside [0, 1]",
@@ -522,7 +529,7 @@ def _validate_file(path: str) -> str:
         data = load(1)
         ncol = 8 if header == COMBINED_HEADER else 6
         _check(data.shape[1] == ncol, f"expected {ncol} columns")
-        _check(bool(np.all(np.diff(data[:, 0]) > 0)), "times must increase")
+        TimeGrid.from_times(data[:, 0])
         off = 3 if ncol == 8 else 1
         nu_hat, nu_se, a_hat, a_se, count = (data[:, off + i] for i in range(5))
         _check(bool(np.all(nu_hat >= 0)), "rate estimate negative")

@@ -54,6 +54,26 @@ def angular_frequency(frequency: float) -> float:
     return TWO_PI * frequency
 
 
+def simpson_weights(n_cells: int, h: float) -> np.ndarray:
+    """Composite Simpson weights on ``n_cells`` uniform cells.
+
+    An odd cell count gets a trapezoid patch on the last cell; the loss of
+    order there is local and does not affect the audited bounds.
+    """
+    if n_cells < 2:
+        raise ValueError("need at least two cells for Simpson weights")
+    w = np.zeros(n_cells + 1)
+    even = n_cells if n_cells % 2 == 0 else n_cells - 1
+    w[0:even + 1:2] += 2.0 * h / 3.0
+    w[1:even:2] = 4.0 * h / 3.0
+    w[0] = h / 3.0
+    w[even] -= h / 3.0
+    if even != n_cells:
+        w[-2] += h / 2.0
+        w[-1] += h / 2.0
+    return w
+
+
 def _fmt(value: float) -> str:
     """Shortest round-trip decimal used by every CSV writer."""
     return format(float(value), ".17g")
@@ -89,6 +109,22 @@ class TimeGrid:
             raise ValueError(f"grid length must be a positive integer, got {self.n}")
         if not math.isfinite(self.t0):
             raise ValueError("grid origin must be finite")
+
+    @classmethod
+    def from_times(cls, t) -> "TimeGrid":
+        """Grid of a time column read back from a file.
+
+        The spacings may deviate from the first one by at most
+        ``1e-9 * max(dt, 1)``; anything rougher is not a uniform grid.  A
+        single time gets unit spacing.
+        """
+        t = np.asarray(t, dtype=float)
+        if t.size < 2:
+            return cls(float(t[0]), 1.0, 1)
+        dt = float(t[1] - t[0])
+        if not np.max(np.abs(np.diff(t) - dt)) <= 1e-9 * max(dt, 1.0):  # NaN fails
+            raise ValueError("times are not uniformly spaced")
+        return cls(float(t[0]), dt, t.size)
 
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n)
@@ -740,15 +776,7 @@ class Trace:
             if header != "t,A,nu":
                 raise ValueError(f"unexpected trace header {header!r}")
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        t = data[:, 0]
-        if t.size < 2:
-            grid = TimeGrid(float(t[0]), 1.0, 1)
-        else:
-            dt = float(t[1] - t[0])
-            if np.max(np.abs(np.diff(t) - dt)) > 1e-9 * max(dt, 1.0):
-                raise ValueError("trace times are not uniformly spaced")
-            grid = TimeGrid(float(t[0]), dt, t.size)
-        return cls(grid, data[:, 1], data[:, 2])
+        return cls(TimeGrid.from_times(data[:, 0]), data[:, 1], data[:, 2])
 
 
 @dataclass(frozen=True)

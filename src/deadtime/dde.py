@@ -34,6 +34,7 @@ from .core import (
     TimeGrid,
     Trace,
     equilibrium_history,
+    simpson_weights,
 )
 
 __all__ = [
@@ -70,30 +71,10 @@ def _history_samples(history: History, ts: np.ndarray, what: str) -> np.ndarray:
         ) from exc
 
 
-def _simpson_weights(n_cells: int, h: float) -> np.ndarray:
-    """Composite Simpson weights on ``n_cells`` uniform cells.
-
-    An odd cell count gets a trapezoid patch on the last cell; the loss of
-    order there is local and does not affect the audited bounds.
-    """
-    if n_cells < 2:
-        raise ValueError("need at least two cells for Simpson weights")
-    w = np.zeros(n_cells + 1)
-    even = n_cells if n_cells % 2 == 0 else n_cells - 1
-    w[0:even + 1:2] += 2.0 * h / 3.0
-    w[1:even:2] = 4.0 * h / 3.0
-    w[0] = h / 3.0
-    w[even] -= h / 3.0
-    if even != n_cells:
-        w[-2] += h / 2.0
-        w[-1] += h / 2.0
-    return w
-
-
 def _check_gate_ppd(history: History, t0: float, d: float) -> None:
     ts = np.linspace(t0 - d, t0, 8193)
     nu = _history_samples(history, ts, "rate")
-    w = _simpson_weights(8192, d / 8192.0)
+    w = simpson_weights(8192, d / 8192.0)
     balance = float(w @ nu) + float(history.active(t0))
     if abs(balance - 1.0) > _GATE_TOL:
         raise ValueError(
@@ -348,7 +329,7 @@ def normalization_residual(
         if n_cells < 2:
             raise ValueError("trace step does not resolve the memory window")
         x = h * np.arange(n_cells + 1)
-        kernel = _simpson_weights(n_cells, h) * np.asarray(
+        kernel = simpson_weights(n_cells, h) * np.asarray(
             law.survivor(x), dtype=float
         )
 

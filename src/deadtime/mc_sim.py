@@ -381,11 +381,8 @@ def read_estimate_csv(path) -> EnsembleEstimate:
     data = np.atleast_2d(np.genfromtxt(path, delimiter=",", skip_header=1))
     if data.shape[1] != 6:
         raise ValueError("expected six columns: t,nu_hat,nu_se,A_hat,A_se,count")
-    t = data[:, 0]
-    dt = float(t[1] - t[0]) if t.size > 1 else 1.0
-    grid = TimeGrid(float(t[0]), dt, t.size)
     return EnsembleEstimate(
-        grid,
+        TimeGrid.from_times(data[:, 0]),
         data[:, 1],
         data[:, 2],
         data[:, 3],

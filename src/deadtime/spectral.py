@@ -20,10 +20,10 @@ other.
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .core import (
     TWO_PI,
@@ -35,6 +35,7 @@ from .core import (
     TabulatedDeadTime,
     TimeGrid,
     Trace,
+    simpson_weights,
 )
 
 __all__ = [
@@ -85,37 +86,83 @@ def qk_law(law: DeadTimeLaw, omega: float, k: int) -> complex:
         s = 1j * k * omega
         return (1.0 - (law.rate / (law.rate + s)) ** (law.order + 1)) / s
     if isinstance(law, TabulatedDeadTime):
-        return _qk_tabulated(law, omega, k)
+        return complex(_survivor_transform(law, omega, [k], {})[0])
     raise TypeError(f"unsupported dead-time law {type(law).__name__}")
 
 
-def _qk_tabulated(law: TabulatedDeadTime, omega: float, k: int) -> complex:
+def _survivor_transform(
+    law: TabulatedDeadTime, omega: float, ks, grids: dict
+) -> np.ndarray:
+    """``q_k`` of a tabulated law by Simpson quadrature of ``S(y) e^{-ik omega y}``.
+
+    Harmonic ``k`` is integrated on ``n`` uniform cells over the law's
+    support, enough to resolve both the tabulation and the oscillation:
+    ``max(8192, 4 * nodes, 64 * cycles)``, made even.  ``grids`` maps a cell
+    count to its nodes and Simpson-weighted survivor, so harmonics sharing a
+    grid cost one cosine, one sine and two dot products each.  It keeps the
+    grid every low harmonic shares and the latest one built; ``ks`` come in
+    ascending order, so no grid size is built twice.
+    """
     upper = float(law.x[-1])
-    if upper <= 0.0:
-        return 0.0 + 0.0j
-    # resolve both the survivor's tabulation and the oscillation
-    cycles = abs(k) * omega * upper / TWO_PI
-    n = max(8192, 4 * law.x.size, int(64 * cycles))
-    n += n % 2  # Simpson wants an even interval count
-    y = np.linspace(0.0, upper, n + 1)
-    surv = law.survivor(y)
-    if k == 0:
-        return complex(integrate.simpson(surv, x=y))
-    phase = np.exp(-1j * k * omega * y)
-    return complex(integrate.simpson(surv * phase, x=y))
+    base = max(8192, 4 * law.x.size)
+    out = np.empty(len(ks), dtype=complex)
+    for i, k in enumerate(ks):
+        cycles = abs(k) * omega * upper / TWO_PI
+        n = max(base, int(64 * cycles))
+        n += n % 2
+        grid = grids.get(n)
+        if grid is None:
+            for stale in [m for m in grids if m != base]:
+                del grids[stale]
+            y = np.linspace(0.0, upper, n + 1)
+            grid = grids[n] = (y, simpson_weights(n, upper / n) * law.survivor(y))
+        y, weighted = grid
+        if k == 0:
+            out[i] = weighted.sum()
+        else:
+            phase = (k * omega) * y
+            out[i] = complex(weighted @ np.cos(phase), -(weighted @ np.sin(phase)))
+    return out
 
 
-def qk_array(law: DeadTimeLaw, omega: float, kmax: int) -> np.ndarray:
-    """Coefficients ``q_k`` for ``k = -kmax .. kmax`` (Hermitian by symmetry)."""
+class _CouplingStore:
+    """The coefficients ``q_0 .. q_m`` of one law at one frequency.
+
+    A store belongs to one chain of :class:`HarmonicSystem` objects (a
+    system, its truncation doublings and the trace synthesised from it), so
+    each harmonic is computed once per frequency solve.  ``grids`` holds the
+    quadrature grids of a tabulated law (see :func:`_survivor_transform`).
+    """
+
+    def __init__(self):
+        self.q = np.empty(0, dtype=complex)
+        self.grids: dict = {}
+        self.lock = threading.Lock()
+
+
+def qk_array(
+    law: DeadTimeLaw, omega: float, kmax: int, store: _CouplingStore | None = None
+) -> np.ndarray:
+    """Coefficients ``q_k`` for ``k = -kmax .. kmax`` (Hermitian by symmetry).
+
+    ``store`` holds the harmonics already computed for this law and
+    frequency; only those beyond it are evaluated, and they are added to it.
+    """
     if kmax < 0:
         raise ValueError("kmax must be non-negative")
-    q = np.zeros(2 * kmax + 1, dtype=complex)
-    q[kmax] = qk_law(law, omega, 0)
-    for k in range(1, kmax + 1):
-        val = qk_law(law, omega, k)
-        q[kmax + k] = val
-        q[kmax - k] = np.conj(val)
-    return q
+    if not (omega > 0.0):
+        raise ValueError("angular frequency must be positive")
+    if store is None:
+        store = _CouplingStore()
+    with store.lock:
+        ks = range(store.q.size, kmax + 1)
+        if isinstance(law, TabulatedDeadTime):
+            new = _survivor_transform(law, omega, ks, store.grids)
+        else:
+            new = np.array([qk_law(law, omega, k) for k in ks], dtype=complex)
+        store.q = np.concatenate((store.q, new))
+        pos = store.q[: kmax + 1]
+    return np.concatenate((pos[:0:-1].conj(), pos))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +172,11 @@ class HarmonicSystem:
     Holds the base angular frequency, the truncation order ``K``, the
     dead-time law, the input spectrum, and the coupling coefficients
     ``q_k`` for ``|k| <= 2K`` (enough for the output convolution and the
-    inverse map).
+    inverse map).  Systems made by :meth:`with_truncation` share one store
+    of computed coefficients with this one, and :func:`periodic_rate` reads
+    from it too.  Over a tabulated law the store also keeps the quadrature
+    grid (two float arrays of about four times the table's nodes) for as
+    long as a system of the chain is alive.
     """
 
     omega: float
@@ -133,6 +184,7 @@ class HarmonicSystem:
     law: DeadTimeLaw
     input_spectrum: Spectrum
     q: np.ndarray = field(init=False)
+    _store: _CouplingStore = field(default_factory=_CouplingStore, repr=False)
 
     def __post_init__(self):
         if not (self.omega > 0.0):
@@ -141,7 +193,7 @@ class HarmonicSystem:
             raise ValueError("truncation order must be a positive integer")
         if abs(self.input_spectrum.omega - self.omega) > 1e-9 * self.omega:
             raise ValueError("input spectrum frequency does not match the system")
-        q = qk_array(self.law, self.omega, 2 * self.K)
+        q = qk_array(self.law, self.omega, 2 * self.K, self._store)
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
 
@@ -151,7 +203,10 @@ class HarmonicSystem:
         return complex(self.q[k + 2 * self.K])
 
     def with_truncation(self, K: int) -> "HarmonicSystem":
-        return HarmonicSystem(self.omega, K, self.law, self.input_spectrum)
+        """The same scenario at truncation ``K``, sharing the computed ``q_k``."""
+        return HarmonicSystem(
+            self.omega, K, self.law, self.input_spectrum, _store=self._store
+        )
 
 
 def _input_band(spectrum: Spectrum) -> int:
@@ -380,7 +435,7 @@ def periodic_rate(sys: HarmonicSystem, beta: Spectrum, grid: TimeGrid) -> Trace:
     harmonics where ``q_k`` vanishes.
     """
     b = beta.order
-    q = qk_array(sys.law, sys.omega, b)
+    q = qk_array(sys.law, sys.omega, b, sys._store)
     alpha = np.empty(2 * b + 1, dtype=complex)
     for k in range(-b, b + 1):
         alpha[k + b] = (1.0 if k == 0 else 0.0) - q[k + b] * beta.coefficient(k)

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from deadtime import cli
-from deadtime.core import GammaDeadTime, Spectrum, Trace, read_law_csv
+from deadtime.core import (
+    GammaDeadTime,
+    Spectrum,
+    TabulatedDeadTime,
+    Trace,
+    read_law_csv,
+    write_law_csv,
+)
 
 
 def run(argv):
@@ -102,14 +109,31 @@ class TestPeriodic:
         assert abs(beta.coefficient(1) - 0.45 * lam0 * alpha0) < 1e-8
 
     def test_sweep_deterministic_across_threads(self, tmp_path):
-        base = ["periodic", "--d", 0.08, "--nu0", 10, "--mod-depth", 0.9,
-                "--f-sweep", "2:14:7", "--harmonics", 8]
-        p1, p2 = tmp_path / "t1", tmp_path / "t4"
-        assert run(base + ["--out-prefix", p1, "--threads", 1]) == 0
-        assert run(base + ["--out-prefix", p2, "--threads", 4]) == 0
-        left = (tmp_path / "t1-sweep.csv").read_bytes()
-        right = (tmp_path / "t4-sweep.csv").read_bytes()
-        assert left == right
+        ref = GammaDeadTime(3, 50.0)
+        x = np.linspace(0.0, ref.quantile(1 - 1e-13), 2001)
+        pdf = ref.density(x)
+        table = tmp_path / "law.csv"
+        write_law_csv(TabulatedDeadTime(x, pdf / np.trapezoid(pdf, x)), table)
+        for name, law in (("fixed", ["--d", 0.08]), ("table", ["--law", f"table:{table}"])):
+            base = ["periodic", *law, "--nu0", 10, "--mod-depth", 0.9,
+                    "--f-sweep", "2:14:7", "--harmonics", 8]
+            p1, p2 = tmp_path / f"{name}1", tmp_path / f"{name}4"
+            assert run(base + ["--out-prefix", p1, "--threads", 1]) == 0
+            assert run(base + ["--out-prefix", p2, "--threads", 4]) == 0
+            left = sorted(tmp_path.glob(f"{name}1-*.csv"))
+            assert len(left) == 15
+            for path in left:
+                twin = tmp_path / path.name.replace(f"{name}1-", f"{name}4-", 1)
+                assert path.read_bytes() == twin.read_bytes()
+
+    def test_colliding_file_tags_rejected_before_writing(self, tmp_path, capsys):
+        prefix = tmp_path / "fine"
+        code = run(["periodic", "--d", 0.08, "--nu0", 10,
+                    "--f-sweep", "1000:1000.001:3", "--out-prefix", prefix])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "1000.0" in err and "1000.0005" in err and "1000.001" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_max_rate_column(self, tmp_path):
         prefix = tmp_path / "mx"
@@ -330,6 +354,14 @@ class TestValidateCmd:
     def test_rejects_broken_trace(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("t,A,nu\n0,0.5,10\n0.1,1.7,10\n")
+        assert run(["validate", bad]) == 2
+
+    def test_rejects_unevenly_spaced_estimate(self, tmp_path):
+        bad = tmp_path / "est.csv"
+        bad.write_text(
+            "t,nu_hat,nu_se,A_hat,A_se,count\n"
+            "0,1,0.1,0.5,0.01,3\n0.001,1,0.1,0.5,0.01,3\n0.005,1,0.1,0.5,0.01,3\n"
+        )
         assert run(["validate", bad]) == 2
 
 

@@ -170,6 +170,15 @@ class TestConfigAndEstimate:
         np.testing.assert_array_equal(back.event_count, est.event_count)
         assert np.isnan(back.active_hat[1])
 
+    def test_estimate_csv_rejects_uneven_times(self, tmp_path):
+        path = tmp_path / "est.csv"
+        path.write_text(
+            "t,nu_hat,nu_se,A_hat,A_se,count\n"
+            "0,1,0.1,0.5,0.01,3\n0.001,1,0.1,0.5,0.01,3\n0.005,1,0.1,0.5,0.01,3\n"
+        )
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            read_estimate_csv(path)
+
     def test_estimate_validation(self):
         grid = TimeGrid(0.0, 1.0, 2)
         with pytest.raises(ValueError, match="shape"):

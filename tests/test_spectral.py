@@ -107,6 +107,69 @@ class TestQkLaw:
         assert_allclose(q[::-1].conj(), q, atol=1e-15)
 
 
+def tabulated_gamma(order=3, rate=50.0, nodes=2001):
+    ref = GammaDeadTime(order=order, rate=rate)
+    x = np.linspace(0.0, ref.quantile(1 - 1e-13), nodes)
+    pdf = ref.density(x)
+    return TabulatedDeadTime(x, pdf / np.trapezoid(pdf, x))
+
+
+def simpson_qk_reference(law, omega, k):
+    """Per-harmonic quadrature of the survivor transform on its own grid."""
+    upper = float(law.x[-1])
+    cycles = abs(k) * omega * upper / (2 * math.pi)
+    n = max(8192, 4 * law.x.size, int(64 * cycles))
+    n += n % 2
+    y = np.linspace(0.0, upper, n + 1)
+    return complex(integrate.simpson(law.survivor(y) * np.exp(-1j * k * omega * y), x=y))
+
+
+class TestQkTabulated:
+    def test_matches_per_harmonic_simpson(self):
+        law = tabulated_gamma()
+        w = angular_frequency(20.0)
+        kmax = 32
+        # harmonics from k = 13 on need more than the 8192-cell floor
+        upper = float(law.x[-1])
+        assert 64 * kmax * w * upper / (2 * math.pi) > 8192 > 64 * w * upper / (2 * math.pi)
+        q = qk_array(law, w, kmax)
+        for k in range(kmax + 1):
+            ref = simpson_qk_reference(law, w, k)
+            assert abs(q[kmax + k] - ref) < 1e-13
+            assert abs(q[kmax - k] - ref.conjugate()) < 1e-13
+            assert qk_law(law, w, k) == q[kmax + k]
+
+    @pytest.mark.parametrize("law", [tabulated_gamma(), GammaDeadTime(3, 50.0)])
+    def test_doubled_truncation_is_a_fresh_system(self, law):
+        w = angular_frequency(20.0)
+        lam_spec = signal_spectrum(Cosine(LAM0, EPS, 20.0), w, order=1)
+        sys = HarmonicSystem(w, 4, law, lam_spec)
+        doubled = sys.with_truncation(8)
+        fresh = HarmonicSystem(w, 8, law, lam_spec)
+        assert np.array_equal(doubled.q, fresh.q)
+        assert np.array_equal(sys.q, fresh.q[8:-8])
+
+    def test_survivor_evaluated_once_per_grid(self, monkeypatch):
+        law = tabulated_gamma()
+        sizes = []
+        survivor = TabulatedDeadTime.survivor
+
+        def counting(self, x):
+            sizes.append(np.size(x))
+            return survivor(self, x)
+
+        monkeypatch.setattr(TabulatedDeadTime, "survivor", counting)
+        f = 6.25
+        w = angular_frequency(f)
+        lam_spec = signal_spectrum(Cosine(LAM0, EPS, f), w, order=1)
+        sys = HarmonicSystem(w, 4, law, lam_spec)
+        alpha = solve_active_spectrum(sys)
+        assert alpha.order > sys.K  # the solve doubled its truncation
+        beta = output_spectrum(sys, alpha)
+        periodic_rate(sys, beta, TimeGrid(0.0, 1.0 / f / 64, 65))
+        assert sizes and len(sizes) == len(set(sizes))
+
+
 class TestSolveActiveSpectrum:
     def test_constant_input_recovers_equilibrium(self):
         w = angular_frequency(5.0)
