@@ -31,17 +31,34 @@ from .core import (
     Cosine,
     FixedDeadTime,
     GammaDeadTime,
+    LAW_CSV,
     NotRepresentableError,
     NumericalError,
+    SPECTRUM_CSV,
+    Schema,
     Spectrum,
     Step,
+    TRACE_CSV,
     TimeGrid,
+    Trace,
     _fmt,
+    read_csv,
     read_law_csv,
     signal_spectrum,
+    write_csv,
     write_law_csv,
 )
-from .mc_sim import SimConfig, hazard_pprd, simulate_generative, simulate_rejection
+from .mc_sim import (
+    ESTIMATE_CSV,
+    EVENTS_CSV,
+    EnsembleEstimate,
+    SimConfig,
+    hazard_pprd,
+    read_estimate_csv,
+    read_events_csv,
+    simulate_generative,
+    simulate_rejection,
+)
 from .renewal_map import (
     RenewalSpec,
     check_hazard_condition,
@@ -60,24 +77,17 @@ from .spectral import (
 
 __all__ = ["main"]
 
-TRACE_HEADER = "t,A,nu"
+# files only the command line writes; the library declares the others
 COMBINED_HEADER = "t,A,nu,nu_hat,nu_se,A_hat,A_se,count"
-ESTIMATE_HEADER = "t,nu_hat,nu_se,A_hat,A_se,count"
-HAZARD_HEADER = "tau,h,rho"
-SWEEP_HEADER = "f,k,abs,phase"
+COMBINED_CSV = Schema("combined", COMBINED_HEADER, "ffffnnni")
+HAZARD_CSV = Schema("hazard", "tau,h,rho", "fff")
+SWEEP_CSV = Schema("sweep", "f,k,abs,phase", "fiff")
+SWEEP_MAX_CSV = Schema("sweep", SWEEP_CSV.header + ",max_nu", "fifff")
 
 
 # ---------------------------------------------------------------------------
 # small plumbing
 # ---------------------------------------------------------------------------
-
-
-def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
 
 
 def _report(msg: str) -> None:
@@ -155,41 +165,6 @@ def _expand_scenario(argv: list[str]) -> list[str]:
     return [rest[0]] + _load_scenario(path) + rest[1:]
 
 
-def _combined_rows(centers, ref_active, ref_rate, est_slices) -> str:
-    nu_hat, nu_se, a_hat, a_se, count = est_slices
-    lines = [COMBINED_HEADER]
-    for i, t in enumerate(centers):
-        lines.append(
-            ",".join(
-                [
-                    _fmt(t),
-                    _fmt(ref_active[i]),
-                    _fmt(ref_rate[i]),
-                    _fmt(nu_hat[i]),
-                    _fmt(nu_se[i]),
-                    _fmt(a_hat[i]),
-                    _fmt(a_se[i]),
-                    str(int(count[i])),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _trace_text(trace) -> str:
-    lines = [TRACE_HEADER]
-    for t, a, r in zip(trace.grid.times(), trace.active, trace.rate):
-        lines.append(f"{_fmt(t)},{_fmt(a)},{_fmt(r)}")
-    return "\n".join(lines) + "\n"
-
-
-def _spectrum_text(spectrum: Spectrum) -> str:
-    lines = []
-    for k, c in enumerate(spectrum.coeffs):
-        lines.append(f"{k - spectrum.order},{_fmt(c.real)},{_fmt(c.imag)}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # step
 # ---------------------------------------------------------------------------
@@ -217,7 +192,7 @@ def cmd_step(args) -> int:
     if not args.mc:
         n = int(math.floor(args.t_max / args.dt + 1e-9)) + 1
         trace = analytic_ppd.step_response(lam0, lam1, d, TimeGrid(0.0, args.dt, n))
-        _write_text(args.out, _trace_text(trace))
+        trace.to_csv(args.out)
         return 0
 
     bw = args.bin_width if args.bin_width is not None else args.dt
@@ -235,19 +210,10 @@ def cmd_step(args) -> int:
     est = simulate_generative(sig, FixedDeadTime(d), cfg)
     centers = TimeGrid(bw / 2.0, bw, n)
     ref = analytic_ppd.step_response(lam0, lam1, d, centers)
-    text = _combined_rows(
-        centers.times(),
-        ref.active,
-        ref.rate,
-        (
-            est.rate_hat[1:],
-            est.rate_se[1:],
-            est.active_hat[1:],
-            est.active_se[1:],
-            est.event_count[1:],
-        ),
-    )
-    _write_text(args.out, text)
+    write_csv(args.out, COMBINED_CSV, (
+        centers.times(), ref.active, ref.rate, est.rate_hat[1:], est.rate_se[1:],
+        est.active_hat[1:], est.active_se[1:], est.event_count[1:],
+    ))
     return 0
 
 
@@ -302,18 +268,16 @@ def cmd_periodic(args) -> int:
     with ThreadPoolExecutor(max_workers=_thread_count(args)) as pool:
         results = list(pool.map(work, freqs))
 
-    sweep_lines = [SWEEP_HEADER + (",max_nu" if args.max_rate else "")]
+    rows = []
     for f, tag, (beta, trace) in zip(freqs, tags, results):
-        _write_text(f"{args.out_prefix}-trace-f{tag}.csv", _trace_text(trace))
-        _write_text(f"{args.out_prefix}-beta-f{tag}.csv", _spectrum_text(beta))
-        peak = float(np.max(trace.rate))
+        trace.to_csv(f"{args.out_prefix}-trace-f{tag}.csv")
+        beta.to_csv(f"{args.out_prefix}-beta-f{tag}.csv")
+        peak = (float(np.max(trace.rate)),) if args.max_rate else ()
         for k in range(-args.harmonics, args.harmonics + 1):
             c = beta.coefficient(k)
-            row = f"{_fmt(f)},{k},{_fmt(abs(c))},{_fmt(cmath.phase(c))}"
-            if args.max_rate:
-                row += f",{_fmt(peak)}"
-            sweep_lines.append(row)
-    _write_text(f"{args.out_prefix}-sweep.csv", "\n".join(sweep_lines) + "\n")
+            rows.append((f, k, abs(c), cmath.phase(c), *peak))
+    schema = SWEEP_MAX_CSV if args.max_rate else SWEEP_CSV
+    write_csv(f"{args.out_prefix}-sweep.csv", schema, zip(*rows))
     return 0
 
 
@@ -337,7 +301,7 @@ def cmd_pprd_step(args) -> int:
         n = int(math.floor(args.t_max / args.dt + 1e-9)) + 1
         grid = TimeGrid(0.0, args.dt, n)
         trace = gamma_chain.step_response(args.shape, law.rate, lam0, lam1, grid)
-        _write_text(args.out, _trace_text(trace))
+        trace.to_csv(args.out)
         return 0
 
     if not args.mc:
@@ -355,7 +319,6 @@ def cmd_pprd_step(args) -> int:
             t_span=(-bw, n * bw),
             bin_width=bw,
             lambda_max=max(lam0, lam1),
-            method="rejection",
         )
         return simulate_rejection(sig, law, cfg)
 
@@ -378,13 +341,10 @@ def cmd_pprd_step(args) -> int:
     )
     centers = TimeGrid(bw / 2.0, bw, n)
     ref = gamma_chain.step_response(args.shape, law.rate, lam0, lam1, centers)
-    text = _combined_rows(
-        centers.times(),
-        ref.active,
-        ref.rate,
-        (nu.mean(axis=0), nu_se, act.mean(axis=0), a_se, count),
-    )
-    _write_text(args.out, text)
+    write_csv(args.out, COMBINED_CSV, (
+        centers.times(), ref.active, ref.rate,
+        nu.mean(axis=0), nu_se, act.mean(axis=0), a_se, count,
+    ))
     return 0
 
 
@@ -402,12 +362,7 @@ def cmd_hazard(args) -> int:
     rho = np.asarray(law.density(tau), dtype=float)
     peak = float(np.max(rho))
     rho_norm = rho / peak if peak > 0.0 else rho
-    lines = [HAZARD_HEADER]
-    for i in range(tau.size):
-        lines.append(
-            f"{_fmt(tau[i])},{_fmt(h[i] / args.lambda0)},{_fmt(rho_norm[i])}"
-        )
-    _write_text(args.out, "\n".join(lines) + "\n")
+    write_csv(args.out, HAZARD_CSV, (tau, h / args.lambda0, rho_norm))
     return 0
 
 
@@ -460,16 +415,7 @@ def cmd_represent(args) -> int:
     lam_min = minimal_lambda(spec)
     verdict = check_hazard_condition(spec, rep.input_rate)
     residual = convolution_residual(rep, spec)
-    if args.out == "-":
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as tmpdir:
-            scratch = os.path.join(tmpdir, "law.csv")
-            write_law_csv(rep.law, scratch)
-            with open(scratch, "r", encoding="ascii") as fh:
-                sys.stdout.write(fh.read())
-    else:
-        write_law_csv(rep.law, args.out)
+    write_law_csv(rep.law, args.out)
     _report(f"input_rate = {_fmt(rep.input_rate)}")
     _report(f"minimal_rate = {_fmt(lam_min)}")
     _report(f"admissible = {verdict.admissible}")
@@ -492,7 +438,7 @@ def cmd_infer_input(args) -> int:
         raise ValueError("--f must be positive")
     beta = Spectrum.from_csv(args.beta_csv, omega=2.0 * math.pi * args.f)
     lam_spec, cond = infer_input_spectrum(beta, law)
-    _write_text(args.out, _spectrum_text(lam_spec))
+    lam_spec.to_csv(args.out)
     _report(f"condition = {_fmt(cond)}")
     return 0
 
@@ -507,67 +453,48 @@ def _check(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
+def _check_combined(path: str) -> None:
+    t, _, _, *estimate = read_csv(path, COMBINED_CSV)[0]
+    EnsembleEstimate(TimeGrid.from_times(t), *estimate)
+
+
+def _check_hazard(path: str) -> None:
+    _, h, rho = read_csv(path, HAZARD_CSV)[0]
+    _check(bool(np.all(h >= -1e-12) and np.all(rho >= -1e-12)), "normalized columns negative")
+
+
+def _check_sweep(path: str, schema: Schema) -> None:
+    _, _, magnitude, phase, *_ = read_csv(path, schema)[0]
+    _check(bool(np.all(magnitude >= 0)), "harmonic magnitude negative")
+    _check(bool(np.all(np.abs(phase) <= math.pi + 1e-9)), "phase outside (-pi, pi]")
+
+
 def _validate_file(path: str) -> str:
+    """Kind of the file at ``path``, once it has been read back as that kind."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
-
-    def load(skip):
-        return np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
-
-    if header == TRACE_HEADER:
-        data = load(1)
-        _check(data.shape[1] == 3, "trace needs 3 columns")
-        _check(bool(np.all(np.isfinite(data))), "trace values must be finite")
-        TimeGrid.from_times(data[:, 0])
-        _check(
-            bool(np.all((data[:, 1] > -1e-6) & (data[:, 1] < 1 + 1e-6))),
-            "active fraction outside [0, 1]",
-        )
-        _check(bool(np.all(data[:, 2] > -1e-6)), "rate turned negative")
-        return "trace"
-    if header == COMBINED_HEADER or header == ESTIMATE_HEADER:
-        data = load(1)
-        ncol = 8 if header == COMBINED_HEADER else 6
-        _check(data.shape[1] == ncol, f"expected {ncol} columns")
-        TimeGrid.from_times(data[:, 0])
-        off = 3 if ncol == 8 else 1
-        nu_hat, nu_se, a_hat, a_se, count = (data[:, off + i] for i in range(5))
-        _check(bool(np.all(nu_hat >= 0)), "rate estimate negative")
-        _check(bool(np.all(np.isnan(nu_se) | (nu_se >= 0))), "rate SE negative")
-        good_a = np.isnan(a_hat) | ((a_hat >= 0) & (a_hat <= 1))
-        _check(bool(np.all(good_a)), "active estimate outside [0, 1]")
-        _check(bool(np.all(np.isnan(a_se) | (a_se >= 0))), "active SE negative")
-        _check(
-            bool(np.all((count >= 0) & (count == np.round(count)))),
-            "counts must be non-negative integers",
-        )
-        return "combined" if ncol == 8 else "estimate"
-    if header == HAZARD_HEADER:
-        data = load(1)
-        _check(data.shape[1] == 3, "hazard table needs 3 columns")
-        _check(bool(np.all(np.isfinite(data))), "hazard values must be finite")
-        _check(bool(np.all(data[:, 1:] >= -1e-12)), "normalized columns negative")
-        return "hazard"
-    if header.startswith(SWEEP_HEADER):
-        data = load(1)
-        ncol = 5 if header.endswith(",max_nu") else 4
-        _check(data.shape[1] == ncol, f"sweep needs {ncol} columns")
-        _check(bool(np.all(np.isfinite(data))), "sweep values must be finite")
-        _check(bool(np.all(data[:, 2] >= 0)), "harmonic magnitude negative")
-        _check(
-            bool(np.all(np.abs(data[:, 3]) <= math.pi + 1e-9)),
-            "phase outside (-pi, pi]",
-        )
-        return "sweep"
-    if header.startswith("x,rho"):
-        read_law_csv(path)
-        return "law"
-    # headerless spectrum: integer index, real, imaginary
+    # combined, hazard and sweep files have no library reader; the checks
+    # above hold their column rules
+    checks = {
+        TRACE_CSV: Trace.from_csv,
+        LAW_CSV: read_law_csv,
+        ESTIMATE_CSV: read_estimate_csv,
+        EVENTS_CSV: read_events_csv,
+        COMBINED_CSV: _check_combined,
+        HAZARD_CSV: _check_hazard,
+        SWEEP_CSV: lambda p: _check_sweep(p, SWEEP_CSV),
+        SWEEP_MAX_CSV: lambda p: _check_sweep(p, SWEEP_MAX_CSV),
+    }
+    for schema, check in checks.items():
+        if schema.matches(header):
+            check(path)
+            return schema.kind
+    # a spectrum has no header: its first line is already a row
     try:
         Spectrum.from_csv(path, omega=1.0)
-        return "spectrum"
-    except Exception as err:
+    except (ValueError, MemoryError) as err:  # a huge index sizes a huge spectrum
         raise ValueError(f"unrecognized schema (header {header!r}): {err}") from err
+    return SPECTRUM_CSV.kind
 
 
 def cmd_validate(args) -> int:

@@ -8,7 +8,9 @@ Everything here is an immutable value object with pure-function semantics,
 safe to share between worker threads.
 """
 
+import contextlib
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -77,6 +79,102 @@ def simpson_weights(n_cells: int, h: float) -> np.ndarray:
 def _fmt(value: float) -> str:
     """Shortest round-trip decimal used by every CSV writer."""
     return format(float(value), ".17g")
+
+
+# ---------------------------------------------------------------------------
+# CSV files
+# ---------------------------------------------------------------------------
+
+_COLUMN_RULES = {"f": "finite numbers", "n": "finite numbers or NaN"}
+_BLOCK_ROWS = 1 << 14
+
+
+@dataclass(frozen=True)
+class Schema:
+    """One CSV file format, shared by its writer, its reader and ``validate``.
+
+    ``kind`` is the name ``validate`` reports; ``header`` names the columns; ``types`` has one letter per column:
+    ``f`` a finite float, ``n`` a finite float or NaN, ``i`` an integer
+    (written and read as a plain integer literal).
+    A ``parameter`` extends the header line with ``,name=value``.  A
+    ``headerless`` file starts with its first row.  Only an ``empty_ok``
+    file may hold no rows.
+    """
+
+    kind: str
+    header: str
+    types: str
+    parameter: str | None = None
+    headerless: bool = False
+    empty_ok: bool = False
+
+    def matches(self, line: str) -> bool:
+        """Whether ``line`` is this schema's header line."""
+        if self.parameter is not None:
+            return line.startswith(f"{self.header},{self.parameter}=")
+        return not self.headerless and line == self.header
+
+
+def write_csv(path, schema: Schema, columns, value: float | None = None) -> None:
+    """Write ``columns`` as the rows of a ``schema`` file; ``"-"`` is stdout.
+
+    ``value`` is the header parameter of a schema that has one.  Rows are
+    formatted a block at a time, so a long table never exists as text.
+    """
+    columns = [
+        np.asarray(col, dtype=np.int64 if kind == "i" else float)
+        for kind, col in zip(schema.types, columns, strict=True)
+    ]
+    if len({col.shape for col in columns}) > 1:
+        raise ValueError(f"{schema.kind} columns differ in length")
+    formats = [str if kind == "i" else _fmt for kind in schema.types]
+    out = contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="ascii")
+    with out as fh:
+        if not schema.headerless:
+            param = "" if schema.parameter is None else f",{schema.parameter}={_fmt(value)}"
+            fh.write(f"{schema.header}{param}\n")
+        for start in range(0, columns[0].size, _BLOCK_ROWS):
+            cells = [
+                map(fmt, col[start:start + _BLOCK_ROWS].tolist())
+                for fmt, col in zip(formats, columns)
+            ]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def read_csv(path, schema: Schema) -> tuple[list[np.ndarray], float | None]:
+    """Columns of a ``schema`` file and the value of its header parameter.
+
+    Integer columns come back as ``int64``, the others as floats.  Raises
+    ``ValueError`` for any other header, a cell that is not a number of its
+    column's type, a row of the wrong length, a value its column does not
+    allow, or a file without rows unless the schema allows that.
+    """
+    names = schema.header.split(",")
+    dtype = np.dtype([
+        (name, np.int64 if kind == "i" else float) for name, kind in zip(names, schema.types)
+    ])
+    value = None
+    with open(path, "r", encoding="ascii") as fh:
+        if not schema.headerless:
+            line = fh.readline().strip()
+            if not schema.matches(line):
+                raise ValueError(f"unexpected {schema.kind} header {line!r}")
+            if schema.parameter is not None:
+                value = float(line.split("=", 1)[1])
+        start = fh.tell()
+        # loadtxt only warns on a table without rows, so look for one first
+        if any(row.split("#", 1)[0].strip() for row in iter(fh.readline, "")):
+            fh.seek(start)
+            data = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=1)
+        elif schema.empty_ok:
+            data = np.empty(0, dtype)
+        else:
+            raise ValueError(f"{schema.kind} file has no rows")
+    columns = [data[name] for name in names]
+    for name, kind, col in zip(names, schema.types, columns):
+        if kind != "i" and not np.all(~np.isinf(col) if kind == "n" else np.isfinite(col)):
+            raise ValueError(f"{schema.kind} column {name!r} must hold {_COLUMN_RULES[kind]}")
+    return columns, value
 
 
 # ---------------------------------------------------------------------------
@@ -655,30 +753,23 @@ class Spectrum:
 
     def to_csv(self, path):
         """Write headerless rows ``k, re, im`` from ``-K`` to ``K``."""
-        lines = [
-            f"{k - self.order},{_fmt(c.real)},{_fmt(c.imag)}"
-            for k, c in enumerate(self.coeffs)
-        ]
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+        k = np.arange(-self.order, self.order + 1)
+        write_csv(path, SPECTRUM_CSV, (k, self.coeffs.real, self.coeffs.imag))
 
     @classmethod
     def from_csv(cls, path, omega: float, tol: float = 1e-9) -> "Spectrum":
-        rows = []
-        with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                k_str, re_str, im_str = line.split(",")
-                rows.append((int(k_str), float(re_str), float(im_str)))
-        rows.sort()
-        ks = [r[0] for r in rows]
-        order = max(-ks[0], ks[-1])
+        """Read rows ``k, re, im``; harmonics without a row are zero."""
+        (k, re, im), _ = read_csv(path, SPECTRUM_CSV)
+        if np.unique(k).size < k.size:
+            raise ValueError("spectrum repeats a harmonic index")
+        order = max(-int(k.min()), int(k.max()))
         coeffs = np.zeros(2 * order + 1, dtype=complex)
-        for k, re, im in rows:
-            coeffs[k + order] = re + 1j * im
+        coeffs.real[k + order] = re
+        coeffs.imag[k + order] = im
         return cls(omega, coeffs, tol=tol)
+
+
+SPECTRUM_CSV = Schema("spectrum", "k,re,im", "iff", headerless=True)
 
 
 def signal_spectrum(sig: InputSignal, omega: float, order: int) -> Spectrum:
@@ -760,23 +851,15 @@ class Trace:
 
     def to_csv(self, path):
         """Write rows ``t, A, nu`` under a one-line header."""
-        t = self.grid.times()
-        lines = ["t,A,nu"]
-        lines += [
-            f"{_fmt(ti)},{_fmt(a)},{_fmt(r)}"
-            for ti, a, r in zip(t, self.active, self.rate)
-        ]
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(path, TRACE_CSV, (self.grid.times(), self.active, self.rate))
 
     @classmethod
     def from_csv(cls, path) -> "Trace":
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline().strip()
-            if header != "t,A,nu":
-                raise ValueError(f"unexpected trace header {header!r}")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        return cls(TimeGrid.from_times(data[:, 0]), data[:, 1], data[:, 2])
+        (t, active, rate), _ = read_csv(path, TRACE_CSV)
+        return cls(TimeGrid.from_times(t), active, rate)
+
+
+TRACE_CSV = Schema("trace", "t,A,nu", "fff")
 
 
 @dataclass(frozen=True)
@@ -831,19 +914,12 @@ def write_law_csv(law: DeadTimeLaw, path, n_nodes: int = 2048):
     else:
         x = np.linspace(0.0, law.support_window(), n_nodes)
         pdf, atom = law.density(x), law.atom0
-    lines = [f"x,rho,atom0={_fmt(atom)}"]
-    lines += [f"{_fmt(xi)},{_fmt(pi)}" for xi, pi in zip(x, pdf)]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, LAW_CSV, (x, pdf), atom)
 
 
 def read_law_csv(path) -> TabulatedDeadTime:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        parts = header.split(",")
-        if len(parts) != 3 or parts[0] != "x" or parts[1] != "rho" \
-                or not parts[2].startswith("atom0="):
-            raise ValueError(f"unexpected density header {header!r}")
-        atom = float(parts[2].split("=", 1)[1])
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return TabulatedDeadTime(data[:, 0], data[:, 1], atom)
+    (x, pdf), atom = read_csv(path, LAW_CSV)
+    return TabulatedDeadTime(x, pdf, atom)
+
+
+LAW_CSV = Schema("law", "x,rho", "ff", parameter="atom0")

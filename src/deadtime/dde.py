@@ -44,20 +44,22 @@ __all__ = [
     "ResidualSeries",
 ]
 
-# fraction of the dead-time distribution allowed beyond the truncated window
-KERNEL_TAIL_MASS = 1e-12
-
 _GATE_TOL = 1e-9
 _STIFFNESS_LIMIT = 0.1
 
 
 def _sample_callable(fn, ts: np.ndarray) -> np.ndarray:
-    """Evaluate a history callable on an array, tolerating scalar-only ones."""
+    """Evaluate a history callable on an array, tolerating scalar-only ones.
+
+    A scalar-only callable such as ``math.exp`` raises ``TypeError`` or
+    ``ValueError`` on an array and is then called per element; any other
+    exception is a fault of the history and propagates.
+    """
     try:
         out = np.asarray(fn(ts), dtype=float)
         if out.shape == ts.shape:
             return out
-    except Exception:
+    except (TypeError, ValueError):
         pass
     return np.array([float(fn(float(s))) for s in ts])
 
@@ -180,13 +182,6 @@ def integrate_ppd(
     return _finish_trace(grid, a_nodes, lam_r[off::2].copy())
 
 
-def _kernel_window(law: DeadTimeLaw) -> float:
-    w = float(law.quantile(1.0 - KERNEL_TAIL_MASS))
-    if not (w > 0.0):
-        raise ValueError("dead-time law has no positive support window")
-    return w
-
-
 def integrate_pprd(
     sig: InputSignal,
     law: DeadTimeLaw,
@@ -206,7 +201,9 @@ def integrate_pprd(
     if isinstance(law, FixedDeadTime):
         return integrate_ppd(sig, law.duration, history, grid)
 
-    window = _kernel_window(law)
+    window = law.support_window()
+    if not (window > 0.0):
+        raise ValueError("dead-time law has no positive support window")
     h = grid.dt
     if h > window / 256.0 * (1.0 + 1e-12):
         raise ValueError(
@@ -324,7 +321,9 @@ def normalization_residual(
         kernel = np.full(n_cells + 1, h)
         kernel[0] = kernel[-1] = 0.5 * h
     else:
-        window = _kernel_window(law)
+        window = law.support_window()
+        if not (window > 0.0):
+            raise ValueError("dead-time law has no positive support window")
         n_cells = int(np.ceil(window / h - 1e-12))
         if n_cells < 2:
             raise ValueError("trace step does not resolve the memory window")

@@ -27,10 +27,12 @@ from .core import (
     FixedDeadTime,
     GammaDeadTime,
     InputSignal,
+    Schema,
     Step,
     TabulatedDeadTime,
     TimeGrid,
-    _fmt,
+    read_csv,
+    write_csv,
 )
 
 __all__ = [
@@ -298,8 +300,7 @@ class SimConfig:
 
     ``lambda_max`` bounds the input rate over the span and drives the
     thinning; it is validated against the signal before any sampling
-    happens.  ``method`` is carried for callers that dispatch by name
-    (the command line does); the samplers themselves are free functions.
+    happens.
     """
 
     components: int
@@ -307,7 +308,6 @@ class SimConfig:
     t_span: tuple[float, float]
     bin_width: float
     lambda_max: float
-    method: str = "generative"
 
     def __post_init__(self):
         if self.components < 1:
@@ -319,8 +319,6 @@ class SimConfig:
             raise ValueError("time span must have positive length")
         if not (self.lambda_max > 0.0):
             raise ValueError("thinning bound must be positive")
-        if self.method not in ("generative", "rejection"):
-            raise ValueError(f"unknown method {self.method!r}")
 
     @property
     def n_bins(self) -> int:
@@ -363,49 +361,33 @@ class EnsembleEstimate:
             raise ValueError("active-fraction estimate must lie in [0, 1]")
         if np.any(self.event_count < 0):
             raise ValueError("event counts must be non-negative")
+        if np.any(self.rate_se < 0.0) or np.any(self.active_se < 0.0):
+            raise ValueError("standard errors must be non-negative or NaN")
+
+
+ESTIMATE_CSV = Schema("estimate", "t,nu_hat,nu_se,A_hat,A_se,count", "ffnnni")
+EVENTS_CSV = Schema("events", "component,event_time", "if", empty_ok=True)
 
 
 def write_estimate_csv(est: EnsembleEstimate, path) -> None:
-    t = est.grid.times()
-    with open(path, "w", newline="") as fh:
-        fh.write("t,nu_hat,nu_se,A_hat,A_se,count\n")
-        for i in range(est.grid.n):
-            fh.write(
-                f"{_fmt(t[i])},{_fmt(est.rate_hat[i])},{_fmt(est.rate_se[i])},"
-                f"{_fmt(est.active_hat[i])},{_fmt(est.active_se[i])},"
-                f"{int(est.event_count[i])}\n"
-            )
+    write_csv(path, ESTIMATE_CSV, (
+        est.grid.times(), est.rate_hat, est.rate_se,
+        est.active_hat, est.active_se, est.event_count,
+    ))
 
 
 def read_estimate_csv(path) -> EnsembleEstimate:
-    data = np.atleast_2d(np.genfromtxt(path, delimiter=",", skip_header=1))
-    if data.shape[1] != 6:
-        raise ValueError("expected six columns: t,nu_hat,nu_se,A_hat,A_se,count")
-    return EnsembleEstimate(
-        TimeGrid.from_times(data[:, 0]),
-        data[:, 1],
-        data[:, 2],
-        data[:, 3],
-        data[:, 4],
-        data[:, 5].astype(np.int64),
-    )
+    (t, *columns), _ = read_csv(path, ESTIMATE_CSV)
+    return EnsembleEstimate(TimeGrid.from_times(t), *columns)
 
 
 def write_events_csv(events, path) -> None:
-    comp, times = events
-    with open(path, "w", newline="") as fh:
-        fh.write("component,event_time\n")
-        for c, t in zip(comp, times):
-            fh.write(f"{int(c)},{_fmt(t)}\n")
+    write_csv(path, EVENTS_CSV, events)
 
 
 def read_events_csv(path):
-    data = np.atleast_2d(np.genfromtxt(path, delimiter=",", skip_header=1))
-    if data.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    if data.shape[1] != 2:
-        raise ValueError("expected two columns: component,event_time")
-    return data[:, 0].astype(np.int64), data[:, 1]
+    """Component indices and event times; a table without rows has no events."""
+    return tuple(read_csv(path, EVENTS_CSV)[0])
 
 
 # ---------------------------------------------------------------------------

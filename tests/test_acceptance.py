@@ -323,7 +323,6 @@ def test_criterion_09_random_window_cross_validation():
                 t_span=(-bw, n_bins * bw),
                 bin_width=bw,
                 lambda_max=max(lam0, lam1),
-                method="rejection",
             )
             est = simulate_rejection(Step(lam0, lam1, 0.0), lw, cfg)
             return est.rate_hat[1:]

@@ -244,6 +244,13 @@ class TestRepresentCmd:
             law.pdf, expected.density(law.x), atol=1e-10
         )
 
+    def test_stdout_matches_file(self, tmp_path, capsys):
+        out = tmp_path / "g3.csv"
+        assert run(["represent", "--process", "gamma:3,25", "--out", out]) == 0
+        capsys.readouterr()
+        assert run(["represent", "--process", "gamma:3,25", "--out", "-"]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
     def test_lognormal_report(self, tmp_path, capsys):
         out = tmp_path / "ln.csv"
         assert run(["represent", "--process", "lognormal:0,0.5,0.1",

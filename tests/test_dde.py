@@ -122,6 +122,29 @@ class TestFixedDelay:
         with pytest.raises(ValueError, match="normalization"):
             integrate_ppd(Constant(10.0), D, bad, step_grid(64, t_end=0.1))
 
+    def test_scalar_only_history_integrates(self):
+        a, nu = 1.0 / (1.0 + LAM0 * D), LAM0 / (1.0 + LAM0 * D)
+        scalar = History(
+            active=lambda t: a * math.exp(0.0 * t), rate=lambda t: nu * math.exp(0.0 * t)
+        )
+        grid = step_grid(64, t_end=0.3)
+        got = integrate_ppd(Step(LAM0, LAM1), D, scalar, grid)
+        ref = integrate_ppd(Step(LAM0, LAM1), D, equilibrium_history(LAM0, D), grid)
+        assert np.array_equal(got.active, ref.active)
+
+    def test_history_fault_on_arrays_propagates(self):
+        a, nu = 1.0 / (1.0 + LAM0 * D), LAM0 / (1.0 + LAM0 * D)
+
+        def rate(t):
+            if isinstance(t, np.ndarray):
+                raise ZeroDivisionError("array-only bug")
+            return nu
+
+        broken = History(active=lambda t: a + 0.0 * np.asarray(t), rate=rate)
+        with pytest.raises(ValueError, match="history") as info:
+            integrate_ppd(Constant(LAM0), D, broken, step_grid(64, t_end=0.1))
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+
     def test_deep_modulation_stays_in_bounds(self):
         sig = Cosine(50.0, 45.0, 10.0)
         grid = TimeGrid(0.0, 0.08 / 512, 3 * 640 + 1)

@@ -142,8 +142,6 @@ class TestConfigAndEstimate:
             SimConfig(**{**ok, "t_span": (1.0, 1.0)})
         with pytest.raises(ValueError):
             SimConfig(**{**ok, "lambda_max": 0.0})
-        with pytest.raises(ValueError):
-            SimConfig(**{**ok, "method": "exact"})
 
     def test_bin_grid_centers(self):
         cfg = SimConfig(
