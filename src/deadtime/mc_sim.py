@@ -16,6 +16,7 @@ need to be advanced in lockstep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,8 @@ __all__ = [
 
 # components processed per vectorized pass; estimates do not depend on it
 _CHUNK = 1 << 18
+# largest occupation table (nodes); older ages are evaluated exactly
+_TABLE_MAX_NODES = 1 << 16
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -287,6 +290,94 @@ def hazard_pprd(sig: InputSignal, law: DeadTimeLaw, t, tau):
     else:
         out = lam * _occupation(sig, law, t, tau_arr)
     return float(np.asarray(out).ravel()[0]) if scalar else out
+
+
+class _OccupationTable:
+    """Occupation at one constant input rate as a function of age alone.
+
+    For a gamma law under its closed form (rate above the input rate).
+    Holds the exact ``_occupation`` at the ages ``k*h`` and interpolates
+    between them with the four-point Lagrange cubic; ``h`` is 1/128 of the
+    dead time's standard deviation or of the mean input interval,
+    whichever is shorter, which keeps the error below 1e-8 for any order
+    and rate.  Nodes are computed on demand and each ``k`` always gets the
+    same value, so the result does not depend on how the components are
+    chunked.  Ages past ``_TABLE_MAX_NODES`` nodes are evaluated exactly.
+    """
+
+    def __init__(self, law: GammaDeadTime, lam: float):
+        self.sig = Constant(lam)
+        self.law = law
+        scale = math.sqrt(law.order + 1) / law.rate
+        if lam > 0.0:
+            scale = min(scale, 1.0 / lam)
+        self.h = scale / 128.0
+        self.values = np.empty(0)
+
+    def __call__(self, tau: np.ndarray) -> np.ndarray:
+        x = tau / self.h
+        j0 = np.maximum(np.floor(x) - 1.0, 0.0)
+        inside = j0 + 4.0 <= _TABLE_MAX_NODES
+        out = np.empty_like(tau)
+        if not np.all(inside):
+            out[~inside] = _occupation(self.sig, self.law, 0.0, tau[~inside])
+            x, j0 = x[inside], j0[inside]
+        if x.size:
+            need = int(j0.max()) + 4
+            if need > self.values.size:
+                n = min(max(need, 2 * self.values.size), _TABLE_MAX_NODES)
+                ages = np.arange(self.values.size, n) * self.h
+                fresh = _occupation(self.sig, self.law, 0.0, ages)
+                self.values = np.concatenate([self.values, fresh])
+            u = x - j0
+            u1, u2, u3 = u - 1.0, u - 2.0, u - 3.0
+            j = j0.astype(np.int64)
+            v = self.values
+            q = (
+                (u * u1 * u2) / 6.0 * v[j + 3]
+                - (u * u1 * u3) / 2.0 * v[j + 2]
+                + (u * u2 * u3) / 2.0 * v[j + 1]
+                - (u1 * u2 * u3) / 6.0 * v[j]
+            )
+            out[inside] = np.clip(q, 0.0, 1.0)
+        return out
+
+
+def _occupation_tables(sig, law):
+    """Tables for the regimes of ``sig`` at a constant rate, or None each.
+
+    The pair is (before, after): a ``Constant`` input is all "before", a
+    ``Step`` switches from one to the other; other inputs get none.
+    """
+
+    def table(lam):
+        closed = isinstance(law, GammaDeadTime) and law.rate > lam * (1.0 + 1e-9)
+        return _OccupationTable(law, lam) if closed else None
+
+    if isinstance(sig, Constant):
+        return table(sig.level), None
+    if isinstance(sig, Step):
+        return table(sig.before), table(sig.after)
+    return None, None
+
+
+def _sweep_occupation(sig, law, t: float, tau: np.ndarray, tables) -> np.ndarray:
+    """``_occupation(sig, law, t, tau)`` with the constant-rate regimes read from tables.
+
+    Components whose last event precedes a step's switch stay exact.
+    """
+    before, after = tables
+    if isinstance(sig, Step) and t > sig.t_switch:
+        if after is None:
+            return _occupation(sig, law, t, tau)
+        post = (t - tau) >= sig.t_switch
+        out = np.empty_like(tau)
+        out[post] = after(tau[post])
+        out[~post] = _occupation(sig, law, t, tau[~post])
+        return out
+    if before is None:
+        return _occupation(sig, law, t, tau)
+    return before(tau)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +678,9 @@ def simulate_rejection(
     No dead time is ever drawn; the age since the last event is the whole
     per-component state, initialized from the stationary age law.  The
     active fraction is estimated from the occupation probability at each
-    bin center given each component's age, averaged over components.
+    bin center given each component's age, averaged over components; for
+    a gamma law the constant-rate regimes read it from an age table
+    (within 1e-8), while the thinning always uses the exact hazard.
     """
     _validate_bound(sig, cfg)
     t0 = cfg.t_span[0]
@@ -597,6 +690,7 @@ def simulate_rejection(
     lam_max = cfg.lambda_max
     lam0 = float(sig.rate_left(t0))
     centers = cfg.bin_grid().times()
+    tables = _occupation_tables(sig, law)
 
     counts = np.zeros(n_bins, dtype=np.int64)
     q_sum = np.zeros(n_bins)
@@ -662,7 +756,7 @@ def simulate_rejection(
             if nxt > ptr:
                 np.maximum.at(sweep_last, e_c[ptr:nxt], e_t[ptr:nxt])
                 ptr = nxt
-            q = _occupation(sig, law, float(tc), tc - sweep_last)
+            q = _sweep_occupation(sig, law, float(tc), tc - sweep_last, tables)
             q_sum[b] += float(q.sum())
             q_sq[b] += float((q * q).sum())
         if collect is not None and e_c.size:

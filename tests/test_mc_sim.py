@@ -468,6 +468,62 @@ class TestRejection:
         np.testing.assert_allclose(est1.active_hat, est2.active_hat, atol=1e-12)
 
 
+class TestOccupationTable:
+    @pytest.mark.parametrize("order", [0, 1, 10, 50, 200])
+    @pytest.mark.parametrize("lam_share", [0.0, 0.06, 0.4, 0.9])
+    def test_matches_exact_occupation(self, order, lam_share):
+        law = GammaDeadTime(order, (order + 1) / 0.08)
+        lam = lam_share * law.rate
+        table, after = mc_sim._occupation_tables(Constant(lam), law)
+        assert after is None
+        w = law.support_window()
+        tau = np.concatenate(
+            [np.linspace(0.0, 3.0 * w, 30001), np.random.default_rng(order).uniform(0.0, 20.0 * w, 5000)]
+        )
+        want = mc_sim._occupation(Constant(lam), law, 0.0, tau)
+        assert np.max(np.abs(table(tau) - want)) <= 1e-8
+
+    def test_ages_past_the_table_are_exact(self, monkeypatch):
+        monkeypatch.setattr(mc_sim, "_TABLE_MAX_NODES", 64)
+        law = GammaDeadTime(10, 137.5)
+        table, _ = mc_sim._occupation_tables(Constant(50.0), law)
+        tau = np.linspace(0.0, 0.5, 2001)
+        # a stencil starting at node floor(age/h) - 1 needs four nodes
+        far = tau / table.h >= 62.0
+        assert 0 < np.count_nonzero(far) < tau.size
+        got = table(tau)
+        assert table.values.size <= 64
+        want = mc_sim._occupation(Constant(50.0), law, 0.0, tau)
+        np.testing.assert_array_equal(got[far], want[far])
+        assert np.max(np.abs(got - want)) <= 1e-8
+
+    def test_only_closed_form_regimes_are_tabulated(self):
+        gamma = GammaDeadTime(3, 50.0)
+        before, after = mc_sim._occupation_tables(Step(10.0, 60.0, 0.0), gamma)
+        assert before is not None and after is None
+        assert mc_sim._occupation_tables(Cosine(10.0, 5.0, 2.0), gamma) == (None, None)
+        fixed = FixedDeadTime(0.08)
+        assert mc_sim._occupation_tables(Constant(10.0), fixed) == (None, None)
+
+    @pytest.mark.parametrize(
+        "sig", [Constant(30.0), Step(8.0, 50.0, 0.1)], ids=["constant", "step"]
+    )
+    def test_sweep_matches_the_exact_sweep(self, sig, monkeypatch):
+        law = GammaDeadTime(10, 137.5)
+        cfg = SimConfig(
+            components=3000, seed=9, t_span=(0.0, 0.4), bin_width=0.01, lambda_max=50.0
+        )
+        est, ev = simulate_rejection(sig, law, cfg, return_events=True)
+        monkeypatch.setattr(mc_sim, "_occupation_tables", lambda s, l: (None, None))
+        ref, ev_ref = simulate_rejection(sig, law, cfg, return_events=True)
+        # the tables feed only the occupation sweep: thinning is untouched
+        np.testing.assert_array_equal(ev[0], ev_ref[0])
+        np.testing.assert_array_equal(ev[1], ev_ref[1])
+        np.testing.assert_array_equal(est.rate_hat, ref.rate_hat)
+        np.testing.assert_allclose(est.active_hat, ref.active_hat, rtol=0.0, atol=1e-8)
+        np.testing.assert_allclose(est.active_se, ref.active_se, rtol=0.0, atol=1e-8)
+
+
 class TestEstimateFromEvents:
     def test_empty_events(self):
         grid = TimeGrid(0.05, 0.1, 4)
