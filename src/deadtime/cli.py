@@ -253,6 +253,9 @@ def cmd_periodic(args) -> int:
         raise ValueError("need --f or --f-sweep")
     if args.harmonics < 4:
         raise ValueError("--harmonics must be at least 4")
+    out_dir = os.path.dirname(args.out_prefix)
+    if out_dir and not os.path.isdir(out_dir):
+        raise ValueError(f"output directory {out_dir!r} does not exist")
     tags = [f"{f:g}" for f in freqs]
     if len(set(tags)) < len(tags):
         clash = next(t for t in tags if tags.count(t) > 1)
@@ -492,7 +495,7 @@ def _validate_file(path: str) -> str:
     # a spectrum has no header: its first line is already a row
     try:
         Spectrum.from_csv(path, omega=1.0)
-    except (ValueError, MemoryError) as err:  # a huge index sizes a huge spectrum
+    except ValueError as err:
         raise ValueError(f"unrecognized schema (header {header!r}): {err}") from err
     return SPECTRUM_CSV.kind
 

@@ -8,6 +8,7 @@ Everything here is an immutable value object with pure-function semantics,
 safe to share between worker threads.
 """
 
+import cmath
 import contextlib
 import math
 import sys
@@ -213,14 +214,16 @@ class TimeGrid:
         """Grid of a time column read back from a file.
 
         The spacings may deviate from the first one by at most
-        ``1e-9 * max(dt, 1)``; anything rougher is not a uniform grid.  A
-        single time gets unit spacing.
+        ``1e-9 * max(dt, 1)`` plus a few roundings of the largest time, which
+        is all a grid far from zero keeps; anything rougher is not a uniform
+        grid.  A single time gets unit spacing.
         """
         t = np.asarray(t, dtype=float)
         if t.size < 2:
             return cls(float(t[0]), 1.0, 1)
         dt = float(t[1] - t[0])
-        if not np.max(np.abs(np.diff(t) - dt)) <= 1e-9 * max(dt, 1.0):  # NaN fails
+        tol = 1e-9 * max(dt, 1.0) + 8.0 * np.finfo(float).eps * np.max(np.abs(t))
+        if not np.max(np.abs(np.diff(t) - dt)) <= tol:  # NaN fails
             raise ValueError("times are not uniformly spaced")
         return cls(float(t[0]), dt, t.size)
 
@@ -282,6 +285,23 @@ class InputSignal:
         """Exact supremum of the rate over the closed interval [t0, t1]."""
         raise NotImplementedError
 
+    def levels(self) -> tuple[float, ...]:
+        """Rates held over whole stretches of time, in time order; none if it keeps changing."""
+        return ()
+
+    def window_rate(self, t, tau):
+        """Rate on the look-back window ``[t - tau, t]`` where it holds one of
+        :meth:`levels` throughout; NaN where the window sees the rate change."""
+        return np.full(np.broadcast_shapes(np.shape(t), np.shape(tau)), np.nan)
+
+    def switch_time(self) -> float | None:
+        """Time of the one jump between the two :meth:`levels`, if there is one."""
+        return None
+
+    def spectrum(self, omega: float, order: int) -> "Spectrum":
+        """Fourier coefficients at angular frequency ``omega``; see :func:`signal_spectrum`."""
+        raise ValueError(f"input {type(self).__name__} is not periodic")
+
     # hooks -----------------------------------------------------------------
     def _rate(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -311,6 +331,17 @@ class Constant(InputSignal):
 
     def max_rate(self, t0, t1):
         return self.level
+
+    def levels(self):
+        return (self.level,)
+
+    def window_rate(self, t, tau):
+        return np.full(np.broadcast_shapes(np.shape(t), np.shape(tau)), self.level)
+
+    def spectrum(self, omega, order):
+        coeffs = np.zeros(2 * order + 1, dtype=complex)
+        coeffs[order] = self.level
+        return Spectrum(omega, coeffs)
 
 
 @dataclass(frozen=True)
@@ -354,6 +385,17 @@ class Step(InputSignal):
             return self.after
         return max(self.before, self.after)
 
+    def levels(self):
+        return (self.before, self.after)
+
+    def window_rate(self, t, tau):
+        t = np.asarray(t, dtype=float)
+        after = t - np.asarray(tau, dtype=float) >= self.t_switch
+        return np.where(after, self.after, np.where(t <= self.t_switch, self.before, np.nan))
+
+    def switch_time(self):
+        return self.t_switch
+
 
 @dataclass(frozen=True)
 class Cosine(InputSignal):
@@ -394,6 +436,20 @@ class Cosine(InputSignal):
         if math.floor(t1 * self.frequency) >= math.ceil(t0 * self.frequency):
             return self.base + self.amplitude
         return float(max(self.rate(t0), self.rate(t1)))
+
+    def spectrum(self, omega, order):
+        if abs(self.omega - omega) > 1e-9 * omega:
+            raise ValueError(
+                f"cosine frequency {self.frequency} does not match the requested base "
+                f"frequency {omega / TWO_PI}"
+            )
+        if order < 1 and self.amplitude > 0.0:
+            raise ValueError("order 0 cannot hold a modulated input")
+        coeffs = np.zeros(2 * order + 1, dtype=complex)
+        coeffs[order] = self.base
+        if order >= 1:
+            coeffs[order - 1] = coeffs[order + 1] = 0.5 * self.amplitude
+        return Spectrum(omega, coeffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -462,6 +518,23 @@ class Sampled(InputSignal):
             cand.append(float(np.max(self.values[inside])))
         return float(max(cand))
 
+    def spectrum(self, omega, order):
+        period = TWO_PI / omega
+        if abs(self.grid.span - period) > 1e-9 * period:
+            raise ValueError(
+                f"sampled window {self.grid.span} does not cover one period {period}"
+            )
+        n = self.grid.n
+        if order > n // 2 - 1:
+            raise ValueError(f"order {order} unresolvable with {n} samples per period")
+        t = self.grid.times()
+        coeffs = np.zeros(2 * order + 1, dtype=complex)
+        for k in range(order + 1):
+            ck = np.mean(self.values * np.exp(-1j * k * omega * t))
+            coeffs[order + k] = ck
+            coeffs[order - k] = np.conj(ck)
+        return Spectrum(omega, coeffs)
+
 
 # ---------------------------------------------------------------------------
 # dead-time laws
@@ -471,9 +544,14 @@ class Sampled(InputSignal):
 class DeadTimeLaw:
     """Distribution of the refractory duration that follows each event.
 
-    A law may carry an atom at zero (``atom0``); the remainder is absolutely
-    continuous.  ``survivor(x)`` is the probability that the dead time
-    exceeds ``x``, so ``survivor(0) == 1 - atom0``.
+    A law may carry an atom at zero (``atom0``); the rest of its mass is
+    described by ``density``.  ``survivor(x)`` is the probability that the
+    dead time exceeds ``x``, so ``survivor(0) == 1 - atom0``.
+
+    A new law implements ``survivor``, ``density``, ``mean`` and an
+    elementwise ``quantile`` (and ``atom0`` if it has an atom).  Every other
+    method has a generic body built from those; a shipped law overrides one
+    only where it has a closed form or a grid of its own.
     """
 
     @property
@@ -490,21 +568,113 @@ class DeadTimeLaw:
         """Density of the absolutely continuous part (zero for a point mass)."""
         raise NotImplementedError
 
-    def density_derivative(self, x):
-        raise NotImplementedError
-
-    def quantile(self, q: float) -> float:
-        """Smallest ``x`` whose cumulative probability reaches ``q``."""
+    def quantile(self, q):
+        """Smallest ``x`` whose cumulative probability reaches ``q``, elementwise."""
         raise NotImplementedError
 
     def support_window(self, tail: float = KERNEL_TAIL) -> float:
         """Length of the window holding all probability mass except ``tail``."""
         return self.quantile(1.0 - tail)
 
+    def std(self) -> float:
+        """Standard deviation, from ``E[X^2] = 2 int x S(x) dx`` over the support window."""
+        w = self.support_window()
+        x = np.linspace(0.0, w, 8193)
+        second = 2.0 * float(simpson_weights(8192, w / 8192) @ (x * self.survivor(x)))
+        return math.sqrt(max(second - self.mean() ** 2, 0.0))
+
+    def density_table(self, n_nodes: int = 2048) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and density samples ``(x, rho)`` covering the support window."""
+        x = np.linspace(0.0, self.support_window(), n_nodes)
+        return x, np.asarray(self.density(x), dtype=float)
+
+    def length_biased_quantile(self, u):
+        """Inverse CDF of the size-biased law ``x*rho(x)/mean``, elementwise."""
+        x, pdf = self.density_table(8193)
+        weighted = x * pdf
+        cdf = np.concatenate(
+            ([0.0], np.cumsum(0.5 * (weighted[1:] + weighted[:-1]) * np.diff(x)))
+        )
+        cdf /= cdf[-1]
+        return np.interp(u, cdf, x)
+
+    def integrate(self, fn, a, b) -> np.ndarray:
+        """``int fn(x) dF(x)`` over ``[a, b]`` for each pair of limits, the atom at zero
+        counting where ``a == 0``.  ``fn`` maps a 2-d array of abscissae, one row
+        per pair, to integrand values.  Simpson's rule on 512 cells per row."""
+        a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))
+        n = 512
+        span = b - a
+        x = a[:, None] + span[:, None] * np.linspace(0.0, 1.0, n + 1)
+        rho = np.asarray(self.density(x.ravel()), dtype=float).reshape(x.shape)
+        out = (fn(x) * rho * simpson_weights(n, 1.0)).sum(axis=1) * (span / n)
+        if self.atom0 > 0.0:
+            out = out + self.atom0 * np.where(a == 0.0, fn(a[:, None])[:, 0], 0.0)
+        return out
+
+    def tilted_closed_form(self, c: float) -> bool:
+        """Whether :meth:`tilted_integral` at rate ``c`` is a closed form."""
+        return False
+
+    def tilted_integral(self, c: float, a, b, s) -> np.ndarray:
+        """``int exp(c*x - s) dF(x)`` over ``[a, b]``, for a discount ``s >= c*b``.
+
+        As in :meth:`integrate`, the atom counts where ``a == 0``.  The
+        discount sits inside the exponent, so no factor exceeds one.
+        """
+        a, b, s = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b), np.atleast_1d(s))
+        return self.integrate(lambda x: np.exp(c * x - s[:, None]), a, b)
+
+    def survivor_transform(self, omega: float, ks, grids: dict | None = None) -> np.ndarray:
+        """``q_k = int S(y) exp(-i k omega y) dy`` for the ascending harmonics ``ks``.
+
+        Simpson's rule on ``max(base, 64 * cycles)`` cells (made even) over
+        ``[0, upper]``, both from :meth:`_transform_span`.  ``grids`` keeps
+        the Simpson-weighted survivor of the grid the low harmonics share and
+        of the latest larger one, so no grid size is built twice.
+        """
+        upper, base = self._transform_span()
+        grids = {} if grids is None else grids
+        out = np.empty(len(ks), dtype=complex)
+        for i, k in enumerate(ks):
+            cycles = abs(k) * omega * upper / TWO_PI
+            n = max(base, int(64 * cycles))
+            n += n % 2
+            grid = grids.get(n)
+            if grid is None:
+                for stale in [m for m in grids if m != base]:
+                    del grids[stale]
+                y = np.linspace(0.0, upper, n + 1)
+                grid = grids[n] = (y, simpson_weights(n, upper / n) * self.survivor(y))
+            y, weighted = grid
+            if k == 0:
+                out[i] = weighted.sum()
+            else:
+                phase = (k * omega) * y
+                out[i] = complex(weighted @ np.cos(phase), -(weighted @ np.sin(phase)))
+        return out
+
+    def _transform_span(self) -> tuple[float, int]:
+        """Upper limit and smallest cell count of the ``q_k`` quadrature."""
+        return float(self.support_window()), 8192
+
+
+def _closed_transform(law: DeadTimeLaw, omega: float, ks, laplace) -> np.ndarray:
+    """``q_k = (1 - L(s))/s`` at ``s = i k omega`` from the Laplace transform ``L``; q_0 = mean."""
+    s = [1j * k * omega for k in ks]
+    q = [(1.0 - laplace(v)) / v if k else complex(law.mean()) for k, v in zip(ks, s)]
+    return np.array(q, dtype=complex)
+
 
 def _check_nonnegative_x(x):
     if np.any(np.asarray(x) < 0.0):
         raise ValueError("dead-time abscissa must be non-negative")
+
+
+def _check_levels(q, closed: bool = True):
+    q = np.asarray(q)
+    if not np.all((q >= 0.0) & ((q <= 1.0) if closed else (q < 1.0))):  # NaN fails
+        raise ValueError(f"quantile level must lie in [0, 1{']' if closed else ')'}")
 
 
 @dataclass(frozen=True)
@@ -534,13 +704,24 @@ class FixedDeadTime(DeadTimeLaw):
         _check_nonnegative_x(x)
         return _wrap_scalar(x, np.zeros_like(np.asarray(x, dtype=float)))
 
-    def density_derivative(self, x):
-        return self.density(x)
-
     def quantile(self, q):
-        if not (0.0 <= q <= 1.0):
-            raise ValueError("quantile level must lie in [0, 1]")
-        return self.duration
+        _check_levels(q)
+        return _wrap_scalar(q, np.full(np.shape(q), self.duration))
+
+    def density_table(self, n_nodes=2048):
+        raise ValueError("a deterministic dead time has no density table")
+
+    def length_biased_quantile(self, u):
+        return np.full_like(u, self.duration)
+
+    def integrate(self, fn, a, b):
+        # the point mass, in (a, b]; at zero duration it is the atom
+        a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))
+        inside = ((a < self.duration) | (a == 0.0)) & (self.duration <= b)
+        return np.where(inside, fn(np.full((a.size, 1), self.duration))[:, 0], 0.0)
+
+    def survivor_transform(self, omega, ks, grids=None):
+        return _closed_transform(self, omega, ks, lambda s: cmath.exp(-s * self.duration))
 
 
 def _gamma_log_density(order: int, rate: float, x: np.ndarray) -> np.ndarray:
@@ -550,6 +731,16 @@ def _gamma_log_density(order: int, rate: float, x: np.ndarray) -> np.ndarray:
     if order > 0:
         out = out + order * logx
     return out
+
+
+def _log_gammainc(a: int, z):
+    """Log of the regularized lower incomplete gamma function, finite where it underflows.
+
+    Sums ``P(a, z) = z**a exp(-z) M(1, a + 1, z) / Gamma(a + 1)`` in logs;
+    meant for ``z < a``, where the confluent series converges fast.
+    """
+    with np.errstate(divide="ignore"):
+        return a * np.log(z) - z - special.gammaln(a + 1) + np.log(special.hyp1f1(1, a + 1, z))
 
 
 @dataclass(frozen=True)
@@ -571,6 +762,9 @@ class GammaDeadTime(DeadTimeLaw):
 
     def mean(self):
         return (self.order + 1) / self.rate
+
+    def std(self):
+        return math.sqrt(self.order + 1) / self.rate
 
     def survivor(self, x):
         _check_nonnegative_x(x)
@@ -595,9 +789,59 @@ class GammaDeadTime(DeadTimeLaw):
         return _wrap_scalar(x, self.rate * (lower - here))
 
     def quantile(self, q):
-        if not (0.0 <= q < 1.0):
-            raise ValueError("quantile level must lie in [0, 1)")
-        return float(special.gammainccinv(self.order + 1, 1.0 - q) / self.rate)
+        _check_levels(q, closed=False)
+        out = special.gammainccinv(self.order + 1, 1.0 - np.asarray(q, dtype=float)) / self.rate
+        return _wrap_scalar(q, out)
+
+    def length_biased_quantile(self, u):
+        return special.gammainccinv(self.order + 2, 1.0 - u) / self.rate
+
+    def tilted_closed_form(self, c):
+        return self.rate > c * (1.0 + 1e-9)
+
+    def tilted_integral(self, c, a, b, s):
+        """Closed form below the gamma rate: ``rho(x) exp(c x)`` is the gamma
+        density at the rate ``rate - c`` times ``(rate/(rate - c))**(order + 1)``,
+        so its mass is a difference of regularized incomplete gamma functions,
+        taken on whichever tail keeps the two terms well separated."""
+        if not self.tilted_closed_form(c):
+            return super().tilted_integral(c, a, b, s)
+        n1 = self.order + 1
+        shift = self.rate - c
+        a_arr = np.asarray(a, dtype=float)
+        zb = shift * np.asarray(b, dtype=float)
+        if a_arr.ndim == 0 and float(a_arr) == 0.0:
+            za, delta = 0.0, special.gammainc(n1, zb)
+        else:
+            za, zb = np.broadcast_arrays(shift * a_arr, zb)
+            lower_a = special.gammainc(n1, za)
+            delta = np.empty_like(lower_a)
+            hi = lower_a > 0.5
+            if np.any(hi):
+                delta[hi] = special.gammaincc(n1, za[hi]) - special.gammaincc(n1, zb[hi])
+            lo = ~hi
+            if np.any(lo):
+                delta[lo] = special.gammainc(n1, zb[lo]) - lower_a[lo]
+        delta = np.clip(delta, 0.0, None)
+        ratio = self.rate / shift
+        # the float power raises where it would overflow, so test its log first
+        if n1 * math.log(ratio) < 700.0 and ratio**n1 < 1e290:
+            return np.exp(-np.asarray(s, dtype=float)) * (delta * ratio**n1)
+        # a far tilt: the factor overflows and the mass underflows, so add
+        # logs, summing a lower tail that underflowed by its series
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_delta = np.log(delta)
+            lost = (delta < 1e-300) & (zb < n1)
+            if np.any(lost):
+                lb, la = _log_gammainc(n1, zb), _log_gammainc(n1, za)
+                series = np.where(la < lb, lb + np.log1p(-np.exp(la - lb)), -np.inf)
+                log_delta = np.where(lost, series, log_delta)
+        return np.exp(n1 * math.log(ratio) + log_delta - s)
+
+    def survivor_transform(self, omega, ks, grids=None):
+        return _closed_transform(
+            self, omega, ks, lambda s: (self.rate / (self.rate + s)) ** (self.order + 1)
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -666,18 +910,18 @@ class TabulatedDeadTime(DeadTimeLaw):
         arr = np.asarray(x, dtype=float)
         return _wrap_scalar(x, np.interp(arr, self.x, self.pdf, left=0.0, right=0.0))
 
-    def density_derivative(self, x):
-        _check_nonnegative_x(x)
-        arr = np.asarray(x, dtype=float)
-        slopes = np.gradient(self.pdf, self.x)
-        return _wrap_scalar(x, np.interp(arr, self.x, slopes, left=0.0, right=0.0))
-
     def quantile(self, q):
-        if not (0.0 <= q <= 1.0):
-            raise ValueError("quantile level must lie in [0, 1]")
-        if q <= self.atom_at_zero:
-            return 0.0
-        return float(np.interp(q, self._cdf, self.x))
+        _check_levels(q)
+        arr = np.asarray(q, dtype=float)
+        out = np.where(arr <= self.atom_at_zero, 0.0, np.interp(arr, self._cdf, self.x))
+        return _wrap_scalar(q, out)
+
+    def density_table(self, n_nodes=2048):
+        return self.x, self.pdf
+
+    def _transform_span(self):
+        # the table's own end, and enough cells to resolve every node
+        return float(self.x[-1]), max(8192, 4 * self.x.size)
 
 
 # ---------------------------------------------------------------------------
@@ -758,11 +1002,17 @@ class Spectrum:
 
     @classmethod
     def from_csv(cls, path, omega: float, tol: float = 1e-9) -> "Spectrum":
-        """Read rows ``k, re, im``; harmonics without a row are zero."""
+        """Read rows ``k, re, im``; harmonics without a row are zero.
+
+        The order may not exceed the row count, which bounds the array a
+        file can ask for.
+        """
         (k, re, im), _ = read_csv(path, SPECTRUM_CSV)
         if np.unique(k).size < k.size:
             raise ValueError("spectrum repeats a harmonic index")
         order = max(-int(k.min()), int(k.max()))
+        if order > k.size:
+            raise ValueError(f"harmonic index {order} exceeds the {k.size} rows of the spectrum")
         coeffs = np.zeros(2 * order + 1, dtype=complex)
         coeffs.real[k + order] = re
         coeffs.imag[k + order] = im
@@ -784,40 +1034,7 @@ def signal_spectrum(sig: InputSignal, omega: float, order: int) -> Spectrum:
         raise ValueError("angular frequency must be positive")
     if order < 0:
         raise ValueError("spectral order must be non-negative")
-    if isinstance(sig, Constant):
-        coeffs = np.zeros(2 * order + 1, dtype=complex)
-        coeffs[order] = sig.level
-        return Spectrum(omega, coeffs)
-    if isinstance(sig, Cosine):
-        if abs(sig.omega - omega) > 1e-9 * omega:
-            raise ValueError(
-                f"cosine frequency {sig.frequency} does not match the requested base "
-                f"frequency {omega / TWO_PI}"
-            )
-        if order < 1 and sig.amplitude > 0.0:
-            raise ValueError("order 0 cannot hold a modulated input")
-        coeffs = np.zeros(2 * order + 1, dtype=complex)
-        coeffs[order] = sig.base
-        if order >= 1:
-            coeffs[order - 1] = coeffs[order + 1] = 0.5 * sig.amplitude
-        return Spectrum(omega, coeffs)
-    if isinstance(sig, Sampled):
-        period = TWO_PI / omega
-        if abs(sig.grid.span - period) > 1e-9 * period:
-            raise ValueError(
-                f"sampled window {sig.grid.span} does not cover one period {period}"
-            )
-        n = sig.grid.n
-        if order > n // 2 - 1:
-            raise ValueError(f"order {order} unresolvable with {n} samples per period")
-        t = sig.grid.times()
-        coeffs = np.zeros(2 * order + 1, dtype=complex)
-        for k in range(order + 1):
-            ck = np.mean(sig.values * np.exp(-1j * k * omega * t))
-            coeffs[order + k] = ck
-            coeffs[order - k] = np.conj(ck)
-        return Spectrum(omega, coeffs)
-    raise ValueError(f"input {type(sig).__name__} is not periodic")
+    return sig.spectrum(omega, order)
 
 
 # ---------------------------------------------------------------------------
@@ -907,14 +1124,7 @@ def write_law_csv(law: DeadTimeLaw, path, n_nodes: int = 2048):
     Tabulated laws are written on their own grid; analytic laws are sampled
     on a uniform grid covering their support window.
     """
-    if isinstance(law, TabulatedDeadTime):
-        x, pdf, atom = law.x, law.pdf, law.atom0
-    elif isinstance(law, FixedDeadTime):
-        raise ValueError("a deterministic dead time has no density table")
-    else:
-        x = np.linspace(0.0, law.support_window(), n_nodes)
-        pdf, atom = law.density(x), law.atom0
-    write_csv(path, LAW_CSV, (x, pdf), atom)
+    write_csv(path, LAW_CSV, law.density_table(n_nodes), law.atom0)
 
 
 def read_law_csv(path) -> TabulatedDeadTime:

@@ -30,7 +30,6 @@ from .core import (
     History,
     InputSignal,
     NumericalError,
-    TabulatedDeadTime,
     TimeGrid,
     Trace,
     equilibrium_history,

@@ -16,21 +16,15 @@ need to be advanced in lockstep.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .core import (
     Constant,
     DeadTimeLaw,
-    FixedDeadTime,
-    GammaDeadTime,
     InputSignal,
     Schema,
-    Step,
-    TabulatedDeadTime,
     TimeGrid,
     read_csv,
     write_csv,
@@ -86,189 +80,80 @@ def _uniform(keys: np.ndarray, idx: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _gamma_partial_exp(law: GammaDeadTime, c, a, b):
-    """``int_a^b rho(x) exp(c x) dx`` for a gamma law, requiring c < rate.
-
-    Reduces to a difference of regularized incomplete gamma functions at
-    the tilted rate ``rate - c``; the difference is taken on whichever
-    tail keeps the two terms well separated.
-    """
-    n1 = law.order + 1
-    shift = law.rate - np.asarray(c, dtype=float)
-    a_arr = np.asarray(a, dtype=float)
-    if a_arr.ndim == 0 and float(a_arr) == 0.0:
-        delta = special.gammainc(n1, shift * np.asarray(b, dtype=float))
-    else:
-        za, zb = np.broadcast_arrays(shift * a_arr, shift * np.asarray(b, dtype=float))
-        lower_a = special.gammainc(n1, za)
-        delta = np.empty_like(lower_a)
-        hi = lower_a > 0.5
-        if np.any(hi):
-            delta[hi] = special.gammaincc(n1, za[hi]) - special.gammaincc(n1, zb[hi])
-        lo = ~hi
-        if np.any(lo):
-            delta[lo] = special.gammainc(n1, zb[lo]) - lower_a[lo]
-    delta = np.clip(delta, 0.0, None)
-    if np.ndim(shift) == 0 and shift > 0.0:
-        # The tilt factor is a scalar here; multiply directly unless it is
-        # large enough that only the log form keeps tiny masses finite.
-        factor = (law.rate / float(shift)) ** n1
-        if np.isfinite(factor) and factor < 1e290:
-            return delta * factor
-    with np.errstate(divide="ignore"):
-        out = np.exp(n1 * (np.log(law.rate) - np.log(shift)) + np.log(delta))
-    return np.where(delta > 0.0, out, 0.0)
-
-
-def _interval_survivor_constant(law: DeadTimeLaw, lam: float, tau, surv=None):
+def _interval_survivor_constant(law: DeadTimeLaw, lam: float, tau, surv):
     """E[F] for a constant input rate.
 
-    E[F] = exp(-lam*tau) * int_0^tau exp(lam*x) rho(x) dx
-         + atom0 * exp(-lam*tau) + survivor(tau).
-
-    A gamma law with rate above ``lam`` collapses to incomplete-gamma
-    terms; laws without a closed form go through Simpson quadrature.
-    ``surv`` lets callers that already hold ``law.survivor(tau)`` share it.
+    E[F] = int_[0, tau] exp(lam*(x - tau)) dF(x) + survivor(tau), the atom
+    at zero included: the law's tilted integral where it has a closed form,
+    the general quadrature otherwise.
     """
-    tau = np.asarray(tau, dtype=float)
     if lam == 0.0:
         return np.ones_like(tau)
-    if isinstance(law, FixedDeadTime):
-        d = law.duration
-        return np.where(tau < d, 1.0, np.exp(-lam * np.maximum(tau - d, 0.0)))
-    if isinstance(law, GammaDeadTime) and law.rate > lam * (1.0 + 1e-9):
-        if surv is None:
-            surv = np.asarray(law.survivor(tau), dtype=float)
-        body = np.exp(-lam * tau) * _gamma_partial_exp(law, lam, 0.0, tau)
-        return body + surv
-    return _interval_survivor_quadrature(law, lam, tau, surv)
+    if not law.tilted_closed_form(lam):
+        return _interval_survivor_general(Constant(lam), law, 0.0, tau, surv)
+    return law.tilted_integral(lam, 0.0, tau, lam * tau) + surv
 
 
-def _interval_survivor_quadrature(law: DeadTimeLaw, lam: float, tau, surv=None):
-    """Simpson fallback for E[F] at constant rate."""
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    if surv is not None:
-        surv = np.broadcast_to(np.asarray(surv, dtype=float), tau.shape)
-    w = float(law.support_window())
-    upper = np.minimum(tau, w)
-    n = 512
-    s = np.linspace(0.0, 1.0, n + 1)
-    x = upper[:, None] * s[None, :]
-    weights = np.full(n + 1, 2.0 / 3.0)
-    weights[1::2] = 4.0 / 3.0
-    weights[0] = weights[-1] = 1.0 / 3.0
-    rho = np.asarray(law.density(x.ravel()), dtype=float).reshape(x.shape)
-    vals = np.exp(lam * (x - tau[:, None])) * rho
-    out = (vals * weights[None, :]).sum(axis=1) * (upper / n)
-    out += float(law.atom0) * np.exp(-lam * tau)
-    if surv is None:
-        surv = np.asarray(law.survivor(tau), dtype=float)
-    return out + surv
+def _interval_survivor_switch(sig: InputSignal, law: DeadTimeLaw, t, tau, surv):
+    """E[F] for a window holding the switch between the two levels of ``sig``.
 
-
-def _interval_survivor_step_gamma(sig: Step, law: GammaDeadTime, t, tau, surv=None):
-    """E[F] for a rate step whose switch falls inside the lookback window.
-
-    The exposure is piecewise linear in the recovery point, so both
-    pieces reduce to tilted incomplete-gamma integrals.
+    The exposure is piecewise linear in the recovery point, so both pieces,
+    split at ``x_star``, are tilted integrals.
     """
-    t = np.asarray(t, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    lam0, lam1, ts = sig.before, sig.after, sig.t_switch
+    (lam0, lam1), ts = sig.levels(), sig.switch_time()
     x_star = ts - t + tau
-    part_pre = np.exp(-lam0 * x_star - lam1 * (t - ts)) * _gamma_partial_exp(
-        law, lam0, 0.0, x_star
-    )
-    part_post = np.exp(-lam1 * tau) * _gamma_partial_exp(law, lam1, x_star, tau)
-    if surv is None:
-        surv = np.asarray(law.survivor(tau), dtype=float)
-    return part_pre + part_post + surv
+    pre = law.tilted_integral(lam0, 0.0, x_star, lam0 * x_star + lam1 * (t - ts))
+    return pre + law.tilted_integral(lam1, x_star, tau, lam1 * tau) + surv
 
 
-def _interval_survivor_general(sig: InputSignal, law: DeadTimeLaw, t, tau, surv=None):
+def _interval_survivor_general(sig: InputSignal, law: DeadTimeLaw, t, tau, surv):
     """E[F] for arbitrary input, with exact cumulative-rate differences."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    t, tau = np.broadcast_arrays(t, tau)
-    if surv is not None:
-        surv = np.broadcast_to(np.asarray(surv, dtype=float), tau.shape)
+    t, tau = np.broadcast_arrays(np.asarray(t, dtype=float), tau)
     big_t = np.asarray(sig.cumulative_rate(t), dtype=float)
-    if isinstance(law, FixedDeadTime):
-        d = law.duration
-        recov = np.asarray(sig.cumulative_rate(t - tau + d), dtype=float)
-        return np.where(tau < d, 1.0, np.exp(-(big_t - recov)))
-    w = float(law.support_window())
-    upper = np.minimum(tau, w)
-    n = 512
-    s = np.linspace(0.0, 1.0, n + 1)
-    x = upper[:, None] * s[None, :]
-    weights = np.full(n + 1, 2.0 / 3.0)
-    weights[1::2] = 4.0 / 3.0
-    weights[0] = weights[-1] = 1.0 / 3.0
-    exposure = big_t[:, None] - np.asarray(
-        sig.cumulative_rate((t - tau)[:, None] + x), dtype=float
+    upper = np.minimum(tau, float(law.support_window()))
+
+    def exposed(x):
+        recovered = np.asarray(sig.cumulative_rate((t - tau)[:, None] + x), dtype=float)
+        return np.exp(-(big_t[:, None] - recovered))
+
+    return law.integrate(exposed, 0.0, upper) + surv
+
+
+def _expected_interval_survivor(sig, law, t, tau, surv):
+    """Probability that a component's current inter-event span reaches age tau.
+
+    Windows at one constant rate and windows across the switch of a step
+    take the closed forms of the law where it has them; every other window
+    goes through the general quadrature.
+    """
+    t, tau = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(t, dtype=float)), np.atleast_1d(np.asarray(tau, dtype=float))
     )
-    rho = np.asarray(law.density(x.ravel()), dtype=float).reshape(x.shape)
-    vals = np.exp(-exposure) * rho
-    out = (vals * weights[None, :]).sum(axis=1) * (upper / n)
-    atom = float(law.atom0)
-    if atom > 0.0:
-        out = out + atom * np.exp(
-            -(big_t - np.asarray(sig.cumulative_rate(t - tau), dtype=float))
+    surv = np.broadcast_to(np.asarray(surv, dtype=float), tau.shape)
+    rate = sig.window_rate(t, tau)
+    out = np.empty(tau.shape)
+    for lam in dict.fromkeys(sig.levels()):
+        at = rate == lam
+        if np.any(at):
+            out[at] = _interval_survivor_constant(law, lam, tau[at], surv[at])
+    varying = np.isnan(rate)
+    if np.any(varying):
+        closed = sig.switch_time() is not None and all(
+            law.tilted_closed_form(lam) for lam in sig.levels()
         )
-    if surv is None:
-        surv = np.asarray(law.survivor(tau), dtype=float)
-    return out + surv
-
-
-def _expected_interval_survivor(sig, law, t, tau, surv=None):
-    """Probability that a component's current inter-event span reaches age tau."""
-    if isinstance(sig, Constant):
-        return _interval_survivor_constant(law, sig.level, tau, surv)
-    if isinstance(sig, Step):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-        t_arr, tau_arr = np.broadcast_arrays(t_arr, tau_arr)
-        if surv is not None:
-            surv = np.broadcast_to(np.asarray(surv, dtype=float), tau_arr.shape)
-
-        def surv_part(mask):
-            return None if surv is None else surv[mask]
-
-        out = np.empty(t_arr.shape)
-        pre = t_arr <= sig.t_switch
-        post = (t_arr - tau_arr) >= sig.t_switch
-        mixed = ~(pre | post)
-        if np.any(pre):
-            out[pre] = _interval_survivor_constant(
-                law, sig.before, tau_arr[pre], surv_part(pre)
-            )
-        if np.any(post):
-            out[post] = _interval_survivor_constant(
-                law, sig.after, tau_arr[post], surv_part(post)
-            )
-        if np.any(mixed):
-            closed = isinstance(law, GammaDeadTime) and law.rate > max(
-                sig.before, sig.after
-            ) * (1.0 + 1e-9)
-            fn = _interval_survivor_step_gamma if closed else _interval_survivor_general
-            out[mixed] = fn(sig, law, t_arr[mixed], tau_arr[mixed], surv_part(mixed))
-        return out
-    return _interval_survivor_general(sig, law, t, tau, surv)
+        fn = _interval_survivor_switch if closed else _interval_survivor_general
+        out[varying] = fn(sig, law, t[varying], tau[varying], surv[varying])
+    return out
 
 
 def _occupation(sig, law, t, tau):
     """Probability of being active at ``t`` given the last event was tau ago."""
     tau_arr = np.asarray(tau, dtype=float)
-    if isinstance(law, FixedDeadTime):
-        shape = np.broadcast_shapes(np.shape(t), tau_arr.shape)
-        return np.broadcast_to(
-            np.where(tau_arr >= law.duration, 1.0, 0.0), shape
-        ).copy()
     surv = np.asarray(law.survivor(tau_arr), dtype=float)
-    ef = np.asarray(_expected_interval_survivor(sig, law, t, tau_arr, surv))
+    ef = _expected_interval_survivor(sig, law, t, tau_arr, surv)
+    # E[F] >= survivor, so where E[F] underflows the dead time is over
     with np.errstate(divide="ignore", invalid="ignore"):
-        held = np.where(ef > 0.0, surv / ef, 1.0)
+        held = np.where(ef > 0.0, surv / ef, 0.0)
     return np.clip(1.0 - held, 0.0, 1.0)
 
 
@@ -284,31 +169,27 @@ def hazard_pprd(sig: InputSignal, law: DeadTimeLaw, t, tau):
     if np.any(tau_arr < 0.0):
         raise ValueError("age since the last event cannot be negative")
     lam = np.asarray(sig.rate(t), dtype=float)
-    scalar = lam.ndim == 0 and tau_arr.ndim == 0
-    if isinstance(law, FixedDeadTime):
-        out = np.where(tau_arr >= law.duration, lam, 0.0)
-    else:
-        out = lam * _occupation(sig, law, t, tau_arr)
-    return float(np.asarray(out).ravel()[0]) if scalar else out
+    out = lam * _occupation(sig, law, t, tau_arr)
+    return float(out.ravel()[0]) if lam.ndim == 0 and tau_arr.ndim == 0 else out
 
 
 class _OccupationTable:
     """Occupation at one constant input rate as a function of age alone.
 
-    For a gamma law under its closed form (rate above the input rate).
-    Holds the exact ``_occupation`` at the ages ``k*h`` and interpolates
-    between them with the four-point Lagrange cubic; ``h`` is 1/128 of the
-    dead time's standard deviation or of the mean input interval,
-    whichever is shorter, which keeps the error below 1e-8 for any order
+    For a law under its closed form (``tilted_closed_form``).  Holds the
+    exact ``_occupation`` at the ages ``k*h`` and interpolates between them
+    with the four-point Lagrange cubic; ``h`` is 1/128 of the dead time's
+    standard deviation or of the mean input interval, whichever is
+    shorter, which keeps the error below 1e-8 for gamma laws of any order
     and rate.  Nodes are computed on demand and each ``k`` always gets the
     same value, so the result does not depend on how the components are
     chunked.  Ages past ``_TABLE_MAX_NODES`` nodes are evaluated exactly.
     """
 
-    def __init__(self, law: GammaDeadTime, lam: float):
+    def __init__(self, law: DeadTimeLaw, lam: float):
         self.sig = Constant(lam)
         self.law = law
-        scale = math.sqrt(law.order + 1) / law.rate
+        scale = law.std()
         if lam > 0.0:
             scale = min(scale, 1.0 / lam)
         self.h = scale / 128.0
@@ -343,41 +224,27 @@ class _OccupationTable:
         return out
 
 
-def _occupation_tables(sig, law):
-    """Tables for the regimes of ``sig`` at a constant rate, or None each.
-
-    The pair is (before, after): a ``Constant`` input is all "before", a
-    ``Step`` switches from one to the other; other inputs get none.
-    """
-
-    def table(lam):
-        closed = isinstance(law, GammaDeadTime) and law.rate > lam * (1.0 + 1e-9)
-        return _OccupationTable(law, lam) if closed else None
-
-    if isinstance(sig, Constant):
-        return table(sig.level), None
-    if isinstance(sig, Step):
-        return table(sig.before), table(sig.after)
-    return None, None
+def _occupation_tables(sig, law) -> dict:
+    """Age tables for the levels of ``sig`` at which the law has its closed form."""
+    return {lam: _OccupationTable(law, lam) for lam in sig.levels() if law.tilted_closed_form(lam)}
 
 
 def _sweep_occupation(sig, law, t: float, tau: np.ndarray, tables) -> np.ndarray:
-    """``_occupation(sig, law, t, tau)`` with the constant-rate regimes read from tables.
+    """``_occupation(sig, law, t, tau)`` with constant-rate windows read from tables.
 
-    Components whose last event precedes a step's switch stay exact.
+    Windows at a level without a table, or that see the rate change, stay
+    exact.
     """
-    before, after = tables
-    if isinstance(sig, Step) and t > sig.t_switch:
-        if after is None:
-            return _occupation(sig, law, t, tau)
-        post = (t - tau) >= sig.t_switch
-        out = np.empty_like(tau)
-        out[post] = after(tau[post])
-        out[~post] = _occupation(sig, law, t, tau[~post])
-        return out
-    if before is None:
-        return _occupation(sig, law, t, tau)
-    return before(tau)
+    rate = sig.window_rate(t, tau)
+    out = np.empty_like(tau)
+    exact = np.ones(tau.shape, dtype=bool)
+    for lam, table in tables.items():
+        at = rate == lam
+        out[at] = table(tau[at])
+        exact &= ~at
+    if np.any(exact):
+        out[exact] = _occupation(sig, law, t, tau[exact])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -486,35 +353,6 @@ def read_events_csv(path):
 # ---------------------------------------------------------------------------
 
 
-def _dead_time_quantile(law: DeadTimeLaw, u: np.ndarray) -> np.ndarray:
-    if isinstance(law, FixedDeadTime):
-        return np.full_like(u, law.duration)
-    if isinstance(law, GammaDeadTime):
-        return special.gammainccinv(law.order + 1, 1.0 - u) / law.rate
-    if isinstance(law, TabulatedDeadTime):
-        out = np.interp(u, law._cdf, law.x)
-        return np.where(u <= law.atom0, 0.0, out)
-    return np.array([law.quantile(float(v)) for v in np.atleast_1d(u)])
-
-
-def _length_biased_quantile(law: DeadTimeLaw, u: np.ndarray) -> np.ndarray:
-    """Inverse CDF of the size-biased dead-time law x*rho(x)/mean."""
-    if isinstance(law, FixedDeadTime):
-        return np.full_like(u, law.duration)
-    if isinstance(law, GammaDeadTime):
-        return special.gammainccinv(law.order + 2, 1.0 - u) / law.rate
-    if isinstance(law, TabulatedDeadTime):
-        x = np.asarray(law.x, dtype=float)
-    else:
-        x = np.linspace(0.0, float(law.support_window()), 8193)
-    weighted = x * np.asarray(law.density(x), dtype=float)
-    cdf = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (weighted[1:] + weighted[:-1]) * np.diff(x)))
-    )
-    cdf /= cdf[-1]
-    return np.interp(u, cdf, x)
-
-
 def _stationary_age_quantile(law: DeadTimeLaw, lam0: float, u: np.ndarray):
     """Inverse CDF of the stationary age of the last event.
 
@@ -526,7 +364,7 @@ def _stationary_age_quantile(law: DeadTimeLaw, lam0: float, u: np.ndarray):
     if lam0 <= 0.0:
         return np.full_like(u, w + 1.0)
     tau = np.linspace(0.0, w + 40.0 / lam0, 8193)
-    pdf = np.asarray(_interval_survivor_constant(law, lam0, tau), dtype=float)
+    pdf = _expected_interval_survivor(Constant(lam0), law, 0.0, tau, law.survivor(tau))
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(tau))))
     cdf /= cdf[-1]
     return np.interp(u, cdf, tau)
@@ -604,7 +442,7 @@ def simulate_generative(
     a_eq = 1.0 / (1.0 + lam0 * law.mean())
     # a constant rate equal to the bound accepts every proposal, so the
     # acceptance draw can be skipped without changing the law of the output
-    sure_accept = isinstance(sig, Constant) and lam_max == sig.level
+    sure_accept = sig.levels() == (lam_max,)
 
     counts = np.zeros(n_bins, dtype=np.int64)
     dead_diff = np.zeros(n_bins + 1, dtype=np.int64)
@@ -621,7 +459,7 @@ def simulate_generative(
         idx += 1
         u_pos = _uniform(keys, idx)
         idx += 1
-        residual = (1.0 - u_pos) * _length_biased_quantile(law, u_len)
+        residual = (1.0 - u_pos) * law.length_biased_quantile(u_len)
         blocked = u_state >= a_eq
         t_cur = np.where(blocked, t0 + residual, t0)
         _mark_dead(
@@ -657,7 +495,7 @@ def simulate_generative(
                     collect.append((comp[hit], t_ev))
                 u_d = _uniform(keys[hit], idx[hit])
                 idx[hit] += 1
-                x = _dead_time_quantile(law, u_d)
+                x = law.quantile(u_d)
                 _mark_dead(dead_diff, t0, bw, n_bins, t_ev, t_ev + x)
                 t_cur[hit] = t_ev + x
                 alive[hit] = t_cur[hit] < t_stop

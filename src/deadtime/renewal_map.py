@@ -31,6 +31,7 @@ from .core import (
     NotRepresentableError,
     NumericalError,
     TabulatedDeadTime,
+    simpson_weights,
 )
 
 __all__ = [
@@ -459,9 +460,7 @@ def convolution_residual(
     t = np.geomspace(spec.x_max * 1e-4, spec.x_max, n_points)
     x_lo = min(spec.x_max * 1e-9, float(t[0]) * 1e-3)
     s = np.linspace(0.0, 1.0, n_quad + 1)
-    weights = np.full(n_quad + 1, 2.0 / 3.0)
-    weights[1::2] = 4.0 / 3.0
-    weights[0] = weights[-1] = 1.0 / 3.0
+    weights = simpson_weights(n_quad, 1.0)
     y_lo = math.log(x_lo)
     y_hi = np.log(t)
     y = y_lo + (y_hi[:, None] - y_lo) * s[None, :]

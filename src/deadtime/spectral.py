@@ -18,7 +18,6 @@ recursion is the fast path for pure cosine drive.  Each is used to test the
 other.
 """
 
-import cmath
 import math
 import threading
 from dataclasses import dataclass, field
@@ -26,16 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    TWO_PI,
     DeadTimeLaw,
     FixedDeadTime,
-    GammaDeadTime,
     NumericalError,
     Spectrum,
-    TabulatedDeadTime,
     TimeGrid,
     Trace,
-    simpson_weights,
 )
 
 __all__ = [
@@ -60,69 +55,19 @@ def qk_fixed(d: float, omega: float, k: int) -> complex:
     """Coupling coefficient of a fixed dead time ``d`` at harmonic ``k``."""
     if d < 0.0:
         raise ValueError("dead time must be non-negative")
-    if not (omega > 0.0):
-        raise ValueError("angular frequency must be positive")
-    if k == 0:
-        return complex(d)
-    s = 1j * k * omega
-    return (1.0 - cmath.exp(-s * d)) / s
+    return qk_law(FixedDeadTime(d), omega, k)
 
 
 def qk_law(law: DeadTimeLaw, omega: float, k: int) -> complex:
     """Coupling coefficient of an arbitrary dead-time law at harmonic ``k``.
 
     This is the Fourier-Laplace transform of the survivor function at
-    ``i*k*omega``; at ``k = 0`` it reduces to the mean dead time.  Gamma laws
-    use their closed form, tabulated laws integrate their survivor
-    numerically.
+    ``i*k*omega`` (:meth:`DeadTimeLaw.survivor_transform`); at ``k = 0`` it
+    reduces to the mean dead time.
     """
     if not (omega > 0.0):
         raise ValueError("angular frequency must be positive")
-    if isinstance(law, FixedDeadTime):
-        return qk_fixed(law.duration, omega, k)
-    if isinstance(law, GammaDeadTime):
-        if k == 0:
-            return complex(law.mean())
-        s = 1j * k * omega
-        return (1.0 - (law.rate / (law.rate + s)) ** (law.order + 1)) / s
-    if isinstance(law, TabulatedDeadTime):
-        return complex(_survivor_transform(law, omega, [k], {})[0])
-    raise TypeError(f"unsupported dead-time law {type(law).__name__}")
-
-
-def _survivor_transform(
-    law: TabulatedDeadTime, omega: float, ks, grids: dict
-) -> np.ndarray:
-    """``q_k`` of a tabulated law by Simpson quadrature of ``S(y) e^{-ik omega y}``.
-
-    Harmonic ``k`` is integrated on ``n`` uniform cells over the law's
-    support, enough to resolve both the tabulation and the oscillation:
-    ``max(8192, 4 * nodes, 64 * cycles)``, made even.  ``grids`` maps a cell
-    count to its nodes and Simpson-weighted survivor, so harmonics sharing a
-    grid cost one cosine, one sine and two dot products each.  It keeps the
-    grid every low harmonic shares and the latest one built; ``ks`` come in
-    ascending order, so no grid size is built twice.
-    """
-    upper = float(law.x[-1])
-    base = max(8192, 4 * law.x.size)
-    out = np.empty(len(ks), dtype=complex)
-    for i, k in enumerate(ks):
-        cycles = abs(k) * omega * upper / TWO_PI
-        n = max(base, int(64 * cycles))
-        n += n % 2
-        grid = grids.get(n)
-        if grid is None:
-            for stale in [m for m in grids if m != base]:
-                del grids[stale]
-            y = np.linspace(0.0, upper, n + 1)
-            grid = grids[n] = (y, simpson_weights(n, upper / n) * law.survivor(y))
-        y, weighted = grid
-        if k == 0:
-            out[i] = weighted.sum()
-        else:
-            phase = (k * omega) * y
-            out[i] = complex(weighted @ np.cos(phase), -(weighted @ np.sin(phase)))
-    return out
+    return complex(law.survivor_transform(omega, [k])[0])
 
 
 class _CouplingStore:
@@ -131,7 +76,7 @@ class _CouplingStore:
     A store belongs to one chain of :class:`HarmonicSystem` objects (a
     system, its truncation doublings and the trace synthesised from it), so
     each harmonic is computed once per frequency solve.  ``grids`` holds the
-    quadrature grids of a tabulated law (see :func:`_survivor_transform`).
+    law's quadrature grids (see :meth:`DeadTimeLaw.survivor_transform`).
     """
 
     def __init__(self):
@@ -155,11 +100,7 @@ def qk_array(
     if store is None:
         store = _CouplingStore()
     with store.lock:
-        ks = range(store.q.size, kmax + 1)
-        if isinstance(law, TabulatedDeadTime):
-            new = _survivor_transform(law, omega, ks, store.grids)
-        else:
-            new = np.array([qk_law(law, omega, k) for k in ks], dtype=complex)
+        new = law.survivor_transform(omega, range(store.q.size, kmax + 1), store.grids)
         store.q = np.concatenate((store.q, new))
         pos = store.q[: kmax + 1]
     return np.concatenate((pos[:0:-1].conj(), pos))
@@ -174,9 +115,9 @@ class HarmonicSystem:
     ``q_k`` for ``|k| <= 2K`` (enough for the output convolution and the
     inverse map).  Systems made by :meth:`with_truncation` share one store
     of computed coefficients with this one, and :func:`periodic_rate` reads
-    from it too.  Over a tabulated law the store also keeps the quadrature
-    grid (two float arrays of about four times the table's nodes) for as
-    long as a system of the chain is alive.
+    from it too.  Over a law without a closed-form ``q_k`` the store also
+    keeps the quadrature grid (two float arrays of about four times a
+    table's nodes) for as long as a system of the chain is alive.
     """
 
     omega: float
@@ -359,24 +300,21 @@ def cosine_continued_fraction(
         raise ValueError("modulation amplitude must be non-negative")
     if lam0 < eps:
         raise ValueError("modulation must not push the rate negative")
-    q0 = qk_law(law, omega, 0).real
+    store = _CouplingStore()
+    q0 = qk_array(law, omega, 0, store)[0].real
     if eps == 0.0:
         coeffs = np.zeros(2 * 1 + 1, dtype=complex)
         coeffs[1] = 1.0 / (1.0 + lam0 * q0)
         return Spectrum(omega, coeffs)
 
-    q_cache: dict[int, complex] = {}
-
     def x_at(k: int) -> complex:
-        qk = q_cache.get(k)
-        if qk is None:
-            qk = qk_law(law, omega, k)
-            q_cache[k] = qk
+        qk = complex(store.q[k])
         if abs(qk) <= Q_ZERO:
             return complex(math.inf)
         return (1.0 / qk + lam0) * (2.0 / eps)
 
     def backward_r0(start: int) -> complex:
+        qk_array(law, omega, start, store)
         r = 0.0 + 0.0j
         for k in range(start, 0, -1):
             x = x_at(k)

@@ -135,6 +135,20 @@ class TestPeriodic:
         assert "1000.0" in err and "1000.0005" in err and "1000.001" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_missing_output_directory_rejected_before_solving(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def solve(*args):
+            raise AssertionError("solved before checking the output directory")
+
+        monkeypatch.setattr(cli, "_solve_one_frequency", solve)
+        missing = tmp_path / "sweep"
+        code = run(["periodic", "--d", 0.08, "--nu0", 10, "--f-sweep", "1:4:4",
+                    "--out-prefix", missing / "fig"])
+        assert code == 2
+        assert str(missing) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_max_rate_column(self, tmp_path):
         prefix = tmp_path / "mx"
         run(["periodic", "--d", 0.08, "--nu0", 10, "--mod-depth", 0.9,
@@ -361,6 +375,11 @@ class TestValidateCmd:
     def test_rejects_broken_trace(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("t,A,nu\n0,0.5,10\n0.1,1.7,10\n")
+        assert run(["validate", bad]) == 2
+
+    def test_rejects_spectrum_index_beyond_rows(self, tmp_path):
+        bad = tmp_path / "beta.csv"
+        bad.write_text("0,1,0\n100000000000,0.5,0\n")
         assert run(["validate", bad]) == 2
 
     def test_rejects_unevenly_spaced_estimate(self, tmp_path):

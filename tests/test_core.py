@@ -291,6 +291,32 @@ def test_trace_roundtrip(tmp_path):
     assert_allclose(back.rate, nu)
 
 
+def test_trace_roundtrip_far_from_zero(tmp_path):
+    # the written times round to the doubles near 1e7, ~2e-9 apart
+    grid = TimeGrid(1e7, 1e-6, 5)
+    path = tmp_path / "late.csv"
+    Trace(grid, np.full(5, 0.5), np.full(5, 3.0)).to_csv(path)
+    back = Trace.from_csv(path)
+    assert back.grid.n == 5
+    assert_allclose(back.grid.times(), grid.times(), rtol=0.0, atol=1e-8)
+
+
+def test_time_grid_rejects_one_uneven_spacing():
+    dt = 0.01
+    t = 2.0 + dt * np.arange(40)
+    t[25:] += 1e-6 * dt
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        TimeGrid.from_times(t)
+    assert TimeGrid.from_times(2.0 + dt * np.arange(40)).n == 40
+
+
+def test_spectrum_index_beyond_rows_rejected(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text("0,1,0\n100000000000,0.5,0\n")
+    with pytest.raises(ValueError, match="exceeds"):
+        Spectrum.from_csv(path, omega=1.0)
+
+
 def test_trace_validation():
     grid = TimeGrid(0.0, 0.1, 3)
     with pytest.raises(ValueError):

@@ -1,0 +1,210 @@
+"""The dead-time-law interface.
+
+A law defined only in this file runs through every route of the package,
+and every closed form or own grid of a shipped law agrees with the generic
+body the base class builds from ``survivor``, ``density``, ``mean`` and
+``quantile`` alone.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy import integrate, special
+
+from deadtime import dde
+from deadtime.core import (
+    Constant,
+    DeadTimeLaw,
+    FixedDeadTime,
+    GammaDeadTime,
+    Step,
+    TabulatedDeadTime,
+    TimeGrid,
+    read_law_csv,
+    write_law_csv,
+)
+from deadtime.mc_sim import SimConfig, hazard_pprd, simulate_generative, simulate_rejection
+from deadtime.spectral import qk_array
+
+
+class ShiftedGamma(DeadTimeLaw):
+    """An absolute refractory floor ``shift`` followed by a gamma-distributed rest.
+
+    Order 0 is the shifted exponential.  Only the required methods.
+    """
+
+    def __init__(self, shift, order, rate):
+        self.shift, self.order, self.rate = shift, order, rate
+
+    def mean(self):
+        return self.shift + (self.order + 1) / self.rate
+
+    def survivor(self, x):
+        z = np.maximum(np.asarray(x, dtype=float) - self.shift, 0.0)
+        return special.gammaincc(self.order + 1, self.rate * z)
+
+    def density(self, x):
+        x = np.asarray(x, dtype=float)
+        z = np.maximum(x - self.shift, 0.0)
+        rho = self.rate * (self.rate * z) ** self.order * np.exp(-self.rate * z)
+        return np.where(x >= self.shift, rho / math.factorial(self.order), 0.0)
+
+    def quantile(self, q):
+        rest = special.gammainccinv(self.order + 1, 1.0 - np.asarray(q, dtype=float))
+        out = self.shift + rest / self.rate
+        return out if np.ndim(q) else float(out)
+
+    def q_exact(self, omega, k):
+        if k == 0:
+            return complex(self.mean())
+        s = 1j * k * omega
+        laplace = np.exp(-s * self.shift) * (self.rate / (self.rate + s)) ** (self.order + 1)
+        return (1.0 - laplace) / s
+
+
+# (law, q_k relative, hazard absolute, occupation-balance residual): the
+# generic quadratures converge like the smoothness of the density, so the
+# jump of the shifted exponential costs accuracy that the order-3 law keeps
+CASES = {
+    "shifted-exponential": (ShiftedGamma(0.01, 0, 200.0), 1e-5, 0.1, 1e-2),
+    "shifted-gamma": (ShiftedGamma(0.01, 3, 300.0), 1e-10, 1e-7, 1e-6),
+}
+
+
+@pytest.fixture(params=list(CASES), name="case")
+def _case(request):
+    return CASES[request.param]
+
+
+class TestLawDefinedOutsideThePackage:
+    def test_qk_array_matches_the_analytic_transform(self, case):
+        law, tol, _, _ = case
+        omega = 2.0 * math.pi * 7.0
+        want = np.array([law.q_exact(omega, k) for k in range(-12, 13)])
+        got = qk_array(law, omega, 12)
+        assert np.max(np.abs(got - want)) <= tol * law.mean()
+
+    @pytest.mark.parametrize(
+        "sig", [Constant(60.0), Step(20.0, 60.0, 0.0)], ids=["constant", "step"]
+    )
+    def test_hazard_matches_quadrature(self, case, sig):
+        law, _, tol, _ = case
+        t = 0.03
+        tau = np.array([0.005, 0.012, 0.02, 0.04, 0.08, 0.2])
+        got = hazard_pprd(sig, law, t, tau)
+        big = sig.cumulative_rate
+        for g, age in zip(got, tau):
+            kinks = [p for p in (law.shift, age - t) if 0.0 < p < age]
+            body, _ = integrate.quad(
+                lambda x: math.exp(big(t - age + x) - big(t)) * law.density(x),
+                0.0, age, points=kinks or None, limit=200,
+            )
+            surv = law.survivor(age)
+            assert g == pytest.approx(60.0 * (1.0 - surv / (body + surv)), abs=tol)
+
+    @pytest.mark.parametrize("sampler", [simulate_generative, simulate_rejection])
+    def test_samplers_hold_the_equilibrium(self, case, sampler):
+        law = case[0]
+        lam = 60.0
+        cfg = SimConfig(
+            components=4000, seed=3, t_span=(0.0, 0.2), bin_width=0.05, lambda_max=lam
+        )
+        est = sampler(Constant(lam), law, cfg)
+        active = 1.0 / (1.0 + lam * law.mean())
+        assert np.all(np.abs(est.rate_hat - lam * active) <= 4.5 * est.rate_se)
+        assert np.all(np.abs(est.active_hat - active) <= 4.5 * est.active_se)
+
+    def test_integrate_pprd_balances_occupation(self, case):
+        law, _, _, tol = case
+        sig = Step(20.0, 60.0, 0.0)
+        grid = TimeGrid(0.0, law.support_window() / 300, 1500)
+        trace = dde.integrate_pprd(sig, law, None, grid)
+        assert dde.normalization_residual(trace, sig, law).max_abs <= tol
+        settled = 1.0 / (1.0 + 60.0 * law.mean())
+        assert trace.active[-1] == pytest.approx(settled, abs=10 * tol)
+
+    def test_law_csv_round_trip(self, tmp_path):
+        law = CASES["shifted-gamma"][0]
+        path = tmp_path / "law.csv"
+        write_law_csv(law, path)
+        back = read_law_csv(path)
+        x, pdf = law.density_table()
+        np.testing.assert_array_equal(back.x, x)
+        np.testing.assert_array_equal(back.pdf, pdf)
+        assert back.mean() == pytest.approx(law.mean(), rel=1e-8)
+
+
+class Generic(DeadTimeLaw):
+    """Only the required methods of ``law``: everything else runs the base body."""
+
+    def __init__(self, law):
+        self.law = law
+
+    @property
+    def atom0(self):
+        return self.law.atom0
+
+    def mean(self):
+        return self.law.mean()
+
+    def survivor(self, x):
+        return self.law.survivor(x)
+
+    def density(self, x):
+        return self.law.density(x)
+
+    def quantile(self, q):
+        return self.law.quantile(q)
+
+
+def _table():
+    ref = GammaDeadTime(3, 50.0)
+    x = np.linspace(0.0, ref.quantile(1 - 1e-13), 4001)
+    pdf = ref.density(x)
+    return TabulatedDeadTime(x, pdf / np.trapezoid(pdf, x))
+
+
+GAMMAS = [GammaDeadTime(0, 40.0), GammaDeadTime(3, 50.0), GammaDeadTime(10, 137.5),
+          GammaDeadTime(50, 637.5)]
+
+
+class TestOverridesMatchTheGenericBodies:
+    """Each closed form or own grid against the base class's quadrature.
+
+    A fixed dead time has no density, so of its overrides only ``q_k`` has a
+    generic counterpart.
+    """
+
+    @pytest.mark.parametrize(
+        "law, tol",
+        [(FixedDeadTime(0.02), 1e-4), (_table(), 1e-7)] + [(g, 1e-8) for g in GAMMAS],
+        ids=["fixed", "table", "gamma0", "gamma3", "gamma10", "gamma50"],
+    )
+    def test_survivor_transform(self, law, tol):
+        omega = 2.0 * math.pi * 5.0
+        got = law.survivor_transform(omega, range(17))
+        want = Generic(law).survivor_transform(omega, range(17))
+        assert np.max(np.abs(got - want)) <= tol * law.mean()
+
+    def test_table_density(self):
+        law = _table()
+        x, pdf = Generic(law).density_table()
+        np.testing.assert_array_equal(np.interp(x, *law.density_table()), pdf)
+
+    @pytest.mark.parametrize("law", GAMMAS, ids=["gamma0", "gamma3", "gamma10", "gamma50"])
+    def test_gamma_closed_forms(self, law):
+        generic = Generic(law)
+        assert law.std() == pytest.approx(generic.std(), rel=1e-9)
+        u = np.linspace(0.01, 0.99, 99)
+        got = law.length_biased_quantile(u)
+        assert np.max(np.abs(got - generic.length_biased_quantile(u))) <= 1e-5 * law.mean()
+        b = np.linspace(0.0, 3.0 * law.support_window(), 7)
+        for share in (0.0, 0.3, 0.9):
+            c = share * law.rate
+            assert law.tilted_closed_form(c)
+            for a in (0.0, 0.4 * b):
+                got = law.tilted_integral(c, a, b, c * b)
+                want = generic.tilted_integral(c, a, b, c * b)
+                assert np.max(np.abs(got - want)) <= 5e-5
+        assert not law.tilted_closed_form(law.rate)

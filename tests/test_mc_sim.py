@@ -11,6 +11,7 @@ from deadtime.analytic_ppd import step_response
 from deadtime.core import (
     Constant,
     Cosine,
+    DeadTimeLaw,
     FixedDeadTime,
     GammaDeadTime,
     Step,
@@ -114,8 +115,8 @@ class TestHazard:
         law = GammaDeadTime(10, 137.5)
         t = np.full(9, 0.05)
         tau = np.linspace(0.06, 0.3, 9)  # every window straddles the switch
-        closed = mc_sim._interval_survivor_step_gamma(sig, law, t, tau)
-        general = mc_sim._interval_survivor_general(sig, law, t, tau)
+        closed = mc_sim._interval_survivor_switch(sig, law, t, tau, law.survivor(tau))
+        general = mc_sim._interval_survivor_general(sig, law, t, tau, law.survivor(tau))
         # the quadrature route carries the kink of the exposure across the
         # switch, so its own error dominates the comparison
         assert np.max(np.abs(closed - general)) < 2e-7
@@ -126,6 +127,23 @@ class TestHazard:
         h_step = hazard_pprd(sig, law, 2.0, 0.1)
         h_const = hazard_pprd(Constant(50.0), law, 2.0, 0.1)
         assert h_step == pytest.approx(h_const, rel=1e-12)
+
+    def test_old_ages_fire_at_the_input_rate(self):
+        # E[F] underflows here; the survivor, never above it, is zero too
+        tau = np.array([0.5, 1.0, 2.0])
+        for law in (GammaDeadTime(3, 2000.0), tabulated_gamma(3, 2000.0)):
+            np.testing.assert_array_equal(hazard_pprd(Constant(1000.0), law, 0.0, tau), 1000.0)
+
+    def test_far_tilt_of_a_high_order_law(self):
+        # (rate/(rate - lam))**201 overflows while the incomplete gamma
+        # function underflows; the closed form must still match quadrature
+        lam, law = 200.799, GammaDeadTime(200, 201.0)
+        tau = np.array([0.5, 1.0, 2.0])
+        h = hazard_pprd(Constant(lam), law, 0.0, tau)
+        assert np.all(np.isfinite(h)) and np.all((h >= 0.0) & (h <= lam))
+        surv = law.survivor(tau)
+        body = DeadTimeLaw.tilted_integral(law, lam, 0.0, tau, lam * tau)
+        np.testing.assert_allclose(h, lam * body / (body + surv), rtol=1e-3, atol=1e-12)
 
 
 class TestConfigAndEstimate:
@@ -448,7 +466,9 @@ class TestRejection:
             )
             # exposure-weighted expected ratio over the bin
             tau = np.linspace(a, b, 101)
-            surv = mc_sim._interval_survivor_constant(law, lam, tau)
+            surv = mc_sim._expected_interval_survivor(
+                Constant(lam), law, 0.0, tau, law.survivor(tau)
+            )
             want = (surv[0] - surv[-1]) / integrate.simpson(surv, x=tau)
             have = hits / exposure
             assert abs(have - want) < 3.5 * math.sqrt(max(hits, 1)) / exposure
@@ -474,8 +494,9 @@ class TestOccupationTable:
     def test_matches_exact_occupation(self, order, lam_share):
         law = GammaDeadTime(order, (order + 1) / 0.08)
         lam = lam_share * law.rate
-        table, after = mc_sim._occupation_tables(Constant(lam), law)
-        assert after is None
+        tables = mc_sim._occupation_tables(Constant(lam), law)
+        assert list(tables) == [lam]
+        table = tables[lam]
         w = law.support_window()
         tau = np.concatenate(
             [np.linspace(0.0, 3.0 * w, 30001), np.random.default_rng(order).uniform(0.0, 20.0 * w, 5000)]
@@ -486,7 +507,7 @@ class TestOccupationTable:
     def test_ages_past_the_table_are_exact(self, monkeypatch):
         monkeypatch.setattr(mc_sim, "_TABLE_MAX_NODES", 64)
         law = GammaDeadTime(10, 137.5)
-        table, _ = mc_sim._occupation_tables(Constant(50.0), law)
+        table = mc_sim._occupation_tables(Constant(50.0), law)[50.0]
         tau = np.linspace(0.0, 0.5, 2001)
         # a stencil starting at node floor(age/h) - 1 needs four nodes
         far = tau / table.h >= 62.0
@@ -499,11 +520,10 @@ class TestOccupationTable:
 
     def test_only_closed_form_regimes_are_tabulated(self):
         gamma = GammaDeadTime(3, 50.0)
-        before, after = mc_sim._occupation_tables(Step(10.0, 60.0, 0.0), gamma)
-        assert before is not None and after is None
-        assert mc_sim._occupation_tables(Cosine(10.0, 5.0, 2.0), gamma) == (None, None)
+        assert list(mc_sim._occupation_tables(Step(10.0, 60.0, 0.0), gamma)) == [10.0]
+        assert mc_sim._occupation_tables(Cosine(10.0, 5.0, 2.0), gamma) == {}
         fixed = FixedDeadTime(0.08)
-        assert mc_sim._occupation_tables(Constant(10.0), fixed) == (None, None)
+        assert mc_sim._occupation_tables(Constant(10.0), fixed) == {}
 
     @pytest.mark.parametrize(
         "sig", [Constant(30.0), Step(8.0, 50.0, 0.1)], ids=["constant", "step"]
@@ -514,7 +534,7 @@ class TestOccupationTable:
             components=3000, seed=9, t_span=(0.0, 0.4), bin_width=0.01, lambda_max=50.0
         )
         est, ev = simulate_rejection(sig, law, cfg, return_events=True)
-        monkeypatch.setattr(mc_sim, "_occupation_tables", lambda s, l: (None, None))
+        monkeypatch.setattr(mc_sim, "_occupation_tables", lambda s, l: {})
         ref, ev_ref = simulate_rejection(sig, law, cfg, return_events=True)
         # the tables feed only the occupation sweep: thinning is untouched
         np.testing.assert_array_equal(ev[0], ev_ref[0])
@@ -593,7 +613,7 @@ class TestSamplingInternals:
         cdf /= cdf[-1]
         for u in (0.1, 0.5, 0.9):
             want = float(np.interp(u, cdf, x))
-            got = float(mc_sim._length_biased_quantile(law, np.array([u]))[0])
+            got = float(law.length_biased_quantile(np.array([u]))[0])
             assert got == pytest.approx(want, abs=1e-6)
 
     def test_stationary_age_quantile_fixed_law(self):
