@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
-from .core import History, NumericalError, TimeGrid, Trace, _wrap_scalar
+from .core import History, NumericalError, TimeGrid, Trace, _wrap_scalar, simpson_weights
 
 __all__ = [
     "PpdParams",
@@ -170,12 +170,6 @@ def step_response(lam0: float, lam1: float, d: float, grid: TimeGrid) -> Trace:
     return Trace(grid, active, lam1 * active)
 
 
-def _history_normalization_gap(history: History, d: float, n: int = 4097) -> float:
-    s = np.linspace(-d, 0.0, n)
-    nu = np.asarray([history.rate(si) for si in s], dtype=float)
-    return abs(float(np.trapezoid(nu, s)) + float(history.active(0.0)) - 1.0)
-
-
 def solve_with_history(
     lam: float,
     d: float,
@@ -192,8 +186,8 @@ def solve_with_history(
     force before the start need not equal ``lam``.
 
     The history must satisfy the occupation normalization at the start time
-    (look-back rate integral plus active fraction equal to one); a gap beyond
-    1e-6 raises :class:`ValueError`.
+    (look-back rate integral plus active fraction equal to one, by
+    :meth:`History.balance`); a gap beyond 1e-6 raises :class:`ValueError`.
     """
     if lam <= 0.0:
         raise ValueError("rate must be positive")
@@ -205,7 +199,7 @@ def solve_with_history(
     if d == 0.0:
         t = grid.times()
         return Trace(grid, np.ones_like(t), np.full_like(t, lam))
-    gap = _history_normalization_gap(history, d)
+    gap = abs(history.balance(0.0, d) - 1.0)
     if gap > 1e-6:
         raise ValueError(
             f"history violates the occupation normalization by {gap:.3e} (limit 1e-6)"
@@ -236,9 +230,9 @@ def solve_with_history(
                 m = max(int(np.ceil((b - a) / h_target)), 2)
                 m += m % 2
                 s = np.linspace(a, b, m + 1)
-                nu_hist = np.asarray([history.rate(si - d) for si in s])
+                nu_hist = history.sample_rate(s - d)
                 g = np.asarray(fundamental_solution(p, ti - s))
-                acc += float(integrate.simpson(nu_hist * g, x=s))
+                acc += float(simpson_weights(m, (b - a) / m) @ (nu_hist * g))
         active[i] = acc
     if np.any(active < -1e-9) or np.any(active > 1.0 + 1e-9):
         raise NumericalError("reconstructed active fraction left [0, 1]")

@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -180,6 +181,26 @@ def _target_or_override(override, nu, mean_dead, label):
     return _rate_from_target(nu, mean_dead, label)
 
 
+def _mc_bins(args, lam0: float, lam1: float):
+    """Step input, run settings and bin centers of a Monte Carlo step command.
+
+    The run starts one bin before the switch, so its first bin is dropped
+    and ``centers`` holds the ``--t-max`` worth of bins after it.
+    """
+    bw = args.bin_width if args.bin_width is not None else args.dt
+    n = int(math.floor(args.t_max / bw + 1e-9))
+    if n < 1:
+        raise ValueError("--t-max shorter than one bin")
+    cfg = SimConfig(
+        components=args.mc,
+        seed=args.seed,
+        t_span=(-bw, n * bw),
+        bin_width=bw,
+        lambda_max=max(lam0, lam1),
+    )
+    return Step(lam0, lam1, 0.0), cfg, TimeGrid(bw / 2.0, bw, n)
+
+
 def cmd_step(args) -> int:
     d = args.d
     if d is None:
@@ -195,20 +216,8 @@ def cmd_step(args) -> int:
         trace.to_csv(args.out)
         return 0
 
-    bw = args.bin_width if args.bin_width is not None else args.dt
-    n = int(math.floor(args.t_max / bw + 1e-9))
-    if n < 1:
-        raise ValueError("--t-max shorter than one bin")
-    sig = Step(lam0, lam1, 0.0)
-    cfg = SimConfig(
-        components=args.mc,
-        seed=args.seed,
-        t_span=(-bw, n * bw),
-        bin_width=bw,
-        lambda_max=max(lam0, lam1),
-    )
+    sig, cfg, centers = _mc_bins(args, lam0, lam1)
     est = simulate_generative(sig, FixedDeadTime(d), cfg)
-    centers = TimeGrid(bw / 2.0, bw, n)
     ref = analytic_ppd.step_response(lam0, lam1, d, centers)
     write_csv(args.out, COMBINED_CSV, (
         centers.times(), ref.active, ref.rate, est.rate_hat[1:], est.rate_se[1:],
@@ -309,44 +318,26 @@ def cmd_pprd_step(args) -> int:
 
     if not args.mc:
         raise ValueError("--trials needs --mc for the per-trial component count")
-    bw = args.bin_width if args.bin_width is not None else args.dt
-    n = int(math.floor(args.t_max / bw + 1e-9))
-    if n < 1:
-        raise ValueError("--t-max shorter than one bin")
-    sig = Step(lam0, lam1, 0.0)
+    sig, cfg, centers = _mc_bins(args, lam0, lam1)
 
     def one_trial(t):
-        cfg = SimConfig(
-            components=args.mc,
-            seed=args.seed + t,
-            t_span=(-bw, n * bw),
-            bin_width=bw,
-            lambda_max=max(lam0, lam1),
-        )
-        return simulate_rejection(sig, law, cfg)
+        return simulate_rejection(sig, law, replace(cfg, seed=args.seed + t))
 
     with ThreadPoolExecutor(max_workers=_thread_count(args)) as pool:
         trials = list(pool.map(one_trial, range(args.trials)))
 
+    def trial_se(values):
+        if args.trials < 2:
+            return np.full(centers.n, math.nan)
+        return np.std(values, axis=0, ddof=1) / math.sqrt(args.trials)
+
     nu = np.stack([tr.rate_hat[1:] for tr in trials])
     act = np.stack([tr.active_hat[1:] for tr in trials])
     count = np.stack([tr.event_count[1:] for tr in trials]).sum(axis=0)
-    root_t = math.sqrt(args.trials)
-    nu_se = (
-        np.std(nu, axis=0, ddof=1) / root_t
-        if args.trials > 1
-        else np.full(n, math.nan)
-    )
-    a_se = (
-        np.std(act, axis=0, ddof=1) / root_t
-        if args.trials > 1
-        else np.full(n, math.nan)
-    )
-    centers = TimeGrid(bw / 2.0, bw, n)
     ref = gamma_chain.step_response(args.shape, law.rate, lam0, lam1, centers)
     write_csv(args.out, COMBINED_CSV, (
         centers.times(), ref.active, ref.rate,
-        nu.mean(axis=0), nu_se, act.mean(axis=0), a_se, count,
+        nu.mean(axis=0), trial_se(nu), act.mean(axis=0), trial_se(act), count,
     ))
     return 0
 

@@ -77,6 +77,28 @@ def simpson_weights(n_cells: int, h: float) -> np.ndarray:
     return w
 
 
+def cumulative_trapezoid(y, x) -> np.ndarray:
+    """Running trapezoid integral of the samples ``y`` at the nodes ``x``, zero at ``x[0]``."""
+    return np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))))
+
+
+def tabulated_quantile(x, pdf, u):
+    """Inverse CDF at the levels ``u`` of the density sampled as ``pdf`` at ``x``.
+
+    The trapezoid CDF is scaled to end at one, so ``pdf`` need not be
+    normalized.
+    """
+    cdf = cumulative_trapezoid(pdf, x)
+    cdf /= cdf[-1]
+    return np.interp(u, cdf, x)
+
+
+def hermitian(pos) -> np.ndarray:
+    """Coefficients ``c_-K .. c_K`` of a real signal from its ``c_0 .. c_K``."""
+    pos = np.asarray(pos, dtype=complex)
+    return np.concatenate((pos[::-1].conj(), pos[1:]))
+
+
 def _fmt(value: float) -> str:
     """Shortest round-trip decimal used by every CSV writer."""
     return format(float(value), ".17g")
@@ -268,11 +290,6 @@ class InputSignal:
         """Left limit of the rate at ``t``; differs from ``rate`` only at jumps."""
         return self.rate(t)
 
-    def rate_derivative(self, t):
-        """Time derivative of the rate, taken piecewise at jumps."""
-        arr = np.asarray(t, dtype=float)
-        return _wrap_scalar(t, self._rate_derivative(arr))
-
     def cumulative_rate(self, t):
         """Antiderivative of the rate, fixed to vanish at time zero.
 
@@ -305,9 +322,6 @@ class InputSignal:
     # hooks -----------------------------------------------------------------
     def _rate(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def _rate_derivative(self, t: np.ndarray) -> np.ndarray:
-        return np.zeros_like(t)
 
     def _cumulative(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -425,9 +439,6 @@ class Cosine(InputSignal):
     def _rate(self, t):
         return self.base + self.amplitude * np.cos(self.omega * t)
 
-    def _rate_derivative(self, t):
-        return -self.amplitude * self.omega * np.sin(self.omega * t)
-
     def _cumulative(self, t):
         return self.base * t + self.amplitude * np.sin(self.omega * t) / self.omega
 
@@ -485,17 +496,6 @@ class Sampled(InputSignal):
         self._check_domain(t)
         return np.interp(t, self.grid.times(), self.values)
 
-    def _segment(self, t):
-        idx = np.floor((t - self.grid.t0) / self.grid.dt).astype(int)
-        return np.clip(idx, 0, self.grid.n - 2)
-
-    def _rate_derivative(self, t):
-        self._check_domain(t)
-        if self.grid.n < 2:
-            return np.zeros_like(t)
-        slopes = np.diff(self.values) / self.grid.dt
-        return slopes[self._segment(t)]
-
     def _cumulative(self, t):
         # exact integral of the piecewise-linear interpolant, anchored at the
         # first sample
@@ -504,7 +504,7 @@ class Sampled(InputSignal):
             return self.values[0] * (t - self.grid.t0)
         cell = 0.5 * (self.values[:-1] + self.values[1:]) * self.grid.dt
         prefix = np.concatenate(([0.0], np.cumsum(cell)))
-        idx = self._segment(t)
+        idx = np.clip(np.floor((t - self.grid.t0) / self.grid.dt).astype(int), 0, self.grid.n - 2)
         local = t - (self.grid.t0 + idx * self.grid.dt)
         slopes = np.diff(self.values) / self.grid.dt
         return prefix[idx] + self.values[idx] * local + 0.5 * slopes[idx] * local**2
@@ -528,12 +528,8 @@ class Sampled(InputSignal):
         if order > n // 2 - 1:
             raise ValueError(f"order {order} unresolvable with {n} samples per period")
         t = self.grid.times()
-        coeffs = np.zeros(2 * order + 1, dtype=complex)
-        for k in range(order + 1):
-            ck = np.mean(self.values * np.exp(-1j * k * omega * t))
-            coeffs[order + k] = ck
-            coeffs[order - k] = np.conj(ck)
-        return Spectrum(omega, coeffs)
+        pos = [np.mean(self.values * np.exp(-1j * k * omega * t)) for k in range(order + 1)]
+        return Spectrum(omega, hermitian(pos))
 
 
 # ---------------------------------------------------------------------------
@@ -584,19 +580,19 @@ class DeadTimeLaw:
         return math.sqrt(max(second - self.mean() ** 2, 0.0))
 
     def density_table(self, n_nodes: int = 2048) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and density samples ``(x, rho)`` covering the support window."""
+        """Nodes and density samples ``(x, rho)`` covering the support window.
+
+        The samples are rescaled so that ``atom0 + trapezoid(rho, x) == 1``,
+        the mass :class:`TabulatedDeadTime` demands of a table.
+        """
         x = np.linspace(0.0, self.support_window(), n_nodes)
-        return x, np.asarray(self.density(x), dtype=float)
+        rho = np.asarray(self.density(x), dtype=float)
+        return x, rho * ((1.0 - self.atom0) / np.trapezoid(rho, x))
 
     def length_biased_quantile(self, u):
         """Inverse CDF of the size-biased law ``x*rho(x)/mean``, elementwise."""
         x, pdf = self.density_table(8193)
-        weighted = x * pdf
-        cdf = np.concatenate(
-            ([0.0], np.cumsum(0.5 * (weighted[1:] + weighted[:-1]) * np.diff(x)))
-        )
-        cdf /= cdf[-1]
-        return np.interp(u, cdf, x)
+        return tabulated_quantile(x, x * pdf, u)
 
     def integrate(self, fn, a, b) -> np.ndarray:
         """``int fn(x) dF(x)`` over ``[a, b]`` for each pair of limits, the atom at zero
@@ -666,15 +662,20 @@ def _closed_transform(law: DeadTimeLaw, omega: float, ks, laplace) -> np.ndarray
     return np.array(q, dtype=complex)
 
 
-def _check_nonnegative_x(x):
-    if np.any(np.asarray(x) < 0.0):
+def _abscissae(x) -> np.ndarray:
+    """``x`` as a float array, once checked to be non-negative."""
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr < 0.0):
         raise ValueError("dead-time abscissa must be non-negative")
+    return arr
 
 
-def _check_levels(q, closed: bool = True):
-    q = np.asarray(q)
+def _check_levels(q, closed: bool = True) -> np.ndarray:
+    """``q`` as a float array, once checked to hold probability levels."""
+    q = np.asarray(q, dtype=float)
     if not np.all((q >= 0.0) & ((q <= 1.0) if closed else (q < 1.0))):  # NaN fails
         raise ValueError(f"quantile level must lie in [0, 1{']' if closed else ')'}")
+    return q
 
 
 @dataclass(frozen=True)
@@ -696,13 +697,11 @@ class FixedDeadTime(DeadTimeLaw):
         return self.duration
 
     def survivor(self, x):
-        _check_nonnegative_x(x)
-        arr = np.asarray(x, dtype=float)
+        arr = _abscissae(x)
         return _wrap_scalar(x, np.where(arr < self.duration, 1.0, 0.0))
 
     def density(self, x):
-        _check_nonnegative_x(x)
-        return _wrap_scalar(x, np.zeros_like(np.asarray(x, dtype=float)))
+        return _wrap_scalar(x, np.zeros_like(_abscissae(x)))
 
     def quantile(self, q):
         _check_levels(q)
@@ -767,21 +766,18 @@ class GammaDeadTime(DeadTimeLaw):
         return math.sqrt(self.order + 1) / self.rate
 
     def survivor(self, x):
-        _check_nonnegative_x(x)
-        arr = np.asarray(x, dtype=float)
+        arr = _abscissae(x)
         return _wrap_scalar(x, special.gammaincc(self.order + 1, self.rate * arr))
 
     def density(self, x):
-        _check_nonnegative_x(x)
-        arr = np.asarray(x, dtype=float)
+        arr = _abscissae(x)
         if self.order == 0:
             return _wrap_scalar(x, self.rate * np.exp(-self.rate * arr))
         out = np.exp(_gamma_log_density(self.order, self.rate, arr))
         return _wrap_scalar(x, out)
 
     def density_derivative(self, x):
-        _check_nonnegative_x(x)
-        arr = np.asarray(x, dtype=float)
+        arr = _abscissae(x)
         if self.order == 0:
             return _wrap_scalar(x, -self.rate**2 * np.exp(-self.rate * arr))
         lower = np.exp(_gamma_log_density(self.order - 1, self.rate, arr))
@@ -789,8 +785,7 @@ class GammaDeadTime(DeadTimeLaw):
         return _wrap_scalar(x, self.rate * (lower - here))
 
     def quantile(self, q):
-        _check_levels(q, closed=False)
-        out = special.gammainccinv(self.order + 1, 1.0 - np.asarray(q, dtype=float)) / self.rate
+        out = special.gammainccinv(self.order + 1, 1.0 - _check_levels(q, closed=False)) / self.rate
         return _wrap_scalar(q, out)
 
     def length_biased_quantile(self, u):
@@ -881,10 +876,7 @@ class TabulatedDeadTime(DeadTimeLaw):
         mass = self.atom_at_zero + np.trapezoid(pdf, x)
         if abs(mass - 1.0) > 1e-9:
             raise ValueError(f"law mass {mass!r} deviates from one by more than 1e-9")
-        cdf = self.atom_at_zero + np.concatenate(
-            ([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(x)))
-        )
-        cdf = np.minimum(cdf, 1.0)
+        cdf = np.minimum(self.atom_at_zero + cumulative_trapezoid(pdf, x), 1.0)
         for name, arr in (("x", x), ("pdf", pdf), ("_cdf", cdf)):
             arr = np.ascontiguousarray(arr)
             arr.setflags(write=False)
@@ -898,21 +890,18 @@ class TabulatedDeadTime(DeadTimeLaw):
         return float(np.trapezoid(self.x * self.pdf, self.x))
 
     def survivor(self, x):
-        _check_nonnegative_x(x)
-        arr = np.asarray(x, dtype=float)
+        arr = _abscissae(x)
         cdf = np.interp(arr, self.x, self._cdf, left=self.atom_at_zero, right=1.0)
         # below the first node the density has not started accruing
         out = 1.0 - np.where(arr < self.x[0], self.atom_at_zero, cdf)
         return _wrap_scalar(x, out)
 
     def density(self, x):
-        _check_nonnegative_x(x)
-        arr = np.asarray(x, dtype=float)
+        arr = _abscissae(x)
         return _wrap_scalar(x, np.interp(arr, self.x, self.pdf, left=0.0, right=0.0))
 
     def quantile(self, q):
-        _check_levels(q)
-        arr = np.asarray(q, dtype=float)
+        arr = _check_levels(q)
         out = np.where(arr <= self.atom_at_zero, 0.0, np.interp(arr, self._cdf, self.x))
         return _wrap_scalar(q, out)
 
@@ -1085,11 +1074,40 @@ class History:
 
     ``active(t)`` and ``rate(t)`` must be defined for all ``t`` up to and
     including the integration start; at the start itself they carry the left
-    limits.
+    limits.  :meth:`balance` is the occupation gate of every solver that
+    starts from a history under a fixed dead time; each sets its own limit.
     """
 
     active: Callable[[float], float]
     rate: Callable[[float], float]
+
+    def sample_rate(self, ts: np.ndarray) -> np.ndarray:
+        """The rate at the times ``ts``.
+
+        A scalar-only callable such as ``math.exp`` raises ``TypeError`` or
+        ``ValueError`` on an array and is then called per element; any other
+        fault of the callable reads as the history not covering ``ts``.
+        """
+        try:
+            try:
+                out = np.asarray(self.rate(ts), dtype=float)
+                if out.shape == ts.shape:
+                    return out
+            except (TypeError, ValueError):
+                pass
+            return np.array([float(self.rate(float(s))) for s in ts])
+        except Exception as exc:
+            raise ValueError(
+                f"history does not cover [{ts[0]:.6g}, {ts[-1]:.6g}]: {exc}"
+            ) from exc
+
+    def balance(self, t0: float, d: float) -> float:
+        """Occupation balance ``A(t0) + int nu`` over ``[t0 - d, t0]`` for a fixed dead time ``d``.
+
+        One for a consistent start.  Simpson's rule on 8,192 cells.
+        """
+        nu = self.sample_rate(np.linspace(t0 - d, t0, 8193))
+        return float(simpson_weights(8192, d / 8192.0) @ nu) + float(self.active(t0))
 
 
 def equilibrium_history(input_rate: float, mean_dead_time: float) -> History:

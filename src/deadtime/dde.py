@@ -47,43 +47,6 @@ _GATE_TOL = 1e-9
 _STIFFNESS_LIMIT = 0.1
 
 
-def _sample_callable(fn, ts: np.ndarray) -> np.ndarray:
-    """Evaluate a history callable on an array, tolerating scalar-only ones.
-
-    A scalar-only callable such as ``math.exp`` raises ``TypeError`` or
-    ``ValueError`` on an array and is then called per element; any other
-    exception is a fault of the history and propagates.
-    """
-    try:
-        out = np.asarray(fn(ts), dtype=float)
-        if out.shape == ts.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(fn(float(s))) for s in ts])
-
-
-def _history_samples(history: History, ts: np.ndarray, what: str) -> np.ndarray:
-    try:
-        return _sample_callable(history.rate if what == "rate" else history.active, ts)
-    except Exception as exc:
-        raise ValueError(
-            f"history does not cover [{ts[0]:.6g}, {ts[-1]:.6g}]: {exc}"
-        ) from exc
-
-
-def _check_gate_ppd(history: History, t0: float, d: float) -> None:
-    ts = np.linspace(t0 - d, t0, 8193)
-    nu = _history_samples(history, ts, "rate")
-    w = simpson_weights(8192, d / 8192.0)
-    balance = float(w @ nu) + float(history.active(t0))
-    if abs(balance - 1.0) > _GATE_TOL:
-        raise ValueError(
-            "history violates the occupation normalization at the start "
-            f"(balance {balance!r}, expected 1 within {_GATE_TOL})"
-        )
-
-
 def _stiffness_guard(sig: InputSignal, grid: TimeGrid) -> None:
     lam_max = sig.max_rate(grid.t0, grid.t_end)
     if lam_max * grid.dt > _STIFFNESS_LIMIT:
@@ -93,7 +56,27 @@ def _stiffness_guard(sig: InputSignal, grid: TimeGrid) -> None:
         )
 
 
-def _finish_trace(grid: TimeGrid, a_nodes: np.ndarray, lam_nodes: np.ndarray) -> Trace:
+def _buffers(sig: InputSignal, history: History, grid: TimeGrid, cells: int):
+    """Half-step buffers reaching ``cells`` steps back before ``grid.t0``.
+
+    Returns the buffer index of ``t0``, the right and left input rates, the
+    event rate with the history filled in up to ``t0``, and the active
+    fraction holding only its start value.
+    """
+    off = 2 * cells
+    size = off + 2 * (grid.n - 1) + 1
+    half_times = grid.t0 + 0.5 * grid.dt * (np.arange(size) - off)
+    lam_r = np.asarray(sig.rate(half_times), dtype=float)
+    lam_l = np.asarray(sig.rate_left(half_times), dtype=float)
+    nu = np.empty(size)
+    nu[: off + 1] = history.sample_rate(half_times[: off + 1])
+    aa = np.empty(size)
+    aa[off] = float(history.active(grid.t0))
+    return off, lam_r, lam_l, nu, aa
+
+
+def _finish_trace(grid: TimeGrid, off: int, aa: np.ndarray, lam_r: np.ndarray) -> Trace:
+    a_nodes, lam_nodes = aa[off::2], lam_r[off::2]
     lo, hi = float(np.min(a_nodes)), float(np.max(a_nodes))
     if lo < -1e-9 or hi > 1.0 + 1e-9:
         raise NumericalError(
@@ -128,22 +111,17 @@ def integrate_ppd(
     _stiffness_guard(sig, grid)
     if history is None:
         history = equilibrium_history(float(sig.rate_left(grid.t0)), d)
-    _check_gate_ppd(history, grid.t0, d)
+    balance = history.balance(grid.t0, d)
+    if abs(balance - 1.0) > _GATE_TOL:
+        raise ValueError(
+            "history violates the occupation normalization at the start "
+            f"(balance {balance!r}, expected 1 within {_GATE_TOL})"
+        )
 
     n_steps = grid.n - 1
     hh = 0.5 * h
-    off = 2 * m  # buffer index of t0
-    size = off + 2 * n_steps + 1
-    half_times = grid.t0 + hh * (np.arange(size) - off)
-
-    lam_r = np.asarray(sig.rate(half_times), dtype=float)
-    lam_l = np.asarray(sig.rate_left(half_times), dtype=float)
-
-    nu = np.empty(size)
-    nu[: off + 1] = _history_samples(history, half_times[: off + 1], "rate")
-    aa = np.empty(size)
-    a0 = float(history.active(grid.t0))
-    aa[off] = a0
+    off, lam_r, lam_l, nu, aa = _buffers(sig, history, grid, m)
+    a0 = float(aa[off])
     # the stored start value is the right limit; the left limit stays
     # available for the read that closes the first delay window
     left_exceptions = {off: float(nu[off])}
@@ -177,8 +155,7 @@ def integrate_ppd(
         nu[w + 1] = lam_r[w + 1] * a_mid
         nu[w + 2] = lam_r[w + 2] * a1
 
-    a_nodes = aa[off::2].copy()
-    return _finish_trace(grid, a_nodes, lam_r[off::2].copy())
+    return _finish_trace(grid, off, aa, lam_r)
 
 
 def integrate_pprd(
@@ -232,20 +209,10 @@ def integrate_pprd(
 
     n_steps = grid.n - 1
     hh = 0.5 * h
-    off = 2 * n_cells
-    size = off + 2 * n_steps + 1
-    half_times = grid.t0 + hh * (np.arange(size) - off)
-
-    lam_r = np.asarray(sig.rate(half_times), dtype=float)
-    lam_l = np.asarray(sig.rate_left(half_times), dtype=float)
-
-    nu = np.empty(size)
-    nu[: off + 1] = _history_samples(history, half_times[: off + 1], "rate")
-    aa = np.empty(size)
-    a0 = float(history.active(grid.t0))
+    off, lam_r, lam_l, nu, aa = _buffers(sig, history, grid, n_cells)
+    a0 = float(aa[off])
     if not (-1e-9 <= a0 <= 1.0 + 1e-9):
         raise ValueError(f"history active fraction {a0} outside [0, 1]")
-    aa[off] = a0
     # quadrature reads can hit rate jumps exactly; the correct trapezoid
     # split weights both one-sided values equally, so buffered samples at
     # jump nodes store the average of the two limits
@@ -276,8 +243,7 @@ def integrate_pprd(
         nu[w + 2] = lam_avg[w + 2] * a1
         t_end = conv4
 
-    a_nodes = aa[off::2].copy()
-    return _finish_trace(grid, a_nodes, lam_r[off::2].copy())
+    return _finish_trace(grid, off, aa, lam_r)
 
 
 @dataclass(frozen=True)

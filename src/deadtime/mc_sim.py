@@ -27,6 +27,7 @@ from .core import (
     Schema,
     TimeGrid,
     read_csv,
+    tabulated_quantile,
     write_csv,
 )
 
@@ -107,16 +108,32 @@ def _interval_survivor_switch(sig: InputSignal, law: DeadTimeLaw, t, tau, surv):
 
 
 def _interval_survivor_general(sig: InputSignal, law: DeadTimeLaw, t, tau, surv):
-    """E[F] for arbitrary input, with exact cumulative-rate differences."""
+    """E[F] for arbitrary input, with exact cumulative-rate differences.
+
+    The recovery integral runs over the law's support window and, for
+    ages beyond it, over a second piece from the window to ``tau``: a tilt
+    can make the little mass out there dominate.
+    """
     t, tau = np.broadcast_arrays(np.asarray(t, dtype=float), tau)
-    big_t = np.asarray(sig.cumulative_rate(t), dtype=float)
-    upper = np.minimum(tau, float(law.support_window()))
+    window = float(law.support_window())
 
-    def exposed(x):
-        recovered = np.asarray(sig.cumulative_rate((t - tau)[:, None] + x), dtype=float)
-        return np.exp(-(big_t[:, None] - recovered))
+    def recovery(rows, a, b):
+        big_t = np.asarray(sig.cumulative_rate(t[rows]), dtype=float)
+        start = (t - tau)[rows]
 
-    return law.integrate(exposed, 0.0, upper) + surv
+        def exposed(x):
+            recovered = np.asarray(sig.cumulative_rate(start[:, None] + x), dtype=float)
+            return np.exp(-(big_t[:, None] - recovered))
+
+        return law.integrate(exposed, a, b)
+
+    out = recovery(slice(None), 0.0, np.minimum(tau, window))
+    # past the window lies the tail mass survivor(window); past a zero
+    # window there is none but the atom, already counted
+    far = tau > window
+    if window > 0.0 and law.survivor(window) > 0.0 and np.any(far):
+        out[far] += recovery(far, window, tau[far])
+    return out + surv
 
 
 def _expected_interval_survivor(sig, law, t, tau, surv):
@@ -365,9 +382,7 @@ def _stationary_age_quantile(law: DeadTimeLaw, lam0: float, u: np.ndarray):
         return np.full_like(u, w + 1.0)
     tau = np.linspace(0.0, w + 40.0 / lam0, 8193)
     pdf = _expected_interval_survivor(Constant(lam0), law, 0.0, tau, law.survivor(tau))
-    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(tau))))
-    cdf /= cdf[-1]
-    return np.interp(u, cdf, tau)
+    return tabulated_quantile(tau, pdf, u)
 
 
 def _validate_bound(sig: InputSignal, cfg: SimConfig) -> None:
@@ -391,29 +406,30 @@ def _mark_dead(diff, t0, bw, n_bins, start, stop):
         diff -= np.bincount(hi[keep], minlength=n_bins + 1)
 
 
-def _gather_events(collect):
-    if collect:
-        comp = np.concatenate([c for c, _ in collect])
-        times = np.concatenate([t for _, t in collect])
-        order = np.lexsort((times, comp))
-        return comp[order], times[order]
-    return np.empty(0, dtype=np.int64), np.empty(0)
-
-
-def _finish_estimate(cfg, counts, active_hat, active_se, collect):
-    m = cfg.components
-    bw = cfg.bin_width
-    est = EnsembleEstimate(
-        cfg.bin_grid(),
+def _estimate(grid: TimeGrid, m: int, counts, active_hat, spread) -> EnsembleEstimate:
+    """Estimate over ``m`` components from the event counts per bin of ``grid``,
+    the active fraction and its variance across components, ``spread``."""
+    bw = grid.dt
+    return EnsembleEstimate(
+        grid,
         counts / (m * bw),
         np.sqrt(counts) / (m * bw),
         active_hat,
-        active_se,
+        np.sqrt(np.clip(spread, 0.0, None) / m),
         counts,
     )
+
+
+def _finish_estimate(cfg: SimConfig, counts, active_hat, spread, collect):
+    """A sampler's estimate, paired with the ``collect``-ed events sorted by
+    component, then time, unless ``collect`` is None."""
+    est = _estimate(cfg.bin_grid(), cfg.components, counts, active_hat, spread)
     if collect is None:
         return est
-    return est, _gather_events(collect)
+    comp = np.concatenate([c for c, _ in collect] or [np.empty(0, dtype=np.int64)])
+    times = np.concatenate([t for _, t in collect] or [np.empty(0)])
+    order = np.lexsort((times, comp))
+    return est, (comp[order], times[order])
 
 
 # ---------------------------------------------------------------------------
@@ -500,12 +516,8 @@ def simulate_generative(
                 t_cur[hit] = t_ev + x
                 alive[hit] = t_cur[hit] < t_stop
 
-    dead = np.cumsum(dead_diff[:-1])
-    active_hat = 1.0 - dead / cfg.components
-    active_se = np.sqrt(
-        np.clip(active_hat * (1.0 - active_hat), 0.0, None) / cfg.components
-    )
-    return _finish_estimate(cfg, counts, active_hat, active_se, collect)
+    active_hat = 1.0 - np.cumsum(dead_diff[:-1]) / cfg.components
+    return _finish_estimate(cfg, counts, active_hat, active_hat * (1.0 - active_hat), collect)
 
 
 def simulate_rejection(
@@ -600,11 +612,9 @@ def simulate_rejection(
         if collect is not None and e_c.size:
             collect.append((comp[e_c], e_t))
 
-    m = cfg.components
-    active_hat = q_sum / m
-    spread = np.clip(q_sq / m - active_hat**2, 0.0, None)
-    active_se = np.sqrt(spread / m)
-    return _finish_estimate(cfg, counts, active_hat, active_se, collect)
+    active_hat = q_sum / cfg.components
+    spread = q_sq / cfg.components - active_hat**2
+    return _finish_estimate(cfg, counts, active_hat, spread, collect)
 
 
 def estimate_from_events(
@@ -639,23 +649,13 @@ def estimate_from_events(
     t_lo = grid.t0 - 0.5 * bw
     edges = t_lo + bw * np.arange(grid.n + 1)
     counts = np.histogram(times, bins=edges)[0].astype(np.int64)
+    # without dead durations the active-fraction columns, and their errors, are NaN
+    active_hat = np.full(grid.n, np.nan)
     if dead_durations is not None:
         x = np.asarray(dead_durations, dtype=float)
         if x.shape != times.shape:
             raise ValueError("need one dead duration per event")
         diff = np.zeros(grid.n + 1, dtype=np.int64)
         _mark_dead(diff, t_lo, bw, grid.n, times, times + x)
-        dead = np.cumsum(diff[:-1])
-        active_hat = 1.0 - np.minimum(dead, m) / m
-        active_se = np.sqrt(np.clip(active_hat * (1.0 - active_hat), 0.0, None) / m)
-    else:
-        active_hat = np.full(grid.n, np.nan)
-        active_se = np.full(grid.n, np.nan)
-    return EnsembleEstimate(
-        grid,
-        counts / (m * bw),
-        np.sqrt(counts) / (m * bw),
-        active_hat,
-        active_se,
-        counts,
-    )
+        active_hat = 1.0 - np.minimum(np.cumsum(diff[:-1]), m) / m
+    return _estimate(grid, m, counts, active_hat, active_hat * (1.0 - active_hat))

@@ -31,6 +31,7 @@ from .core import (
     NotRepresentableError,
     NumericalError,
     TabulatedDeadTime,
+    cumulative_trapezoid,
     simpson_weights,
 )
 
@@ -60,6 +61,26 @@ def _as_array_fn(fn: Callable) -> Callable:
 
 def _log_grid(x_max: float, n: int) -> np.ndarray:
     return np.concatenate(([0.0], np.geomspace(x_max * 1e-8, x_max, n)))
+
+
+def _hazards(pdf: Callable, pdf_prime: Callable, surv: Callable, fill: float):
+    """Hazard ``f/S`` and its derivative ``f'/S + (f/S)**2`` of an interval law.
+
+    Where the survivor ``S`` vanishes the hazard reads ``fill`` and its
+    derivative zero.
+    """
+
+    def hz(x):
+        s = surv(x)
+        return np.where(s > 0.0, pdf(x) / np.where(s > 0.0, s, 1.0), fill)
+
+    def hzp(x):
+        s = surv(x)
+        good = s > 0.0
+        s_safe = np.where(good, s, 1.0)
+        return np.where(good, pdf_prime(x) / s_safe + (pdf(x) / s_safe) ** 2, 0.0)
+
+    return hz, hzp
 
 
 def _tabulate_converged(fn: Callable, x_max: float, atom: float = 0.0):
@@ -123,8 +144,7 @@ class RenewalSpec:
         if np.min(vals) < -_NEG_TOL * max(1.0, scale):
             raise ValueError("interval density must be non-negative")
         if self.hazard is not None:
-            cells = 0.5 * (vals[1:] + vals[:-1]) * np.diff(x)
-            surv = 1.0 - np.concatenate(([0.0], np.cumsum(cells)))
+            surv = 1.0 - cumulative_trapezoid(vals, x)
             hz = self.hazard(x[1:])
             gap = np.abs(vals[1:] - hz * surv[1:])
             if np.max(gap) > 1e-8 * max(1.0, scale):
@@ -138,20 +158,7 @@ class RenewalSpec:
     def from_gamma(cls, index: int, rate: float) -> "RenewalSpec":
         """Interval density proportional to ``x**index * exp(-rate*x)``."""
         ref = GammaDeadTime(index, rate)
-
-        def hz(x):
-            f = np.asarray(ref.density(x), dtype=float)
-            s = np.asarray(ref.survivor(x), dtype=float)
-            return np.where(s > 0.0, f / np.where(s > 0.0, s, 1.0), rate)
-
-        def hzp(x):
-            f = np.asarray(ref.density(x), dtype=float)
-            fp = np.asarray(ref.density_derivative(x), dtype=float)
-            s = np.asarray(ref.survivor(x), dtype=float)
-            good = s > 0.0
-            s_safe = np.where(good, s, 1.0)
-            return np.where(good, fp / s_safe + (f / s_safe) ** 2, 0.0)
-
+        hz, hzp = _hazards(ref.density, ref.density_derivative, ref.survivor, rate)
         return cls(
             interval_pdf=ref.density,
             x_max=ref.quantile(1.0 - 1e-10),
@@ -192,17 +199,7 @@ class RenewalSpec:
             out[pos] = 0.5 * special.erfc(z / math.sqrt(2.0))
             return out
 
-        def hz(x):
-            s = surv(x)
-            return np.where(s > 0.0, pdf(x) / np.where(s > 0.0, s, 1.0), 0.0)
-
-        def hzp(x):
-            s = surv(x)
-            good = s > 0.0
-            s_safe = np.where(good, s, 1.0)
-            f = pdf(x)
-            return np.where(good, pdf_prime(x) / s_safe + (f / s_safe) ** 2, 0.0)
-
+        hz, hzp = _hazards(pdf, pdf_prime, surv, 0.0)
         tail = delta * math.exp(mu + sigma * float(special.ndtri(1.0 - 1e-10)))
         # keep the hazard-criterion maximum well inside the domain
         ridge = math.e * delta * math.exp(mu + 1.0 - sigma**2)
@@ -229,9 +226,7 @@ class RenewalSpec:
             raise ValueError("abscissae must be non-negative and strictly increasing")
         pdf = np.clip(pdf, 0.0, None) / np.trapezoid(np.clip(pdf, 0.0, None), x)
         slope = np.gradient(pdf, x)
-        cdf = np.concatenate(
-            ([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(x)))
-        )
+        cdf = cumulative_trapezoid(pdf, x)
 
         def interp(samples, fill):
             def fn(q):

@@ -24,18 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    DeadTimeLaw,
-    FixedDeadTime,
-    NumericalError,
-    Spectrum,
-    TimeGrid,
-    Trace,
-)
+from .core import DeadTimeLaw, NumericalError, Spectrum, TimeGrid, Trace, hermitian
 
 __all__ = [
     "HarmonicSystem",
-    "qk_fixed",
     "qk_law",
     "qk_array",
     "solve_active_spectrum",
@@ -49,13 +41,6 @@ __all__ = [
 #: (resonant harmonics where the refractory window spans whole drive
 #: periods).
 Q_ZERO = 1e-12
-
-
-def qk_fixed(d: float, omega: float, k: int) -> complex:
-    """Coupling coefficient of a fixed dead time ``d`` at harmonic ``k``."""
-    if d < 0.0:
-        raise ValueError("dead time must be non-negative")
-    return qk_law(FixedDeadTime(d), omega, k)
 
 
 def qk_law(law: DeadTimeLaw, omega: float, k: int) -> complex:
@@ -169,6 +154,21 @@ def _padded_coefficients(spectrum: Spectrum, halfwidth: int) -> np.ndarray:
     return out
 
 
+def _conditioned_solve(mat, rhs, limit: float, failure: str):
+    """Solution of ``mat @ x = rhs`` and the 1-norm condition number of ``mat``.
+
+    A condition number beyond ``limit``, or one that cannot be formed,
+    raises :class:`NumericalError` with ``failure`` as its message.
+    """
+    try:
+        cond = float(abs(np.linalg.cond(mat, 1)))
+    except np.linalg.LinAlgError:
+        cond = math.inf
+    if not math.isfinite(cond) or cond > limit:
+        raise NumericalError(f"{failure} (cond {cond:.3e})", condition=cond)
+    return np.linalg.solve(mat, rhs), cond
+
+
 def _solve_truncated(sys: HarmonicSystem) -> np.ndarray:
     k_range = np.arange(-sys.K, sys.K + 1)
     size = k_range.size
@@ -179,16 +179,8 @@ def _solve_truncated(sys: HarmonicSystem) -> np.ndarray:
     mat = np.eye(size, dtype=complex) + q_rows[:, None] * lam_pad[diff + 2 * sys.K]
     rhs = np.zeros(size, dtype=complex)
     rhs[sys.K] = 1.0
-    try:
-        cond = float(abs(np.linalg.cond(mat, 1)))
-    except np.linalg.LinAlgError:
-        cond = math.inf
-    if not math.isfinite(cond) or cond > 1e14:
-        raise NumericalError(
-            f"truncated harmonic system is numerically singular (cond {cond:.3e})",
-            condition=cond,
-        )
-    return np.linalg.solve(mat, rhs)
+    failure = "truncated harmonic system is numerically singular"
+    return _conditioned_solve(mat, rhs, 1e14, failure)[0]
 
 
 def solve_active_spectrum(sys: HarmonicSystem) -> Spectrum:
@@ -260,23 +252,16 @@ def infer_input_spectrum(
     k_range = np.arange(-b, b + 1)
     diff = k_range[:, None] - k_range[None, :]
     mat = np.eye(2 * b + 1, dtype=complex) - (q * beta_pad)[diff + 2 * b]
-    rhs = beta.coeffs.copy()
-    try:
-        cond = float(abs(np.linalg.cond(mat, 1)))
-    except np.linalg.LinAlgError:
-        cond = math.inf
-    if not math.isfinite(cond) or cond > cond_limit:
-        raise NumericalError(
-            f"input inference is ill-conditioned (cond {cond:.3e})", condition=cond
-        )
-    lam = np.linalg.solve(mat, rhs)
+    lam, cond = _conditioned_solve(
+        mat, beta.coeffs.copy(), cond_limit, "input inference is ill-conditioned"
+    )
     return Spectrum(beta.omega, lam, tol=1e-7), cond
 
 
 def cosine_continued_fraction(
     lam0: float,
     eps: float,
-    law,
+    law: DeadTimeLaw,
     omega: float,
     tol: float = 1e-13,
     max_order: int = 512,
@@ -289,13 +274,8 @@ def cosine_continued_fraction(
     zero far out, with ``x_k = (1/q_k + lam0) * 2/eps``.  The backward start
     is pushed out geometrically until the bottom ratio stabilizes to
     ``tol``; resonant harmonics with vanishing ``q_k`` terminate the chain
-    exactly.
-
-    ``law`` may be a :class:`DeadTimeLaw` or a plain number, read as a fixed
-    dead time.
+    exactly.  The ratios of the converged pass give the spectrum.
     """
-    if isinstance(law, (int, float)):
-        law = FixedDeadTime(float(law))
     if eps < 0.0:
         raise ValueError("modulation amplitude must be non-negative")
     if lam0 < eps:
@@ -313,56 +293,44 @@ def cosine_continued_fraction(
             return complex(math.inf)
         return (1.0 / qk + lam0) * (2.0 / eps)
 
-    def backward_r0(start: int) -> complex:
+    def backward_ratios(start: int) -> np.ndarray:
+        """``ratios[k-1] = alpha_k / alpha_{k-1}`` up to ``k = max_order``, from ``start`` down."""
         qk_array(law, omega, start, store)
+        ratios = np.empty(min(start, max(max_order, 1)), dtype=complex)
         r = 0.0 + 0.0j
         for k in range(start, 0, -1):
             x = x_at(k)
             if x == complex(math.inf):
                 r = 0.0 + 0.0j
-                continue
-            denom = x + r
-            if denom == 0.0:
-                raise NumericalError("continued fraction hit a zero denominator")
-            r = -1.0 / denom
-        return r
+            else:
+                denom = x + r
+                if denom == 0.0:
+                    raise NumericalError("continued fraction hit a zero denominator")
+                r = -1.0 / denom
+            if k <= ratios.size:
+                ratios[k - 1] = r
+        return ratios
 
     n = 32
-    r0 = backward_r0(n)
+    ratios = backward_ratios(n)
     while True:
         n *= 2
         if n > 2**20:
             raise NumericalError("continued fraction did not converge by depth 2^20")
-        r0_new = backward_r0(n)
-        scale = max(abs(r0_new), abs(r0))
-        if scale == 0.0 or abs(r0_new - r0) <= tol * scale:
-            r0 = r0_new
+        r0 = ratios[0]
+        ratios = backward_ratios(n)
+        scale = max(abs(ratios[0]), abs(r0))
+        if scale == 0.0 or abs(ratios[0] - r0) <= tol * scale:
             break
-        r0 = r0_new
 
-    alpha0 = 1.0 / (1.0 + q0 * (lam0 + eps * r0.real))
-    # assemble ratios downward from the converged depth
-    depth = min(n, max_order)
-    ratios = np.empty(depth, dtype=complex)  # ratios[k-1] = alpha_k / alpha_{k-1}
-    r = 0.0 + 0.0j
-    for k in range(n, 0, -1):
-        x = x_at(k)
-        r = 0.0 + 0.0j if x == complex(math.inf) else -1.0 / (x + r)
-        if k <= depth:
-            ratios[k - 1] = r
-
+    alpha0 = 1.0 / (1.0 + q0 * (lam0 + eps * ratios[0].real))
     coeffs_pos = [complex(alpha0)]
-    for k in range(depth):
+    for k in range(min(ratios.size, max_order)):
         nxt = coeffs_pos[-1] * ratios[k]
         if abs(nxt) < 1e-18 * abs(alpha0):
             break
         coeffs_pos.append(nxt)
-    order = len(coeffs_pos) - 1
-    coeffs = np.zeros(2 * order + 1, dtype=complex)
-    for k, c in enumerate(coeffs_pos):
-        coeffs[order + k] = c
-        coeffs[order - k] = np.conj(c)
-    return Spectrum(omega, coeffs)
+    return Spectrum(omega, hermitian(coeffs_pos))
 
 
 def periodic_rate(sys: HarmonicSystem, beta: Spectrum, grid: TimeGrid) -> Trace:

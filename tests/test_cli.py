@@ -1,6 +1,9 @@
 """End-to-end tests for the command-line interface."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -293,6 +296,13 @@ class TestRepresentCmd:
         assert run(["represent", "--process", "weird:1,2",
                     "--out", tmp_path / "x.csv"]) == 2
 
+    def test_gamma_law_file_reads_back(self, tmp_path):
+        law = tmp_path / "law.csv"
+        assert run(["represent", "--process", "gamma:2,30", "--out", law]) == 0
+        assert run(["validate", law]) == 0
+        assert run(["periodic", "--law", f"table:{law}", "--nu0", 5, "--f", 5,
+                    "--out-prefix", tmp_path / "p"]) == 0
+
     def test_table_process(self, tmp_path):
         ref = GammaDeadTime(3, 25.0)
         x = np.linspace(0.0, ref.quantile(1 - 1e-12), 20001)
@@ -420,3 +430,12 @@ class TestScenario:
         assert run(["periodic", "--scenario", scen, "--out-prefix", prefix]) == 0
         with open(f"{prefix}-sweep.csv") as fh:
             assert fh.readline().strip().endswith(",max_nu")
+
+
+def test_importing_the_cli_leaves_scipy_integrate_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, deadtime.cli; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "False"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from deadtime import analytic_ppd, gamma_chain
@@ -152,6 +154,38 @@ class TestFixedDelay:
         assert np.all(tr.active > 0.0)
         assert np.all(tr.active < 1.0)
         assert np.all(tr.rate >= 0.0)
+
+
+class TestOccupationGate:
+    """``History.balance`` is the one gate; each solver keeps its own limit on the gap."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(lam=st.floats(0.0, 500.0), d=st.floats(1e-3, 0.2))
+    def test_gap_limits_and_scalar_twin(self, lam, d):
+        eq = equilibrium_history(lam, d)
+        a, nu = float(eq.active(0.0)), float(eq.rate(0.0))
+        assert abs(eq.balance(0.0, d) - 1.0) < 1e-12
+
+        def shifted(delta):
+            return History(active=lambda t: a - delta, rate=eq.rate)
+
+        for delta in (2e-6, 5e-7, 2e-9, 5e-10):
+            assert abs(abs(shifted(delta).balance(0.0, d) - 1.0) - delta) < 1e-12
+
+        lam_run = max(lam, 1.0)
+        short = TimeGrid(0.0, d / 3, 2)
+        with pytest.raises(ValueError, match="normalization"):
+            analytic_ppd.solve_with_history(lam_run, d, shifted(2e-6), short)
+        analytic_ppd.solve_with_history(lam_run, d, shifted(5e-7), short)
+
+        m = max(64, math.ceil(10.0 * lam_run * d) + 1)
+        grid = TimeGrid(0.0, d / m, 3)
+        with pytest.raises(ValueError, match="normalization"):
+            integrate_ppd(Constant(lam_run), d, shifted(2e-9), grid)
+        integrate_ppd(Constant(lam_run), d, shifted(5e-10), grid)
+
+        twin = History(active=lambda t: a - 5e-10, rate=lambda t: nu * math.exp(0.0 * t))
+        assert twin.balance(0.0, d) == shifted(5e-10).balance(0.0, d)
 
 
 class TestDistributedDelay:

@@ -145,6 +145,18 @@ class TestHazard:
         body = DeadTimeLaw.tilted_integral(law, lam, 0.0, tau, lam * tau)
         np.testing.assert_allclose(h, lam * body / (body + surv), rtol=1e-3, atol=1e-12)
 
+    def test_general_route_integrates_past_the_support_window(self):
+        # under this tilt E[F] is mostly density beyond the 1 - 1e-12 window
+        class NoClosedTilt(GammaDeadTime):
+            def tilted_closed_form(self, c):
+                return False
+
+        lam, tau = 200.799, np.array([2.0, 3.0])
+        closed = hazard_pprd(Constant(lam), GammaDeadTime(200, 201.0), 0.0, tau)
+        general = hazard_pprd(Constant(lam), NoClosedTilt(200, 201.0), 0.0, tau)
+        np.testing.assert_allclose(closed, [100.99, 134.16], rtol=1e-4)
+        np.testing.assert_allclose(general, closed, rtol=1e-5)
+
 
 class TestConfigAndEstimate:
     def test_config_validation(self):

@@ -25,7 +25,6 @@ from deadtime.spectral import (
     output_spectrum,
     periodic_rate,
     qk_array,
-    qk_fixed,
     qk_law,
     solve_active_spectrum,
 )
@@ -44,22 +43,22 @@ def fig3_system(f, K=16):
 
 class TestQkFixed:
     def test_zeroth_is_the_dead_time(self):
-        assert qk_fixed(0.08, 5.0, 0) == 0.08
+        assert qk_law(FixedDeadTime(0.08), 5.0, 0) == 0.08
 
     def test_resonance_vanishes(self):
         d = 0.08
         w = 2 * math.pi / d
-        assert abs(qk_fixed(d, w, 1)) < 1e-15
+        assert abs(qk_law(FixedDeadTime(d), w, 1)) < 1e-15
 
     def test_small_argument_expansion(self):
         d, w = 0.01, 0.01
-        got = qk_fixed(d, w, 1)
+        got = qk_law(FixedDeadTime(d), w, 1)
         assert abs(got - (d - 1j * w * d**2 / 2)) < 1e-10
 
     def test_hermitian(self):
         for k in (1, 3, 7):
-            assert qk_fixed(0.05, 12.0, -k) == pytest.approx(
-                qk_fixed(0.05, 12.0, k).conjugate()
+            assert qk_law(FixedDeadTime(0.05), 12.0, -k) == pytest.approx(
+                qk_law(FixedDeadTime(0.05), 12.0, k).conjugate()
             )
 
     def test_matches_survivor_integral(self):
@@ -67,7 +66,7 @@ class TestQkFixed:
         d, w, k = 0.07, 9.0, 3
         re = integrate.quad(lambda y: math.cos(k * w * y), 0, d)[0]
         im = integrate.quad(lambda y: -math.sin(k * w * y), 0, d)[0]
-        assert qk_fixed(d, w, k) == pytest.approx(re + 1j * im, abs=1e-12)
+        assert qk_law(FixedDeadTime(d), w, k) == pytest.approx(re + 1j * im, abs=1e-12)
 
 
 class TestQkLaw:
@@ -75,7 +74,9 @@ class TestQkLaw:
         law = FixedDeadTime(0.08)
         w = angular_frequency(7.0)
         for k in range(9):
-            assert qk_law(law, w, k) == pytest.approx(qk_fixed(0.08, w, k), abs=1e-14)
+            s = 1j * k * w
+            closed = (1.0 - cmath.exp(-s * 0.08)) / s if k else 0.08
+            assert qk_law(law, w, k) == pytest.approx(closed, abs=1e-14)
 
     def test_gamma_mean(self):
         law = GammaDeadTime(order=10, rate=137.5)
@@ -205,17 +206,17 @@ class TestContinuedFraction:
     @pytest.mark.parametrize("f", [4.0, 6.25, 10.0, 12.5, 17.5])
     def test_matches_dense_solve(self, f):
         dense = solve_active_spectrum(fig3_system(f))
-        fast = cosine_continued_fraction(LAM0, EPS, D, angular_frequency(f))
+        fast = cosine_continued_fraction(LAM0, EPS, FixedDeadTime(D), angular_frequency(f))
         for k in range(-8, 9):
             assert abs(dense.coefficient(k) - fast.coefficient(k)) < 1e-10
 
     def test_zero_modulation(self):
-        alpha = cosine_continued_fraction(LAM0, 0.0, D, angular_frequency(3.0))
+        alpha = cosine_continued_fraction(LAM0, 0.0, FixedDeadTime(D), angular_frequency(3.0))
         assert alpha.coefficient(0) == pytest.approx(1 / (1 + LAM0 * D))
         assert abs(alpha.coefficient(1)) == 0.0
 
     def test_resonant_drive_keeps_only_the_mean(self):
-        alpha = cosine_continued_fraction(LAM0, EPS, D, 2 * math.pi / D)
+        alpha = cosine_continued_fraction(LAM0, EPS, FixedDeadTime(D), 2 * math.pi / D)
         assert alpha.coefficient(0) == pytest.approx(1 / (1 + LAM0 * D), abs=1e-12)
         for k in range(1, alpha.order + 1):
             assert abs(alpha.coefficient(k)) < 1e-12
@@ -232,7 +233,7 @@ class TestContinuedFraction:
 
     def test_rejects_overmodulation(self):
         with pytest.raises(ValueError):
-            cosine_continued_fraction(10.0, 11.0, 0.05, 30.0)
+            cosine_continued_fraction(10.0, 11.0, FixedDeadTime(0.05), 30.0)
 
 
 class TestOutputSpectrum:
