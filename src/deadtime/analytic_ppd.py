@@ -34,6 +34,9 @@ __all__ = [
     "solve_with_history",
 ]
 
+#: Simpson cell target per dead time in the look-back superposition.
+_NODES_PER_WINDOW = 1024
+
 
 @dataclass(frozen=True)
 class PpdParams:
@@ -175,7 +178,6 @@ def solve_with_history(
     d: float,
     history: History,
     grid: TimeGrid,
-    nodes_per_window: int = 1024,
 ) -> Trace:
     """Active fraction under constant rate ``lam`` from an arbitrary start state.
 
@@ -208,7 +210,7 @@ def solve_with_history(
     u0 = float(history.active(0.0))
     t = grid.times()
     active = np.empty_like(t)
-    h_target = d / nodes_per_window
+    h_target = d / _NODES_PER_WINDOW
     for i, ti in enumerate(t):
         # value carried from the start
         acc = u0 * float(fundamental_solution(p, ti))

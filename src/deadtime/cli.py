@@ -380,33 +380,29 @@ def cmd_represent(args) -> int:
         if r < 1:
             raise ValueError("gamma interval index must be at least 1")
         spec = RenewalSpec.from_gamma(r, beta)
-        rep = (
-            construct_gamma(r, beta)
-            if args.lam is None
-            else dead_time_from_interval(spec, args.lam)
-        )
     elif kind == "lognormal":
         mu_str, sigma_str, delta_str = rest.split(",")
         mu, sigma, delta = float(mu_str), float(sigma_str), float(delta_str)
         spec = RenewalSpec.from_lognormal(mu, sigma, delta)
-        # the generic route reports the violation location when the rate
-        # is too small, instead of rejecting the argument up front
-        rep = (
-            construct_lognormal(mu, sigma, delta)
-            if args.lam is None
-            else dead_time_from_interval(spec, args.lam)
-        )
     elif kind == "table":
         x, pdf = _read_interval_table(rest)
         spec = RenewalSpec.from_sampled(x, pdf)
-        rate = args.lam if args.lam is not None else minimal_lambda(spec)
-        rep = dead_time_from_interval(spec, rate)
     else:
         raise ValueError(
             f"unknown process kind {kind!r} (use gamma:, lognormal:, table:)"
         )
 
     lam_min = minimal_lambda(spec)
+    # an explicit rate takes the generic route, which reports the violation
+    # location when the rate is too small instead of rejecting it up front
+    if args.lam is not None:
+        rep = dead_time_from_interval(spec, args.lam)
+    elif kind == "gamma":
+        rep = construct_gamma(r, beta)
+    elif kind == "lognormal":
+        rep = construct_lognormal(mu, sigma, delta)
+    else:
+        rep = dead_time_from_interval(spec, lam_min)
     verdict = check_hazard_condition(spec, rep.input_rate)
     residual = convolution_residual(rep, spec)
     write_law_csv(rep.law, args.out)

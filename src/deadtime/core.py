@@ -568,9 +568,9 @@ class DeadTimeLaw:
         """Smallest ``x`` whose cumulative probability reaches ``q``, elementwise."""
         raise NotImplementedError
 
-    def support_window(self, tail: float = KERNEL_TAIL) -> float:
-        """Length of the window holding all probability mass except ``tail``."""
-        return self.quantile(1.0 - tail)
+    def support_window(self) -> float:
+        """Length of the window holding all probability mass except ``KERNEL_TAIL``."""
+        return self.quantile(1.0 - KERNEL_TAIL)
 
     def std(self) -> float:
         """Standard deviation, from ``E[X^2] = 2 int x S(x) dx`` over the support window."""

@@ -122,13 +122,12 @@ def integrate_ppd(
     hh = 0.5 * h
     off, lam_r, lam_l, nu, aa = _buffers(sig, history, grid, m)
     a0 = float(aa[off])
-    # the stored start value is the right limit; the left limit stays
-    # available for the read that closes the first delay window
-    left_exceptions = {off: float(nu[off])}
+    # the read that closes a delay window needs the left limit of the
+    # event rate, which differs from the stored right limit at rate jumps;
+    # the history and the left start value seed it
+    nu_left = np.empty_like(nu)
+    nu_left[: off + 1] = nu[: off + 1]
     nu[off] = lam_r[off] * a0
-    for j in np.nonzero(lam_l != lam_r)[0]:
-        if j > off:
-            left_exceptions[int(j)] = None
 
     h6 = h / 6.0
     h8 = h / 8.0
@@ -141,10 +140,7 @@ def integrate_ppd(
         lam_m = lam_r[w + 1]
         k2 = gm - lam_m * (a + hh * k1)
         k3 = gm - lam_m * (a + hh * k2)
-        g4 = nu[p + 2]
-        if p + 2 in left_exceptions:
-            stored = left_exceptions[p + 2]
-            g4 = stored if stored is not None else lam_l[p + 2] * aa[p + 2]
+        g4 = nu_left[p + 2]
         lam_e = lam_l[w + 2]
         k4 = g4 - lam_e * (a + h * k3)
         a1 = a + h6 * (k1 + 2.0 * (k2 + k3) + k4)
@@ -154,6 +150,7 @@ def integrate_ppd(
         aa[w + 2] = a1
         nu[w + 1] = lam_r[w + 1] * a_mid
         nu[w + 2] = lam_r[w + 2] * a1
+        nu_left[w + 2] = lam_e * a1
 
     return _finish_trace(grid, off, aa, lam_r)
 

@@ -9,8 +9,8 @@ the interval density gives the dead-time law
 
 plus a point mass ``interval_pdf(0) / rate`` at zero.  The construction
 is normalized by design; the only obstruction is negativity of ``rho``,
-which is equivalent to a one-sided bound on the interval hazard.  This
-module builds the mapping, tests admissibility, locates the smallest
+which is the one-sided bound ``-interval_pdf'/interval_pdf <= rate``.
+This module builds the mapping, tests admissibility, locates the smallest
 admissible rate, and provides the two worked families (gamma intervals
 and log-normal intervals) with analytic derivatives.
 """
@@ -31,7 +31,6 @@ from .core import (
     NotRepresentableError,
     NumericalError,
     TabulatedDeadTime,
-    cumulative_trapezoid,
     simpson_weights,
 )
 
@@ -50,6 +49,9 @@ __all__ = [
 
 _MASS_TOL = 1e-9
 _NEG_TOL = 1e-12
+_CRITERION_NODES = 8192
+_RESIDUAL_POINTS = 257
+_RESIDUAL_CELLS = 4096
 
 
 def _as_array_fn(fn: Callable) -> Callable:
@@ -61,26 +63,6 @@ def _as_array_fn(fn: Callable) -> Callable:
 
 def _log_grid(x_max: float, n: int) -> np.ndarray:
     return np.concatenate(([0.0], np.geomspace(x_max * 1e-8, x_max, n)))
-
-
-def _hazards(pdf: Callable, pdf_prime: Callable, surv: Callable, fill: float):
-    """Hazard ``f/S`` and its derivative ``f'/S + (f/S)**2`` of an interval law.
-
-    Where the survivor ``S`` vanishes the hazard reads ``fill`` and its
-    derivative zero.
-    """
-
-    def hz(x):
-        s = surv(x)
-        return np.where(s > 0.0, pdf(x) / np.where(s > 0.0, s, 1.0), fill)
-
-    def hzp(x):
-        s = surv(x)
-        good = s > 0.0
-        s_safe = np.where(good, s, 1.0)
-        return np.where(good, pdf_prime(x) / s_safe + (pdf(x) / s_safe) ** 2, 0.0)
-
-    return hz, hzp
 
 
 def _tabulate_converged(fn: Callable, x_max: float, atom: float = 0.0):
@@ -111,31 +93,22 @@ class RenewalSpec:
     """A renewal process described by its interval density.
 
     ``interval_pdf`` must integrate to one over ``[0, x_max]`` within
-    1e-9.  The derivative feeds the dead-time construction; the hazard
-    and its derivative feed the admissibility criterion.  Where both the
-    density and the hazard are supplied they must describe the same
-    process: the density has to equal hazard times interval survivor.
+    1e-9.  Its derivative feeds both the dead-time construction and the
+    admissibility criterion ``-interval_pdf'/interval_pdf <= rate``.
     """
 
     interval_pdf: Callable
     x_max: float
     interval_pdf_derivative: Callable | None = None
-    hazard: Callable | None = None
-    hazard_derivative: Callable | None = None
 
     def __post_init__(self):
         if not (self.x_max > 0.0) or not math.isfinite(self.x_max):
             raise ValueError(f"domain cutoff must be positive, got {self.x_max}")
-        for name in (
-            "interval_pdf",
-            "interval_pdf_derivative",
-            "hazard",
-            "hazard_derivative",
-        ):
+        for name in ("interval_pdf", "interval_pdf_derivative"):
             fn = getattr(self, name)
             if fn is not None:
                 object.__setattr__(self, name, _as_array_fn(fn))
-        x, vals, mass = _tabulate_converged(self.interval_pdf, self.x_max)
+        _x, vals, mass = _tabulate_converged(self.interval_pdf, self.x_max)
         if abs(mass - 1.0) > _MASS_TOL:
             raise ValueError(
                 f"interval density mass {mass!r} deviates from one by more than 1e-9"
@@ -143,14 +116,6 @@ class RenewalSpec:
         scale = float(np.max(vals))
         if np.min(vals) < -_NEG_TOL * max(1.0, scale):
             raise ValueError("interval density must be non-negative")
-        if self.hazard is not None:
-            surv = 1.0 - cumulative_trapezoid(vals, x)
-            hz = self.hazard(x[1:])
-            gap = np.abs(vals[1:] - hz * surv[1:])
-            if np.max(gap) > 1e-8 * max(1.0, scale):
-                raise ValueError(
-                    "hazard and interval density describe different processes"
-                )
 
     # factories ---------------------------------------------------------
 
@@ -158,13 +123,10 @@ class RenewalSpec:
     def from_gamma(cls, index: int, rate: float) -> "RenewalSpec":
         """Interval density proportional to ``x**index * exp(-rate*x)``."""
         ref = GammaDeadTime(index, rate)
-        hz, hzp = _hazards(ref.density, ref.density_derivative, ref.survivor, rate)
         return cls(
             interval_pdf=ref.density,
             x_max=ref.quantile(1.0 - 1e-10),
             interval_pdf_derivative=ref.density_derivative,
-            hazard=hz,
-            hazard_derivative=hzp,
         )
 
     @classmethod
@@ -191,29 +153,18 @@ class RenewalSpec:
             out[pos] = -pdf(xp) / xp * (1.0 + w)
             return out
 
-        def surv(x):
-            x = np.asarray(x, dtype=float)
-            out = np.ones_like(x)
-            pos = x > 0.0
-            z = (np.log(x[pos] / delta) - mu) / sigma
-            out[pos] = 0.5 * special.erfc(z / math.sqrt(2.0))
-            return out
-
-        hz, hzp = _hazards(pdf, pdf_prime, surv, 0.0)
         tail = delta * math.exp(mu + sigma * float(special.ndtri(1.0 - 1e-10)))
-        # keep the hazard-criterion maximum well inside the domain
+        # keep the criterion maximum well inside the domain
         ridge = math.e * delta * math.exp(mu + 1.0 - sigma**2)
         return cls(
             interval_pdf=pdf,
             x_max=max(tail, ridge),
             interval_pdf_derivative=pdf_prime,
-            hazard=hz,
-            hazard_derivative=hzp,
         )
 
     @classmethod
     def from_sampled(cls, x, pdf) -> "RenewalSpec":
-        """Spec from density samples; derivatives by central differences.
+        """Spec from density samples; derivative by central differences.
 
         The samples are renormalized so the linear interpolant carries
         unit mass.
@@ -226,46 +177,18 @@ class RenewalSpec:
             raise ValueError("abscissae must be non-negative and strictly increasing")
         pdf = np.clip(pdf, 0.0, None) / np.trapezoid(np.clip(pdf, 0.0, None), x)
         slope = np.gradient(pdf, x)
-        cdf = cumulative_trapezoid(pdf, x)
 
-        def interp(samples, fill):
+        def interp(samples):
             def fn(q):
                 q = np.asarray(q, dtype=float)
-                return np.interp(q, x, samples, left=fill, right=fill)
+                return np.interp(q, x, samples, left=0.0, right=0.0)
 
             return fn
 
-        pdf_fn = interp(pdf, 0.0)
-
-        def surv_fn(q):
-            # exact piecewise-quadratic survivor of the linear interpolant
-            q = np.asarray(q, dtype=float)
-            idx = np.clip(np.searchsorted(x, q, side="right") - 1, 0, x.size - 2)
-            a = x[idx]
-            width = x[idx + 1] - a
-            t = np.clip(q - a, 0.0, width)
-            fa = pdf[idx]
-            run = fa * t + (pdf[idx + 1] - fa) * t * t / (2.0 * width)
-            out = np.clip(1.0 - cdf[idx] - run, 0.0, 1.0)
-            return np.where(q > x[-1], 0.0, out)
-
-        def hz_fn(q):
-            s = surv_fn(q)
-            return np.where(s > 1e-12, pdf_fn(q) / np.where(s > 0, s, 1.0), 0.0)
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            surv_nodes = np.clip(1.0 - cdf, 0.0, 1.0)
-            hz_nodes = np.where(
-                surv_nodes > 1e-12, pdf / np.where(surv_nodes > 0, surv_nodes, 1), 0.0
-            )
-        hz_slope = np.gradient(hz_nodes, x)
-
         return cls(
-            interval_pdf=pdf_fn,
+            interval_pdf=interp(pdf),
             x_max=float(x[-1]),
-            interval_pdf_derivative=interp(slope, 0.0),
-            hazard=hz_fn,
-            hazard_derivative=interp(hz_slope, 0.0),
+            interval_pdf_derivative=interp(slope),
         )
 
 
@@ -285,7 +208,7 @@ class PprdRepresentation:
 class HazardCheck:
     """Outcome of the admissibility criterion.
 
-    ``supremum`` is the largest value of ``h - h'/h`` over the domain,
+    ``supremum`` is the largest value of ``-f'/f`` over the domain,
     i.e. the smallest admissible input rate; ``violation_x`` points at
     the first place the tested rate fails, if it does.
     """
@@ -300,8 +223,11 @@ def dead_time_from_interval(spec: RenewalSpec, input_rate: float) -> PprdReprese
 
     Returns the tabulated dead-time law with the point mass
     ``interval_pdf(0)/input_rate`` at zero.  Raises
-    ``NotRepresentableError`` naming the first abscissa where the
-    candidate density turns negative.
+    ``NotRepresentableError`` naming the abscissa where the candidate
+    density turns negative, which happens exactly where
+    ``-interval_pdf'/interval_pdf`` exceeds ``input_rate``, or naming
+    ``x_max`` when the density left at the cutoff would carry more than
+    the law-mass tolerance beyond it.
     """
     if not (input_rate > 0.0) or not math.isfinite(input_rate):
         raise ValueError(f"input rate must be positive, got {input_rate}")
@@ -316,6 +242,14 @@ def dead_time_from_interval(spec: RenewalSpec, input_rate: float) -> PprdReprese
         raise NotRepresentableError(
             f"point mass {atom} at zero exceeds one", x=0.0, bound=atom
         )
+    # the law's mass is atom + int rho = 1 + interval_pdf(x_max)/input_rate
+    cut = float(spec.interval_pdf(np.array([spec.x_max]))[0]) / input_rate
+    if cut > _MASS_TOL:
+        raise NotRepresentableError(
+            f"interval density at the cutoff leaves mass {cut:.3g} beyond it",
+            x=spec.x_max,
+            bound=cut,
+        )
     x, rho, _mass = _tabulate_converged(candidate, spec.x_max, atom=atom)
     tol = _NEG_TOL * max(1.0, float(np.max(rho)))
     worst = int(np.argmin(rho))
@@ -329,16 +263,16 @@ def dead_time_from_interval(spec: RenewalSpec, input_rate: float) -> PprdReprese
     return PprdRepresentation(input_rate, law)
 
 
-def _criterion_grid(spec: RenewalSpec, n: int = 8192):
-    if spec.hazard is None or spec.hazard_derivative is None:
-        raise ValueError("hazard and its derivative are required for the criterion")
-    x = np.geomspace(spec.x_max * 1e-6, spec.x_max, n)
-    h = spec.hazard(x)
-    hp = spec.hazard_derivative(x)
-    pos = h > 0.0
-    with np.errstate(invalid="ignore"):
-        g = np.where(pos, h - hp / np.where(pos, h, 1.0), -np.inf)
-    return x, h, hp, g
+def _criterion_grid(spec: RenewalSpec):
+    if spec.interval_pdf_derivative is None:
+        raise ValueError("interval density derivative required for the criterion")
+    x = np.geomspace(spec.x_max * 1e-6, spec.x_max, _CRITERION_NODES)
+    f = spec.interval_pdf(x)
+    fp = spec.interval_pdf_derivative(x)
+    pos = f > 0.0
+    with np.errstate(over="ignore"):
+        g = np.where(pos, -fp / np.where(pos, f, 1.0), -np.inf)
+    return x, f, fp, g
 
 
 def _refined_supremum(spec: RenewalSpec, x: np.ndarray, g: np.ndarray):
@@ -347,11 +281,10 @@ def _refined_supremum(spec: RenewalSpec, x: np.ndarray, g: np.ndarray):
     hi = x[min(i + 1, x.size - 1)]
 
     def negated(t):
-        h = float(spec.hazard(np.array([t]))[0])
-        if not math.isfinite(h) or h <= 0.0:
+        f = float(spec.interval_pdf(np.array([t]))[0])
+        if not math.isfinite(f) or f <= 0.0:
             return 1e300
-        hp = float(spec.hazard_derivative(np.array([t]))[0])
-        return -(h - hp / h)
+        return float(spec.interval_pdf_derivative(np.array([t]))[0]) / f
 
     res = optimize.minimize_scalar(
         negated, bounds=(lo, hi), method="bounded",
@@ -365,18 +298,18 @@ def _refined_supremum(spec: RenewalSpec, x: np.ndarray, g: np.ndarray):
 def check_hazard_condition(spec: RenewalSpec, input_rate: float) -> HazardCheck:
     """Test whether ``input_rate`` admits a non-negative dead-time density.
 
-    Where the hazard is positive the criterion is the one-sided bound
-    ``h - h'/h <= input_rate``; at hazard zeros the derivative must not
-    be negative.
+    Where the interval density ``f`` is positive the criterion is the
+    one-sided bound ``-f'/f <= input_rate``; where it vanishes its
+    derivative must not be negative.
     """
-    x, h, hp, g = _criterion_grid(spec)
+    x, f, fp, g = _criterion_grid(spec)
     sup, sup_x = _refined_supremum(spec, x, g)
     slack = input_rate * (1.0 + 1e-9)
-    bad = (h > 0.0) & (g > slack)
-    bad |= (h <= 0.0) & (hp < -slack * h - _NEG_TOL)
+    pos = f > 0.0
+    bad = (pos & (g > slack)) | (~pos & (fp < -_NEG_TOL))
     if np.any(bad):
         # report the deepest violation, matching what the construction names
-        depth = np.where(bad, np.where(h > 0.0, g, -hp), -np.inf)
+        depth = np.where(bad, np.where(pos, g, -fp), -np.inf)
         return HazardCheck(False, sup, float(x[int(np.argmax(depth))]))
     if sup > slack:
         return HazardCheck(False, sup, sup_x)
@@ -384,16 +317,13 @@ def check_hazard_condition(spec: RenewalSpec, input_rate: float) -> HazardCheck:
 
 
 def minimal_lambda(spec: RenewalSpec) -> float:
-    """Smallest admissible input rate: the supremum of ``h - h'/h``."""
-    x, h, _hp, g = _criterion_grid(spec)
-    worst = int(np.argmax(h))
-    if h[worst] > 1e12:
+    """Smallest admissible input rate: the supremum of ``-f'/f``."""
+    x, _f, _fp, g = _criterion_grid(spec)
+    sup, where = _refined_supremum(spec, x, g)
+    if sup > 1e12:
         raise NotRepresentableError(
-            "hazard is unbounded on the domain",
-            x=float(x[worst]),
-            bound=float(h[worst]),
+            "criterion -f'/f is unbounded on the domain", x=where, bound=sup
         )
-    sup, _ = _refined_supremum(spec, x, g)
     return sup
 
 
@@ -438,12 +368,7 @@ def construct_lognormal(
     return dead_time_from_interval(spec, rate)
 
 
-def convolution_residual(
-    rep: PprdRepresentation,
-    spec: RenewalSpec,
-    n_points: int = 257,
-    n_quad: int = 4096,
-) -> float:
+def convolution_residual(rep: PprdRepresentation, spec: RenewalSpec) -> float:
     """Sup-norm defect of interval = dead time + exponential wait.
 
     Convolves the representation's dead-time law with the exponential
@@ -452,17 +377,17 @@ def convolution_residual(
     log space so sharply peaked laws stay resolved.
     """
     lam = rep.input_rate
-    t = np.geomspace(spec.x_max * 1e-4, spec.x_max, n_points)
+    t = np.geomspace(spec.x_max * 1e-4, spec.x_max, _RESIDUAL_POINTS)
     x_lo = min(spec.x_max * 1e-9, float(t[0]) * 1e-3)
-    s = np.linspace(0.0, 1.0, n_quad + 1)
-    weights = simpson_weights(n_quad, 1.0)
+    s = np.linspace(0.0, 1.0, _RESIDUAL_CELLS + 1)
+    weights = simpson_weights(_RESIDUAL_CELLS, 1.0)
     y_lo = math.log(x_lo)
     y_hi = np.log(t)
     y = y_lo + (y_hi[:, None] - y_lo) * s[None, :]
     x = np.exp(y)
     dens = np.asarray(rep.law.density(x.ravel()), dtype=float).reshape(x.shape)
     integ = dens * x * lam * np.exp(-lam * (t[:, None] - x))
-    conv = (integ * weights[None, :]).sum(axis=1) * (y_hi - y_lo) / n_quad
+    conv = (integ * weights[None, :]).sum(axis=1) * (y_hi - y_lo) / _RESIDUAL_CELLS
     conv += float(rep.law.atom0) * lam * np.exp(-lam * t)
     target = spec.interval_pdf(t)
     return float(np.max(np.abs(conv - target)))

@@ -41,6 +41,12 @@ __all__ = [
 #: (resonant harmonics where the refractory window spans whole drive
 #: periods).
 Q_ZERO = 1e-12
+#: Condition number above which input inference refuses to invert.
+_COND_LIMIT = 1e12
+#: Relative settling of the continued fraction's bottom ratio, and the
+#: highest harmonic it reports.
+_CF_TOL = 1e-13
+_CF_MAX_ORDER = 512
 
 
 def qk_law(law: DeadTimeLaw, omega: float, k: int) -> complex:
@@ -236,9 +242,7 @@ def output_spectrum(sys: HarmonicSystem, alpha: Spectrum) -> Spectrum:
     return Spectrum(sys.omega, beta, tol=1e-8)
 
 
-def infer_input_spectrum(
-    beta: Spectrum, law: DeadTimeLaw, cond_limit: float = 1e12
-) -> tuple[Spectrum, float]:
+def infer_input_spectrum(beta: Spectrum, law: DeadTimeLaw) -> tuple[Spectrum, float]:
     """Invert the transmission: input spectrum from the output spectrum.
 
     Solves ``beta_k = sum_m Lambda_m (delta_{k,m} - q_{k-m} beta_{k-m})``
@@ -253,7 +257,7 @@ def infer_input_spectrum(
     diff = k_range[:, None] - k_range[None, :]
     mat = np.eye(2 * b + 1, dtype=complex) - (q * beta_pad)[diff + 2 * b]
     lam, cond = _conditioned_solve(
-        mat, beta.coeffs.copy(), cond_limit, "input inference is ill-conditioned"
+        mat, beta.coeffs.copy(), _COND_LIMIT, "input inference is ill-conditioned"
     )
     return Spectrum(beta.omega, lam, tol=1e-7), cond
 
@@ -263,8 +267,6 @@ def cosine_continued_fraction(
     eps: float,
     law: DeadTimeLaw,
     omega: float,
-    tol: float = 1e-13,
-    max_order: int = 512,
 ) -> Spectrum:
     """Active-fraction spectrum for pure cosine drive, without a linear solve.
 
@@ -273,8 +275,9 @@ def cosine_continued_fraction(
     continued fraction: ratios ``r_{k-1} = -1/(x_k + r_k)`` started from
     zero far out, with ``x_k = (1/q_k + lam0) * 2/eps``.  The backward start
     is pushed out geometrically until the bottom ratio stabilizes to
-    ``tol``; resonant harmonics with vanishing ``q_k`` terminate the chain
-    exactly.  The ratios of the converged pass give the spectrum.
+    ``_CF_TOL`` relative; resonant harmonics with vanishing ``q_k``
+    terminate the chain exactly.  The ratios of the converged pass give
+    the spectrum.
     """
     if eps < 0.0:
         raise ValueError("modulation amplitude must be non-negative")
@@ -294,9 +297,9 @@ def cosine_continued_fraction(
         return (1.0 / qk + lam0) * (2.0 / eps)
 
     def backward_ratios(start: int) -> np.ndarray:
-        """``ratios[k-1] = alpha_k / alpha_{k-1}`` up to ``k = max_order``, from ``start`` down."""
+        """``ratios[k-1] = alpha_k / alpha_{k-1}`` up to ``k = _CF_MAX_ORDER``, from ``start`` down."""
         qk_array(law, omega, start, store)
-        ratios = np.empty(min(start, max(max_order, 1)), dtype=complex)
+        ratios = np.empty(min(start, _CF_MAX_ORDER), dtype=complex)
         r = 0.0 + 0.0j
         for k in range(start, 0, -1):
             x = x_at(k)
@@ -320,12 +323,12 @@ def cosine_continued_fraction(
         r0 = ratios[0]
         ratios = backward_ratios(n)
         scale = max(abs(ratios[0]), abs(r0))
-        if scale == 0.0 or abs(ratios[0] - r0) <= tol * scale:
+        if scale == 0.0 or abs(ratios[0] - r0) <= _CF_TOL * scale:
             break
 
     alpha0 = 1.0 / (1.0 + q0 * (lam0 + eps * ratios[0].real))
     coeffs_pos = [complex(alpha0)]
-    for k in range(min(ratios.size, max_order)):
+    for k in range(ratios.size):
         nxt = coeffs_pos[-1] * ratios[k]
         if abs(nxt) < 1e-18 * abs(alpha0):
             break

@@ -318,6 +318,40 @@ class TestRepresentCmd:
             rtol=0.02, atol=0.05,
         )
 
+    @staticmethod
+    def _gamma_interval_table(tmp_path, x_end, nodes):
+        x = np.linspace(0.0, x_end, nodes)
+        table = tmp_path / "interval.csv"
+        np.savetxt(table, np.column_stack([x, GammaDeadTime(3, 40.0).density(x)]),
+                   delimiter=",")
+        return table
+
+    def test_table_default_rate_is_minimal(self, tmp_path, capsys):
+        table = self._gamma_interval_table(tmp_path, 1.2, 801)
+        assert run(["represent", "--process", f"table:{table}",
+                    "--out", tmp_path / "law.csv"]) == 0
+        err = capsys.readouterr().err
+        fields = dict(
+            line.split(" = ") for line in err.strip().splitlines() if " = " in line
+        )
+        assert fields["admissible"] == "True"
+        assert fields["input_rate"] == fields["minimal_rate"]
+        # the exact bound on [0, 1.2] is 40 - 3/1.2 = 37.5 Hz
+        assert 37.5 <= float(fields["minimal_rate"]) <= 39.4
+
+    @pytest.mark.parametrize("x_end", [0.4, 0.6])
+    def test_truncated_table_exits_three(self, tmp_path, capsys, x_end):
+        table = self._gamma_interval_table(tmp_path, x_end, 801)
+        assert run(["represent", "--process", f"table:{table}",
+                    "--out", tmp_path / "law.csv"]) == 3
+        assert "x =" in capsys.readouterr().err
+
+    def test_decayed_table_law_validates(self, tmp_path):
+        table = self._gamma_interval_table(tmp_path, 0.8, 1601)
+        law = tmp_path / "law.csv"
+        assert run(["represent", "--process", f"table:{table}", "--out", law]) == 0
+        assert run(["validate", law]) == 0
+
 
 class TestInferInput:
     def test_round_trip_from_periodic(self, tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from deadtime.core import (
@@ -50,13 +52,19 @@ class TestRenewalSpec:
         )
 
     def test_gamma_factory_hazard_consistent_with_quadrature(self):
+        # the interval hazard h = f/S gives h - h'/h = -f'/f, the criterion
         spec = RenewalSpec.from_gamma(2, 10.0)
-        for xq in (0.05, 0.2, 0.6):
-            num, _ = integrate.quad(lambda s: float(spec.hazard(s)), 1e-9, xq, limit=200)
-            surv = math.exp(-num)
+        worst = -math.inf
+        for xq in np.geomspace(1e-3 * spec.x_max, spec.x_max, 200):
+            surv, _ = integrate.quad(
+                lambda s: float(spec.interval_pdf(s)), xq, np.inf, limit=200
+            )
             f = float(spec.interval_pdf(xq))
-            h = float(spec.hazard(xq))
-            assert abs(f - h * surv) < 1e-8
+            h = f / surv
+            hp = float(spec.interval_pdf_derivative(xq)) / surv + h * h
+            worst = max(worst, h - hp / h)
+        lam_min = minimal_lambda(spec)
+        assert abs(worst - lam_min) / lam_min < 1e-6
 
     def test_lognormal_factory_normalized(self):
         spec = RenewalSpec.from_lognormal(0.0, 0.8, 0.1)
@@ -73,12 +81,13 @@ class TestRenewalSpec:
             )
 
     def test_inconsistent_hazard_rejected(self):
+        # the density alone carries the process; there is no hazard to supply
         spec = RenewalSpec.from_gamma(2, 10.0)
-        with pytest.raises(ValueError, match="hazard"):
+        with pytest.raises(TypeError):
             RenewalSpec(
                 interval_pdf=spec.interval_pdf,
                 x_max=spec.x_max,
-                hazard=lambda x: 1.1 * spec.hazard(x),
+                hazard=lambda x: 1.1 * spec.interval_pdf(x),
             )
 
     def test_sampled_factory_roundtrips_gamma(self):
@@ -195,7 +204,7 @@ class TestHazardCondition:
     def test_missing_hazard_rejected(self):
         ref = GammaDeadTime(2, 10.0)
         spec = RenewalSpec(interval_pdf=ref.density, x_max=ref.quantile(1 - 1e-10))
-        with pytest.raises(ValueError, match="hazard"):
+        with pytest.raises(ValueError, match="derivative"):
             check_hazard_condition(spec, 10.0)
 
 
@@ -228,6 +237,28 @@ class TestMinimalLambda:
         spec = RenewalSpec.from_gamma(0, 1e13)
         with pytest.raises(NotRepresentableError, match="unbounded"):
             minimal_lambda(spec)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec_args=st.one_of(
+            st.tuples(st.integers(1, 6), st.floats(5.0, 100.0)),
+            st.tuples(
+                st.floats(-0.5, 0.5), st.floats(0.4, 1.2), st.floats(0.05, 0.5)
+            ),
+        )
+    )
+    def test_minimal_lambda_is_the_construction_threshold(self, spec_args):
+        lognormal = len(spec_args) == 3
+        factory = RenewalSpec.from_lognormal if lognormal else RenewalSpec.from_gamma
+        spec = factory(*spec_args)
+        lam_min = minimal_lambda(spec)
+        if lognormal:
+            closed = lognormal_minimal_rate(*spec_args)
+            assert abs(lam_min - closed) / closed < 1e-9
+        dead_time_from_interval(spec, lam_min * (1 + 1e-6))
+        assert check_hazard_condition(spec, lam_min * (1 + 1e-9)).admissible
+        with pytest.raises(NotRepresentableError):
+            dead_time_from_interval(spec, 0.9 * lam_min)
 
 
 class TestConstructors:
