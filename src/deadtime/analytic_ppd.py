@@ -18,9 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from .core import History, NumericalError, TimeGrid, Trace, _wrap_scalar, simpson_weights
+from .core import GammaDeadTime, History, NumericalError, TimeGrid, Trace, _wrap_scalar, simpson_weights
 
 __all__ = [
     "PpdParams",
@@ -58,19 +57,15 @@ def interval_density(p: PpdParams, t):
     Zero during the dead time, then an exponential decay starting at rate
     ``lam``.
     """
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("interval must be non-negative")
-    gap = arr - p.d
-    out = np.where(gap >= 0.0, p.lam * np.exp(-p.lam * np.clip(gap, 0.0, None)), 0.0)
-    return _wrap_scalar(t, out)
+    return kfold_interval_density(p, 1, t)
 
 
 def kfold_interval_density(p: PpdParams, k: int, t):
     """Density of the sum of ``k`` independent inter-event intervals.
 
-    Supported on ``[k*d, inf)``; evaluated in log space so large ``k`` does
-    not overflow.  ``k = 0`` would be a Dirac delta and is rejected.
+    The sum is ``k`` dead times plus a gamma wait of ``k`` exponential
+    stages at rate ``lam``, so it is supported on ``[k*d, inf)``.  ``k = 0``
+    would be a Dirac delta and is rejected.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"fold count must be a positive integer, got {k}")
@@ -80,21 +75,8 @@ def kfold_interval_density(p: PpdParams, k: int, t):
     gap = arr - k * p.d
     if p.lam == 0.0:
         return _wrap_scalar(t, np.zeros_like(arr))
-    inside = gap >= 0.0
-    safe = np.clip(gap, 0.0, None)
-    if k == 1:
-        logpdf = math.log(p.lam) - p.lam * safe
-    else:
-        with np.errstate(divide="ignore"):
-            loggap = np.where(safe > 0.0, np.log(np.where(safe > 0.0, safe, 1.0)), -np.inf)
-        logpdf = (
-            k * math.log(p.lam)
-            + (k - 1) * loggap
-            - p.lam * safe
-            - special.gammaln(k)
-        )
-    out = np.where(inside, np.exp(logpdf), 0.0)
-    return _wrap_scalar(t, out)
+    wait = GammaDeadTime(k - 1, p.lam).density(np.clip(gap, 0.0, None))
+    return _wrap_scalar(t, np.where(gap >= 0.0, wait, 0.0))
 
 
 def renewal_density(p: PpdParams, t):

@@ -43,6 +43,7 @@ from .core import (
     TimeGrid,
     Trace,
     _fmt,
+    angular_frequency,
     read_csv,
     read_law_csv,
     signal_spectrum,
@@ -64,13 +65,14 @@ from .renewal_map import (
     RenewalSpec,
     check_hazard_condition,
     construct_gamma,
-    construct_lognormal,
     convolution_residual,
     dead_time_from_interval,
+    lognormal_minimal_rate,
     minimal_lambda,
 )
 from .spectral import (
     HarmonicSystem,
+    infer_input_spectrum,
     output_spectrum,
     periodic_rate,
     solve_active_spectrum,
@@ -84,6 +86,7 @@ COMBINED_CSV = Schema("combined", COMBINED_HEADER, "ffffnnni")
 HAZARD_CSV = Schema("hazard", "tau,h,rho", "fff")
 SWEEP_CSV = Schema("sweep", "f,k,abs,phase", "fiff")
 SWEEP_MAX_CSV = Schema("sweep", SWEEP_CSV.header + ",max_nu", "fifff")
+INTERVAL_CSV = Schema("interval", "x,density", "ff", headerless=True)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +99,7 @@ def _report(msg: str) -> None:
 
 
 def _thread_count(args) -> int:
-    if getattr(args, "threads", None):
+    if args.threads:
         return max(1, args.threads)
     env = os.environ.get("DEADTIME_THREADS", "")
     if env.strip():
@@ -232,9 +235,9 @@ def cmd_step(args) -> int:
 
 
 def _solve_one_frequency(law, lam0, eps, f, harmonics, samples):
-    omega = 2.0 * math.pi * f
+    omega = angular_frequency(f)
     drive = signal_spectrum(Cosine(lam0, eps, f), omega, harmonics)
-    system = HarmonicSystem(omega, max(harmonics, 4), law, drive)
+    system = HarmonicSystem(omega, harmonics, law, drive)
     alpha = solve_active_spectrum(system)
     beta = output_spectrum(system, alpha)
     grid = TimeGrid(0.0, (1.0 / f) / samples, samples + 1)
@@ -262,6 +265,8 @@ def cmd_periodic(args) -> int:
         raise ValueError("need --f or --f-sweep")
     if args.harmonics < 4:
         raise ValueError("--harmonics must be at least 4")
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
     out_dir = os.path.dirname(args.out_prefix)
     if out_dir and not os.path.isdir(out_dir):
         raise ValueError(f"output directory {out_dir!r} does not exist")
@@ -308,6 +313,8 @@ def cmd_pprd_step(args) -> int:
     lam1 = _target_or_override(args.lambda1, args.nu1, args.mean, "--nu1")
     if args.t_max <= 0.0 or args.dt <= 0.0:
         raise ValueError("--t-max and --dt must be positive")
+    if args.trials < 0:
+        raise ValueError(f"--trials must be non-negative, got {args.trials}")
 
     if not args.trials:
         n = int(math.floor(args.t_max / args.dt + 1e-9)) + 1
@@ -365,13 +372,6 @@ def cmd_hazard(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_interval_table(path: str):
-    data = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=0, comments="#")
-    if data.shape[1] != 2:
-        raise ValueError("interval table must have two columns: x, density")
-    return data[:, 0], data[:, 1]
-
-
 def cmd_represent(args) -> int:
     kind, _, rest = args.process.partition(":")
     if kind == "gamma":
@@ -385,8 +385,7 @@ def cmd_represent(args) -> int:
         mu, sigma, delta = float(mu_str), float(sigma_str), float(delta_str)
         spec = RenewalSpec.from_lognormal(mu, sigma, delta)
     elif kind == "table":
-        x, pdf = _read_interval_table(rest)
-        spec = RenewalSpec.from_sampled(x, pdf)
+        spec = RenewalSpec.from_sampled(*read_csv(rest, INTERVAL_CSV)[0])
     else:
         raise ValueError(
             f"unknown process kind {kind!r} (use gamma:, lognormal:, table:)"
@@ -400,7 +399,7 @@ def cmd_represent(args) -> int:
     elif kind == "gamma":
         rep = construct_gamma(r, beta)
     elif kind == "lognormal":
-        rep = construct_lognormal(mu, sigma, delta)
+        rep = dead_time_from_interval(spec, lognormal_minimal_rate(mu, sigma, delta))
     else:
         rep = dead_time_from_interval(spec, lam_min)
     verdict = check_hazard_condition(spec, rep.input_rate)
@@ -419,14 +418,12 @@ def cmd_represent(args) -> int:
 
 
 def cmd_infer_input(args) -> int:
-    from .spectral import infer_input_spectrum
-
     if args.law is None and args.d is None:
         raise ValueError("need --d or --law")
     law = _parse_law(args.law) if args.law else FixedDeadTime(args.d)
     if args.f <= 0.0:
         raise ValueError("--f must be positive")
-    beta = Spectrum.from_csv(args.beta_csv, omega=2.0 * math.pi * args.f)
+    beta = Spectrum.from_csv(args.beta_csv, omega=angular_frequency(args.f))
     lam_spec, cond = infer_input_spectrum(beta, law)
     lam_spec.to_csv(args.out)
     _report(f"condition = {_fmt(cond)}")
@@ -501,7 +498,6 @@ def cmd_validate(args) -> int:
 
 def _add_common_out(p, default="-"):
     p.add_argument("--out", default=default, help="output file ('-' for stdout)")
-    p.add_argument("--threads", type=int, default=None, help="worker thread count")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -537,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=512, help="trace points per period")
     p.add_argument("--max-rate", action="store_true", help="append peak rate column")
     p.add_argument("--out-prefix", default="periodic")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help="worker thread count")
     p.set_defaults(func=cmd_periodic)
 
     p = sub.add_parser("pprd-step", help="rate-step transient with gamma dead time")
@@ -553,6 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc", type=int, default=0, help="components per trial")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bin-width", type=float, default=None)
+    p.add_argument("--threads", type=int, default=None, help="worker thread count")
     _add_common_out(p)
     p.set_defaults(func=cmd_pprd_step)
 

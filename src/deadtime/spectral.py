@@ -129,11 +129,6 @@ class HarmonicSystem:
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
 
-    def q_at(self, k: int) -> complex:
-        if abs(k) > 2 * self.K:
-            raise IndexError(f"harmonic {k} beyond the stored range {2 * self.K}")
-        return complex(self.q[k + 2 * self.K])
-
     def with_truncation(self, K: int) -> "HarmonicSystem":
         """The same scenario at truncation ``K``, sharing the computed ``q_k``."""
         return HarmonicSystem(
@@ -229,7 +224,7 @@ def output_spectrum(sys: HarmonicSystem, alpha: Spectrum) -> Spectrum:
     assert beta.size == 2 * out_order + 1
     # cross-check against the direct form inside the solved band
     for k in range(-min(ka, 2 * sys.K), min(ka, 2 * sys.K) + 1):
-        qk = sys.q_at(k)
+        qk = complex(sys.q[k + 2 * sys.K])
         if abs(qk) <= Q_ZERO:
             continue
         direct = ((1.0 if k == 0 else 0.0) - alpha.coefficient(k)) / qk

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from deadtime.core import History, TimeGrid, equilibrium_history
@@ -22,7 +24,7 @@ P = PpdParams(lam=5.0, d=0.1)
 
 # --- independent quadrature oracle -----------------------------------------
 # Convolution powers of the interval density computed by support-aware
-# trapezoid rules, never through the log-space module formula.  The density
+# trapezoid rules, never through the module's gamma-law formula.  The density
 # is right-continuous at its support edge, so edge nodes tolerate float dust.
 
 
@@ -104,6 +106,22 @@ class TestKfold:
         # log-space evaluation: k=400 would overflow a naive power
         val = kfold_interval_density(P, 400, 400 * P.d + 80.0)
         assert np.isfinite(val) and val > 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 40),
+        lam=st.floats(1.0, 500.0),
+        d=st.floats(1e-3, 0.2),
+    )
+    def test_k_dead_times_plus_a_gamma_wait(self, k, lam, d):
+        p = PpdParams(lam, d)
+        below = np.linspace(0.0, k * d, 51)[:-1]
+        assert np.all(kfold_interval_density(p, k, below) == 0.0)
+        # a gamma wait of k stages has mean k/lam and spread sqrt(k)/lam
+        t = np.linspace(k * d, k * d + (k + 12.0 * math.sqrt(k) + 30.0) / lam, 200001)
+        pdf = kfold_interval_density(p, k, t)
+        assert np.trapezoid(pdf, t) == pytest.approx(1.0, abs=1e-6)
+        assert np.trapezoid(t * pdf, t) == pytest.approx(k * (d + 1.0 / lam), rel=1e-6)
 
 
 class TestRenewalDensity:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,17 @@ class TestPeriodic:
         assert "1000.0" in err and "1000.0005" in err and "1000.001" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_zero_samples_rejected_before_solving(self, tmp_path, capsys, monkeypatch):
+        def solve(*args):
+            raise AssertionError("solved before checking --samples")
+
+        monkeypatch.setattr(cli, "_solve_one_frequency", solve)
+        code = run(["periodic", "--d", 0.08, "--nu0", 10, "--f", 4, "--samples", 0,
+                    "--out-prefix", tmp_path / "z"])
+        assert code == 2
+        assert "--samples" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_output_directory_rejected_before_solving(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -213,6 +225,13 @@ class TestPprdStep:
     def test_trials_without_components_rejected(self, tmp_path):
         assert run(["pprd-step", "--mean", 0.08, "--shape", 10, "--nu0", 5,
                     "--nu1", 10, "--trials", 3, "--out", tmp_path / "x.csv"]) == 2
+
+    def test_negative_trials_rejected(self, tmp_path, capsys):
+        assert run(["pprd-step", "--mean", 0.08, "--shape", 10, "--nu0", 5,
+                    "--nu1", 10, "--trials", -1, "--mc", 100,
+                    "--out", tmp_path / "x.csv"]) == 2
+        assert "--trials" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestHazardCmd:
@@ -352,6 +371,21 @@ class TestRepresentCmd:
         assert run(["represent", "--process", f"table:{table}", "--out", law]) == 0
         assert run(["validate", law]) == 0
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_table_row_exits_two(self, tmp_path, capsys, bad):
+        table = self._gamma_interval_table(tmp_path, 0.8, 1601)
+        rows = table.read_text().splitlines()
+        rows[400] = rows[400].split(",")[0] + "," + bad
+        table.write_text("\n".join(rows) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["represent", "--process", f"table:{table}",
+                        "--out", tmp_path / "law.csv"])
+        assert code == 2
+        assert "density" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "law.csv").exists()
+
 
 class TestInferInput:
     def test_round_trip_from_periodic(self, tmp_path):
@@ -435,6 +469,25 @@ class TestValidateCmd:
         assert run(["validate", bad]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["step", "--d", 0.05, "--nu0", 5, "--nu1", 10],
+    ["hazard", "--law", "fixed:0.05", "--lambda0", 10, "--tau-max", 0.2],
+    ["represent", "--process", "gamma:2,30"],
+    ["infer-input", "--beta-csv", "BETA", "--d", 0.05, "--f", 1],
+], ids=lambda argv: argv[0])
+def test_threads_only_where_work_fans_out(tmp_path, argv):
+    # each command runs with these flags; only --threads makes it a usage error
+    beta_csv = tmp_path / "beta.csv"
+    beta_csv.write_text("0,5,0\n")
+    argv = [beta_csv if a == "BETA" else a for a in argv] + ["--out", tmp_path / "x.csv"]
+    assert run(argv) == 0
+    (tmp_path / "x.csv").unlink()
+    with pytest.raises(SystemExit) as exit_:
+        run([*argv, "--threads", 2])
+    assert exit_.value.code == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
 class TestScenario:
     def test_file_defaults_and_flag_override(self, tmp_path):
         scen = tmp_path / "scen.txt"
@@ -466,10 +519,20 @@ class TestScenario:
             assert fh.readline().strip().endswith(",max_nu")
 
 
-def test_importing_the_cli_leaves_scipy_integrate_out():
+def _loaded_after(modules, probes):
+    """Which of ``probes`` a fresh interpreter holds after importing ``modules``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, deadtime.cli; print('scipy.integrate' in sys.modules)"
+    probe = f"import sys, {modules}; print([m for m in {probes!r} if m in sys.modules])"
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_importing_the_cli_leaves_scipy_integrate_out():
+    assert _loaded_after("deadtime.cli", ["scipy.integrate"]) == "[]"
+
+
+def test_closed_form_and_chain_modules_leave_linalg_and_optimize_out():
+    probes = ["scipy.linalg", "scipy.optimize"]
+    assert _loaded_after("deadtime.analytic_ppd, deadtime.gamma_chain", probes) == "[]"
