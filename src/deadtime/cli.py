@@ -99,12 +99,18 @@ def _report(msg: str) -> None:
 
 
 def _thread_count(args) -> int:
-    if args.threads:
-        return max(1, args.threads)
-    env = os.environ.get("DEADTIME_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+    if args.threads is not None:
+        name, text = "--threads", str(args.threads)
+    elif os.environ.get("DEADTIME_THREADS", "").strip():
+        name, text = "DEADTIME_THREADS", os.environ["DEADTIME_THREADS"]
+    else:
+        return min(8, os.cpu_count() or 1)
+    try:
+        if (count := int(text)) >= 1:
+            return count
+    except ValueError:
+        pass
+    raise ValueError(f"{name} must be a positive integer, got {text!r}")
 
 
 def _parse_law(text: str):
@@ -246,6 +252,7 @@ def _solve_one_frequency(law, lam0, eps, f, harmonics, samples):
 
 
 def cmd_periodic(args) -> int:
+    threads = _thread_count(args)
     if args.law is None and args.d is None:
         raise ValueError("need --d or --law")
     law = _parse_law(args.law) if args.law else FixedDeadTime(args.d)
@@ -282,7 +289,7 @@ def cmd_periodic(args) -> int:
     def work(f):
         return _solve_one_frequency(law, lam0, eps, f, args.harmonics, args.samples)
 
-    with ThreadPoolExecutor(max_workers=_thread_count(args)) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(work, freqs))
 
     rows = []
@@ -304,6 +311,7 @@ def cmd_periodic(args) -> int:
 
 
 def cmd_pprd_step(args) -> int:
+    threads = _thread_count(args)
     if args.mean is None or args.shape is None:
         raise ValueError("--mean and --shape are required")
     if args.mean <= 0.0 or args.shape < 1:
@@ -330,7 +338,7 @@ def cmd_pprd_step(args) -> int:
     def one_trial(t):
         return simulate_rejection(sig, law, replace(cfg, seed=args.seed + t))
 
-    with ThreadPoolExecutor(max_workers=_thread_count(args)) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         trials = list(pool.map(one_trial, range(args.trials)))
 
     def trial_se(values):

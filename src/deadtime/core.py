@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 TWO_PI = 2.0 * math.pi
 
@@ -186,7 +185,11 @@ def read_csv(path, schema: Schema) -> tuple[list[np.ndarray], float | None]:
                 value = float(line.split("=", 1)[1])
         start = fh.tell()
         # loadtxt only warns on a table without rows, so look for one first
-        if any(row.split("#", 1)[0].strip() for row in iter(fh.readline, "")):
+        first = next(filter(None, (r.split("#", 1)[0].strip() for r in iter(fh.readline, ""))), "")
+        if first:
+            if (found := first.count(",") + 1) != len(names):
+                raise ValueError(f"{schema.kind} rows have {len(names)} columns "
+                                 f"({schema.header}), found {found}")
             fh.seek(start)
             data = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=1)
         elif schema.empty_ok:
@@ -724,6 +727,8 @@ class FixedDeadTime(DeadTimeLaw):
 
 
 def _gamma_log_density(order: int, rate: float, x: np.ndarray) -> np.ndarray:
+    from scipy import special
+
     with np.errstate(divide="ignore"):
         logx = np.where(x > 0.0, np.log(np.where(x > 0.0, x, 1.0)), -np.inf)
     out = (order + 1) * math.log(rate) - rate * x - special.gammaln(order + 1)
@@ -738,6 +743,8 @@ def _log_gammainc(a: int, z):
     Sums ``P(a, z) = z**a exp(-z) M(1, a + 1, z) / Gamma(a + 1)`` in logs;
     meant for ``z < a``, where the confluent series converges fast.
     """
+    from scipy import special
+
     with np.errstate(divide="ignore"):
         return a * np.log(z) - z - special.gammaln(a + 1) + np.log(special.hyp1f1(1, a + 1, z))
 
@@ -766,6 +773,8 @@ class GammaDeadTime(DeadTimeLaw):
         return math.sqrt(self.order + 1) / self.rate
 
     def survivor(self, x):
+        from scipy import special
+
         arr = _abscissae(x)
         return _wrap_scalar(x, special.gammaincc(self.order + 1, self.rate * arr))
 
@@ -785,10 +794,14 @@ class GammaDeadTime(DeadTimeLaw):
         return _wrap_scalar(x, self.rate * (lower - here))
 
     def quantile(self, q):
+        from scipy import special
+
         out = special.gammainccinv(self.order + 1, 1.0 - _check_levels(q, closed=False)) / self.rate
         return _wrap_scalar(q, out)
 
     def length_biased_quantile(self, u):
+        from scipy import special
+
         return special.gammainccinv(self.order + 2, 1.0 - u) / self.rate
 
     def tilted_closed_form(self, c):
@@ -801,6 +814,8 @@ class GammaDeadTime(DeadTimeLaw):
         taken on whichever tail keeps the two terms well separated."""
         if not self.tilted_closed_form(c):
             return super().tilted_integral(c, a, b, s)
+        from scipy import special
+
         n1 = self.order + 1
         shift = self.rate - c
         a_arr = np.asarray(a, dtype=float)

@@ -199,23 +199,25 @@ def integrate(
     k_col[0] = beta
     k_col[-1] = -1.0
 
-    def deriv(t, b):
-        return m_base @ b + (sig.rate(t) * b[-1]) * k_col
+    def deriv(lam, b):
+        return m_base @ b + (lam * b[-1]) * k_col
 
     h = grid.dt
     b = b0.values.copy()
     t = grid.times()
+    # input rates at the nodes, half-nodes and next nodes, one call each
+    at, mid, end = (sig.rate(s) for s in (t, t + 0.5 * h, t + h))
     active = np.empty(grid.n)
     rate = np.empty(grid.n)
     for i in range(grid.n):
         active[i] = b[-1]
-        rate[i] = sig.rate(t[i]) * b[-1]
+        rate[i] = at[i] * b[-1]
         if i == grid.n - 1:
             break
-        k1 = deriv(t[i], b)
-        k2 = deriv(t[i] + 0.5 * h, b + 0.5 * h * k1)
-        k3 = deriv(t[i] + 0.5 * h, b + 0.5 * h * k2)
-        k4 = deriv(t[i] + h, b + h * k3)
+        k1 = deriv(at[i], b)
+        k2 = deriv(mid[i], b + 0.5 * h * k1)
+        k3 = deriv(mid[i], b + 0.5 * h * k2)
+        k4 = deriv(end[i], b + h * k3)
         b = b + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     trace = Trace(grid, active, rate)
     if return_final_state:

@@ -150,6 +150,28 @@ class TestPeriodic:
         assert "--samples" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, env, name", [
+        (0, None, "--threads"),
+        (-3, None, "--threads"),
+        (None, "-2", "DEADTIME_THREADS"),
+        (None, "abc", "DEADTIME_THREADS"),
+    ], ids=["flag-zero", "flag-negative", "env-negative", "env-not-integer"])
+    def test_bad_thread_count_rejected_before_solving(
+        self, tmp_path, capsys, monkeypatch, flag, env, name
+    ):
+        def solve(*args):
+            raise AssertionError("solved before checking the thread count")
+
+        monkeypatch.setattr(cli, "_solve_one_frequency", solve)
+        monkeypatch.delenv("DEADTIME_THREADS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("DEADTIME_THREADS", env)
+        argv = ["periodic", "--d", 0.08, "--nu0", 10, "--f", 4, "--out-prefix", tmp_path / "t"]
+        code = run(argv + ([] if flag is None else ["--threads", flag]))
+        assert code == 2
+        assert name in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_output_directory_rejected_before_solving(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -460,6 +482,17 @@ class TestValidateCmd:
         bad.write_text("0,1,0\n100000000000,0.5,0\n")
         assert run(["validate", bad]) == 2
 
+    def test_headerless_interval_table_names_the_spectrum_columns(self, tmp_path, capsys):
+        # the x,density table that represent --process table: reads has no header
+        ref = GammaDeadTime(3, 25.0)
+        x = np.linspace(0.0, ref.quantile(1 - 1e-12), 201)
+        table = tmp_path / "interval.csv"
+        np.savetxt(table, np.column_stack([x, ref.density(x)]), delimiter=",")
+        assert run(["validate", table]) == 2
+        err = capsys.readouterr().err
+        assert "spectrum" in err and "k,re,im" in err and "found 2" in err
+        assert "usecols" not in err
+
     def test_rejects_unevenly_spaced_estimate(self, tmp_path):
         bad = tmp_path / "est.csv"
         bad.write_text(
@@ -519,18 +552,70 @@ class TestScenario:
             assert fh.readline().strip().endswith(",max_nu")
 
 
-def _loaded_after(modules, probes):
-    """Which of ``probes`` a fresh interpreter holds after importing ``modules``."""
+def _loaded_after(modules, probes, argv=None, cwd=None):
+    """Which of ``probes`` a fresh interpreter holds after importing ``modules``
+    and, given ``argv``, after ``deadtime.cli.main(argv)`` has returned 0."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = f"import sys, {modules}; print([m for m in {probes!r} if m in sys.modules])"
+    main = "" if argv is None else f"assert deadtime.cli.main({[str(a) for a in argv]!r}) == 0; "
+    probe = f"import sys, {modules}; {main}print([m for m in {probes!r} if m in sys.modules])"
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, check=True, timeout=120)
-    return done.stdout.strip()
+                          text=True, check=True, timeout=120, cwd=cwd)
+    return done.stdout.strip().splitlines()[-1]
 
 
-def test_importing_the_cli_leaves_scipy_integrate_out():
-    assert _loaded_after("deadtime.cli", ["scipy.integrate"]) == "[]"
+def test_importing_the_cli_loads_no_scipy():
+    assert _loaded_after("deadtime.cli", ["scipy"]) == "[]"
+
+
+@pytest.fixture(scope="module")
+def sweep_dir(tmp_path_factory):
+    """A periodic run's files and a tabulated gamma law, made in this process."""
+    where = tmp_path_factory.mktemp("sweep")
+    assert run(["periodic", "--d", 0.08, "--nu0", 10, "--f", 4, "--harmonics", 4,
+                "--samples", 8, "--out-prefix", where / "p"]) == 0
+    ref = GammaDeadTime(3, 50.0)
+    x = np.linspace(0.0, ref.quantile(1 - 1e-13), 401)
+    pdf = ref.density(x)
+    write_law_csv(TabulatedDeadTime(x, pdf / np.trapezoid(pdf, x)), where / "law.csv")
+    return where
+
+
+_SMALL_SWEEP = ["--nu0", 5, "--f", 3, "--harmonics", 4, "--samples", 8, "--out-prefix", "q"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "p-trace-f4.csv", "p-beta-f4.csv", "p-sweep.csv", "law.csv"],
+    ["infer-input", "--beta-csv", "p-beta-f4.csv", "--d", 0.08, "--f", 4, "--out", "in.csv"],
+    ["periodic", "--d", 0.08, *_SMALL_SWEEP],
+    ["periodic", "--law", "gamma:10,137.5", *_SMALL_SWEEP],
+    ["periodic", "--law", "table:law.csv", *_SMALL_SWEEP],
+    ["hazard", "--law", "table:law.csv", "--lambda0", 10, "--tau-max", 0.1, "--out", "h.csv"],
+], ids=["validate", "infer-input", "periodic-d", "periodic-gamma", "periodic-table",
+        "hazard-table"])
+def test_commands_without_gamma_evaluations_load_no_scipy(sweep_dir, argv):
+    assert _loaded_after("deadtime.cli", ["scipy"], argv, cwd=sweep_dir) == "[]"
+
+
+_PPRD_TRIALS = ["pprd-step", "--mean", 0.08, "--shape", 10, "--nu0", 5, "--nu1", 10,
+                "--t-max", 0.2, "--dt", 0.02, "--trials", 3, "--mc", 2000, "--seed", 5]
+
+
+@pytest.mark.parametrize("argv", [
+    [*_PPRD_TRIALS, "--out", "pp.csv"],
+    ["step", "--d", 0.02, "--nu0", 5, "--nu1", 10, "--t-max", 0.1, "--dt", 0.005,
+     "--mc", 2000, "--seed", 1, "--out", "st.csv"],
+], ids=["pprd-step", "step"])
+def test_sampling_commands_leave_scipy_optimize_out(tmp_path, argv):
+    assert _loaded_after("deadtime.cli", ["scipy.optimize"], argv, cwd=tmp_path) == "[]"
+
+
+def test_first_scipy_import_in_worker_threads_keeps_bytes(tmp_path):
+    # a fresh process first imports scipy.special inside the trial workers
+    for threads in (1, 2):
+        argv = [*_PPRD_TRIALS, "--threads", threads, "--out", f"t{threads}.csv"]
+        _loaded_after("deadtime.cli", [], argv, cwd=tmp_path)
+    assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
 
 
 def test_closed_form_and_chain_modules_leave_linalg_and_optimize_out():

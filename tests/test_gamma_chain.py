@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm as scipy_expm
 
-from deadtime.core import Constant, Cosine, TimeGrid
+from deadtime.core import Constant, Cosine, Step, TimeGrid
 from deadtime.gamma_chain import (
     ChainState,
     build_generator,
@@ -189,3 +189,36 @@ class TestIntegrate:
         prev = tr.rate[-2 * per_period - 1 : -per_period]
         assert last.shape == prev.shape
         assert np.max(np.abs(last - prev)) < 1e-7
+
+    @pytest.mark.parametrize("sig", [
+        Cosine(base=50.0, amplitude=45.0, frequency=10.0),
+        Step(LAM0, LAM1, t_switch=0.013),
+    ], ids=["cosine", "step"])
+    def test_rate_arrays_match_per_step_rates(self, sig):
+        # the stepper reads the input rate from arrays made before the loop;
+        # reading it one scalar call per stage must give the same bits
+        n, beta = 6, beta_for(6)
+        grid = TimeGrid(0.0, 0.1 / (95.0 + beta) / 2, 2001)
+        b0 = equilibrium_state(n, beta, sig.rate(0.0))
+        tr, b_end = integrate(n, beta, sig, b0, grid, return_final_state=True)
+
+        m_base, h = build_generator(n, beta, 0.0), grid.dt
+        k_col = np.zeros(n + 2)
+        k_col[0], k_col[-1] = beta, -1.0
+
+        def deriv(t, b):
+            return m_base @ b + (sig.rate(t) * b[-1]) * k_col
+
+        b, t = b0.values.copy(), grid.times()
+        active, rate = np.empty(grid.n), np.empty(grid.n)
+        for i in range(grid.n):
+            active[i], rate[i] = b[-1], sig.rate(t[i]) * b[-1]
+            if i == grid.n - 1:
+                break
+            k1 = deriv(t[i], b)
+            k2 = deriv(t[i] + 0.5 * h, b + 0.5 * h * k1)
+            k3 = deriv(t[i] + 0.5 * h, b + 0.5 * h * k2)
+            k4 = deriv(t[i] + h, b + h * k3)
+            b = b + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.array_equal(tr.active, active) and np.array_equal(tr.rate, rate)
+        assert np.array_equal(b_end.values, b)
