@@ -99,18 +99,18 @@ def _report(msg: str) -> None:
 
 
 def _thread_count(args) -> int:
-    if args.threads is not None:
-        name, text = "--threads", str(args.threads)
-    elif os.environ.get("DEADTIME_THREADS", "").strip():
-        name, text = "DEADTIME_THREADS", os.environ["DEADTIME_THREADS"]
-    else:
-        return min(8, os.cpu_count() or 1)
-    try:
-        if (count := int(text)) >= 1:
-            return count
-    except ValueError:
-        pass
-    raise ValueError(f"{name} must be a positive integer, got {text!r}")
+    name, count = "--threads", args.threads
+    if count is None:
+        name, text = "DEADTIME_THREADS", os.environ.get("DEADTIME_THREADS", "").strip()
+        if not text:
+            return min(8, os.cpu_count() or 1)
+        try:
+            count = int(text)
+        except ValueError:
+            raise ValueError(f"{name} must be a positive integer, got {text!r}") from None
+    if count < 1:
+        raise ValueError(f"{name} must be a positive integer, got {count}")
+    return count
 
 
 def _parse_law(text: str):

@@ -185,13 +185,19 @@ def read_csv(path, schema: Schema) -> tuple[list[np.ndarray], float | None]:
                 value = float(line.split("=", 1)[1])
         start = fh.tell()
         # loadtxt only warns on a table without rows, so look for one first
-        first = next(filter(None, (r.split("#", 1)[0].strip() for r in iter(fh.readline, ""))), "")
-        if first:
-            if (found := first.count(",") + 1) != len(names):
-                raise ValueError(f"{schema.kind} rows have {len(names)} columns "
-                                 f"({schema.header}), found {found}")
+        if any(row.split("#", 1)[0].strip() for row in iter(fh.readline, "")):
             fh.seek(start)
-            data = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=1)
+            try:
+                data = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=1)
+            except ValueError:
+                # name a row of the wrong length against the schema, not loadtxt's usecols
+                fh.seek(start)
+                for lineno, row in enumerate(iter(fh.readline, ""), 1 if schema.headerless else 2):
+                    row = row.split("#", 1)[0].strip()
+                    if row and (found := row.count(",") + 1) != len(names):
+                        raise ValueError(f"{schema.kind} rows have {len(names)} columns "
+                                         f"({schema.header}), found {found} on line {lineno}")
+                raise
         elif schema.empty_ok:
             data = np.empty(0, dtype)
         else:
@@ -728,7 +734,6 @@ class FixedDeadTime(DeadTimeLaw):
 
 def _gamma_log_density(order: int, rate: float, x: np.ndarray) -> np.ndarray:
     from scipy import special
-
     with np.errstate(divide="ignore"):
         logx = np.where(x > 0.0, np.log(np.where(x > 0.0, x, 1.0)), -np.inf)
     out = (order + 1) * math.log(rate) - rate * x - special.gammaln(order + 1)
@@ -744,7 +749,6 @@ def _log_gammainc(a: int, z):
     meant for ``z < a``, where the confluent series converges fast.
     """
     from scipy import special
-
     with np.errstate(divide="ignore"):
         return a * np.log(z) - z - special.gammaln(a + 1) + np.log(special.hyp1f1(1, a + 1, z))
 
@@ -774,7 +778,6 @@ class GammaDeadTime(DeadTimeLaw):
 
     def survivor(self, x):
         from scipy import special
-
         arr = _abscissae(x)
         return _wrap_scalar(x, special.gammaincc(self.order + 1, self.rate * arr))
 
@@ -795,13 +798,11 @@ class GammaDeadTime(DeadTimeLaw):
 
     def quantile(self, q):
         from scipy import special
-
         out = special.gammainccinv(self.order + 1, 1.0 - _check_levels(q, closed=False)) / self.rate
         return _wrap_scalar(q, out)
 
     def length_biased_quantile(self, u):
         from scipy import special
-
         return special.gammainccinv(self.order + 2, 1.0 - u) / self.rate
 
     def tilted_closed_form(self, c):
@@ -815,7 +816,6 @@ class GammaDeadTime(DeadTimeLaw):
         if not self.tilted_closed_form(c):
             return super().tilted_integral(c, a, b, s)
         from scipy import special
-
         n1 = self.order + 1
         shift = self.rate - c
         a_arr = np.asarray(a, dtype=float)

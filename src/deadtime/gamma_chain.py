@@ -205,8 +205,9 @@ def integrate(
     h = grid.dt
     b = b0.values.copy()
     t = grid.times()
-    # input rates at the nodes, half-nodes and next nodes, one call each
-    at, mid, end = (sig.rate(s) for s in (t, t + 0.5 * h, t + h))
+    # input rates at the nodes, and at the half- and next nodes of each step
+    at = sig.rate(t)
+    mid, end = (sig.rate(s) for s in (t[:-1] + 0.5 * h, t[:-1] + h))
     active = np.empty(grid.n)
     rate = np.empty(grid.n)
     for i in range(grid.n):

@@ -132,7 +132,6 @@ class RenewalSpec:
     def from_lognormal(cls, mu: float, sigma: float, delta: float) -> "RenewalSpec":
         """Interval ``delta * exp(N(mu, sigma^2))``."""
         from scipy import special
-
         if not (sigma > 0.0) or not (delta > 0.0):
             raise ValueError("need sigma > 0 and delta > 0")
         norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
@@ -278,7 +277,6 @@ def _criterion_grid(spec: RenewalSpec):
 
 def _refined_supremum(spec: RenewalSpec, x: np.ndarray, g: np.ndarray):
     from scipy import optimize
-
     i = int(np.argmax(g))
     lo = x[max(i - 1, 0)]
     hi = x[min(i + 1, x.size - 1)]

@@ -493,6 +493,14 @@ class TestValidateCmd:
         assert "spectrum" in err and "k,re,im" in err and "found 2" in err
         assert "usecols" not in err
 
+    @pytest.mark.parametrize("row", ["0.1,0.5", "0.1,0.5,10,4"], ids=["short", "long"])
+    def test_later_row_of_the_wrong_length_names_the_columns(self, tmp_path, capsys, row):
+        bad = tmp_path / "trace.csv"
+        bad.write_text(f"t,A,nu\n0,0.5,10\n{row}\n")
+        assert run(["validate", bad]) == 2
+        err = capsys.readouterr().err
+        assert "t,A,nu" in err and "on line 3" in err and "usecols" not in err
+
     def test_rejects_unevenly_spaced_estimate(self, tmp_path):
         bad = tmp_path / "est.csv"
         bad.write_text(

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm as scipy_expm
 
-from deadtime.core import Constant, Cosine, Step, TimeGrid
+from deadtime.core import Constant, Cosine, Sampled, Step, TimeGrid
 from deadtime.gamma_chain import (
     ChainState,
     build_generator,
@@ -190,15 +190,18 @@ class TestIntegrate:
         assert last.shape == prev.shape
         assert np.max(np.abs(last - prev)) < 1e-7
 
-    @pytest.mark.parametrize("sig", [
-        Cosine(base=50.0, amplitude=45.0, frequency=10.0),
-        Step(LAM0, LAM1, t_switch=0.013),
-    ], ids=["cosine", "step"])
-    def test_rate_arrays_match_per_step_rates(self, sig):
+    @pytest.mark.parametrize("make_sig", [
+        lambda grid: Cosine(base=50.0, amplitude=45.0, frequency=10.0),
+        lambda grid: Step(LAM0, LAM1, t_switch=0.013),
+        # sampled on the integration grid itself: no rate is read past t_end
+        lambda grid: Sampled(grid, np.random.default_rng(3).uniform(5.0, 95.0, grid.n)),
+    ], ids=["cosine", "step", "sampled-on-grid"])
+    def test_rate_arrays_match_per_step_rates(self, make_sig):
         # the stepper reads the input rate from arrays made before the loop;
         # reading it one scalar call per stage must give the same bits
         n, beta = 6, beta_for(6)
         grid = TimeGrid(0.0, 0.1 / (95.0 + beta) / 2, 2001)
+        sig = make_sig(grid)
         b0 = equilibrium_state(n, beta, sig.rate(0.0))
         tr, b_end = integrate(n, beta, sig, b0, grid, return_final_state=True)
 
