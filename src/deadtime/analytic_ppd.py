@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GammaDeadTime, History, NumericalError, TimeGrid, Trace, _wrap_scalar, simpson_weights
+from .core import (GammaDeadTime, History, NumericalError, TimeGrid, Trace, _wrap_scalar,
+                   check_balance, simpson_weights)
 
 __all__ = [
     "PpdParams",
@@ -183,11 +184,7 @@ def solve_with_history(
     if d == 0.0:
         t = grid.times()
         return Trace(grid, np.ones_like(t), np.full_like(t, lam))
-    gap = abs(history.balance(0.0, d) - 1.0)
-    if gap > 1e-6:
-        raise ValueError(
-            f"history violates the occupation normalization by {gap:.3e} (limit 1e-6)"
-        )
+    check_balance(history.balance(0.0, d), 1e-6)
 
     u0 = float(history.active(0.0))
     t = grid.times()

@@ -556,7 +556,7 @@ class DeadTimeLaw:
     A new law implements ``survivor``, ``density``, ``mean`` and an
     elementwise ``quantile`` (and ``atom0`` if it has an atom).  Every other
     method has a generic body built from those; a shipped law overrides one
-    only where it has a closed form or a grid of its own.
+    only where it has a closed form or, as a table, nodes of its own.
     """
 
     @property
@@ -630,38 +630,22 @@ class DeadTimeLaw:
         a, b, s = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b), np.atleast_1d(s))
         return self.integrate(lambda x: np.exp(c * x - s[:, None]), a, b)
 
-    def survivor_transform(self, omega: float, ks, grids: dict | None = None) -> np.ndarray:
-        """``q_k = int S(y) exp(-i k omega y) dy`` for the ascending harmonics ``ks``.
+    def survivor_transform(self, omega: float, ks) -> np.ndarray:
+        """``q_k = int S(y) exp(-i k omega y) dy`` for the harmonics ``ks``.
 
-        Simpson's rule on ``max(base, 64 * cycles)`` cells (made even) over
-        ``[0, upper]``, both from :meth:`_transform_span`.  ``grids`` keeps
-        the Simpson-weighted survivor of the grid the low harmonics share and
-        of the latest larger one, so no grid size is built twice.
+        Simpson's rule on ``max(8192, 64 * cycles)`` cells (made even) over
+        the support window.
         """
-        upper, base = self._transform_span()
-        grids = {} if grids is None else grids
+        upper = float(self.support_window())
         out = np.empty(len(ks), dtype=complex)
         for i, k in enumerate(ks):
-            cycles = abs(k) * omega * upper / TWO_PI
-            n = max(base, int(64 * cycles))
+            n = max(8192, int(64 * abs(k) * omega * upper / TWO_PI))
             n += n % 2
-            grid = grids.get(n)
-            if grid is None:
-                for stale in [m for m in grids if m != base]:
-                    del grids[stale]
-                y = np.linspace(0.0, upper, n + 1)
-                grid = grids[n] = (y, simpson_weights(n, upper / n) * self.survivor(y))
-            y, weighted = grid
-            if k == 0:
-                out[i] = weighted.sum()
-            else:
-                phase = (k * omega) * y
-                out[i] = complex(weighted @ np.cos(phase), -(weighted @ np.sin(phase)))
+            y = np.linspace(0.0, upper, n + 1)
+            weighted = simpson_weights(n, upper / n) * self.survivor(y)
+            phase = (k * omega) * y
+            out[i] = complex(weighted @ np.cos(phase), -(weighted @ np.sin(phase)))
         return out
-
-    def _transform_span(self) -> tuple[float, int]:
-        """Upper limit and smallest cell count of the ``q_k`` quadrature."""
-        return float(self.support_window()), 8192
 
 
 def _closed_transform(law: DeadTimeLaw, omega: float, ks, laplace) -> np.ndarray:
@@ -728,7 +712,7 @@ class FixedDeadTime(DeadTimeLaw):
         inside = ((a < self.duration) | (a == 0.0)) & (self.duration <= b)
         return np.where(inside, fn(np.full((a.size, 1), self.duration))[:, 0], 0.0)
 
-    def survivor_transform(self, omega, ks, grids=None):
+    def survivor_transform(self, omega, ks):
         return _closed_transform(self, omega, ks, lambda s: cmath.exp(-s * self.duration))
 
 
@@ -848,7 +832,7 @@ class GammaDeadTime(DeadTimeLaw):
                 log_delta = np.where(lost, series, log_delta)
         return np.exp(n1 * math.log(ratio) + log_delta - s)
 
-    def survivor_transform(self, omega, ks, grids=None):
+    def survivor_transform(self, omega, ks):
         return _closed_transform(
             self, omega, ks, lambda s: (self.rate / (self.rate + s)) ** (self.order + 1)
         )
@@ -923,9 +907,39 @@ class TabulatedDeadTime(DeadTimeLaw):
     def density_table(self, n_nodes=2048):
         return self.x, self.pdf
 
-    def _transform_span(self):
-        # the table's own end, and enough cells to resolve every node
-        return float(self.x[-1]), max(8192, 4 * self.x.size)
+    def survivor_transform(self, omega, ks):
+        """Exact ``q_k`` over ``[0, x[-1]]`` of :meth:`survivor`, linear between the nodes.
+
+        By parts, ``q_k`` is one exponential per node weighted by the survivor's
+        slope jumps; that sum cancels as ``(k omega x[-1])**-2``, so below
+        ``|k omega x[-1]| = 1`` the power series in the survivor's moments is
+        summed instead.  ``q_0 = int S`` differs from :meth:`mean` (trapezoid of
+        ``x * pdf``) by the tabulation error; :meth:`density` stays the
+        interpolant of the samples, not this survivor's derivative.
+        """
+        z = self.x if self.x[0] == 0.0 else np.concatenate(([0.0], self.x))
+        s = self.survivor(z)
+        jumps = np.diff(np.diff(s) / np.diff(z), prepend=0.0, append=0.0)
+        end, s_end = float(z[-1]), float(s[-1])
+        series = any(0 < abs(k * omega) * end < 1.0 for k in ks)
+        # moments int S(y) (y/end)**p dy / end, from the same jumps by parts
+        moments = [s_end / (p + 1) + end * (jumps @ (z / end) ** (p + 2)) / ((p + 1) * (p + 2))
+                   for p in range(20 if series else 0)]
+        out = np.empty(len(ks), dtype=complex)
+        for i, k in enumerate(ks):
+            w = k * omega
+            if k == 0:
+                out[i] = np.trapezoid(s, z)
+            elif abs(w) * end < 1.0:
+                acc = 0j
+                for p in reversed(range(20)):
+                    acc = acc * (-1j * w * end) / (p + 1) + moments[p]
+                out[i] = end * acc
+            else:
+                phase = w * z
+                tail = complex(jumps @ np.cos(phase), -(jumps @ np.sin(phase)))
+                out[i] = (s[0] - s_end * cmath.exp(-1j * w * end)) / (1j * w) - tail / w**2
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -1089,8 +1103,8 @@ class History:
 
     ``active(t)`` and ``rate(t)`` must be defined for all ``t`` up to and
     including the integration start; at the start itself they carry the left
-    limits.  :meth:`balance` is the occupation gate of every solver that
-    starts from a history under a fixed dead time; each sets its own limit.
+    limits.  :meth:`balance` is the occupation at the start under a fixed
+    dead time; each solver gates it by :func:`check_balance` with its own limit.
     """
 
     active: Callable[[float], float]
@@ -1123,6 +1137,13 @@ class History:
         """
         nu = self.sample_rate(np.linspace(t0 - d, t0, 8193))
         return float(simpson_weights(8192, d / 8192.0) @ nu) + float(self.active(t0))
+
+
+def check_balance(balance: float, limit: float) -> None:
+    """Raise ``ValueError`` unless an occupation ``balance`` at the start is one within ``limit``."""
+    if abs(balance - 1.0) > limit:
+        raise ValueError(f"history violates the occupation normalization by "
+                         f"{abs(balance - 1.0):.3e} (limit {limit:g})")
 
 
 def equilibrium_history(input_rate: float, mean_dead_time: float) -> History:

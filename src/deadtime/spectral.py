@@ -19,7 +19,6 @@ other.
 """
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,47 +52,27 @@ def qk_law(law: DeadTimeLaw, omega: float, k: int) -> complex:
     """Coupling coefficient of an arbitrary dead-time law at harmonic ``k``.
 
     This is the Fourier-Laplace transform of the survivor function at
-    ``i*k*omega`` (:meth:`DeadTimeLaw.survivor_transform`); at ``k = 0`` it
-    reduces to the mean dead time.
+    ``i*k*omega`` (:meth:`DeadTimeLaw.survivor_transform`): a closed form
+    for fixed and gamma laws, exact on a table's own nodes, and Simpson's
+    rule for any other law.  At ``k = 0`` it is ``int S``, the mean dead
+    time up to a table's tabulation error.
     """
     if not (omega > 0.0):
         raise ValueError("angular frequency must be positive")
     return complex(law.survivor_transform(omega, [k])[0])
 
 
-class _CouplingStore:
-    """The coefficients ``q_0 .. q_m`` of one law at one frequency.
-
-    A store belongs to one chain of :class:`HarmonicSystem` objects (a
-    system, its truncation doublings and the trace synthesised from it), so
-    each harmonic is computed once per frequency solve.  ``grids`` holds the
-    law's quadrature grids (see :meth:`DeadTimeLaw.survivor_transform`).
-    """
-
-    def __init__(self):
-        self.q = np.empty(0, dtype=complex)
-        self.grids: dict = {}
-        self.lock = threading.Lock()
-
-
-def qk_array(
-    law: DeadTimeLaw, omega: float, kmax: int, store: _CouplingStore | None = None
-) -> np.ndarray:
+def qk_array(law: DeadTimeLaw, omega: float, kmax: int) -> np.ndarray:
     """Coefficients ``q_k`` for ``k = -kmax .. kmax`` (Hermitian by symmetry).
 
-    ``store`` holds the harmonics already computed for this law and
-    frequency; only those beyond it are evaluated, and they are added to it.
+    Each call evaluates ``q_0 .. q_kmax`` afresh, one harmonic at a time, so
+    a harmonic has the same bits whatever ``kmax`` it is asked with.
     """
     if kmax < 0:
         raise ValueError("kmax must be non-negative")
     if not (omega > 0.0):
         raise ValueError("angular frequency must be positive")
-    if store is None:
-        store = _CouplingStore()
-    with store.lock:
-        new = law.survivor_transform(omega, range(store.q.size, kmax + 1), store.grids)
-        store.q = np.concatenate((store.q, new))
-        pos = store.q[: kmax + 1]
+    pos = law.survivor_transform(omega, range(kmax + 1))
     return np.concatenate((pos[:0:-1].conj(), pos))
 
 
@@ -104,11 +83,7 @@ class HarmonicSystem:
     Holds the base angular frequency, the truncation order ``K``, the
     dead-time law, the input spectrum, and the coupling coefficients
     ``q_k`` for ``|k| <= 2K`` (enough for the output convolution and the
-    inverse map).  Systems made by :meth:`with_truncation` share one store
-    of computed coefficients with this one, and :func:`periodic_rate` reads
-    from it too.  Over a law without a closed-form ``q_k`` the store also
-    keeps the quadrature grid (two float arrays of about four times a
-    table's nodes) for as long as a system of the chain is alive.
+    inverse map).  An immutable value: threads may share one.
     """
 
     omega: float
@@ -116,7 +91,6 @@ class HarmonicSystem:
     law: DeadTimeLaw
     input_spectrum: Spectrum
     q: np.ndarray = field(init=False)
-    _store: _CouplingStore = field(default_factory=_CouplingStore, repr=False)
 
     def __post_init__(self):
         if not (self.omega > 0.0):
@@ -125,15 +99,13 @@ class HarmonicSystem:
             raise ValueError("truncation order must be a positive integer")
         if abs(self.input_spectrum.omega - self.omega) > 1e-9 * self.omega:
             raise ValueError("input spectrum frequency does not match the system")
-        q = qk_array(self.law, self.omega, 2 * self.K, self._store)
+        q = qk_array(self.law, self.omega, 2 * self.K)
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
 
     def with_truncation(self, K: int) -> "HarmonicSystem":
-        """The same scenario at truncation ``K``, sharing the computed ``q_k``."""
-        return HarmonicSystem(
-            self.omega, K, self.law, self.input_spectrum, _store=self._store
-        )
+        """The same scenario at truncation ``K``."""
+        return HarmonicSystem(self.omega, K, self.law, self.input_spectrum)
 
 
 def _input_band(spectrum: Spectrum) -> int:
@@ -278,30 +250,23 @@ def cosine_continued_fraction(
         raise ValueError("modulation amplitude must be non-negative")
     if lam0 < eps:
         raise ValueError("modulation must not push the rate negative")
-    store = _CouplingStore()
-    q0 = qk_array(law, omega, 0, store)[0].real
+    q0 = qk_law(law, omega, 0).real
     if eps == 0.0:
         coeffs = np.zeros(2 * 1 + 1, dtype=complex)
         coeffs[1] = 1.0 / (1.0 + lam0 * q0)
         return Spectrum(omega, coeffs)
 
-    def x_at(k: int) -> complex:
-        qk = complex(store.q[k])
-        if abs(qk) <= Q_ZERO:
-            return complex(math.inf)
-        return (1.0 / qk + lam0) * (2.0 / eps)
-
     def backward_ratios(start: int) -> np.ndarray:
         """``ratios[k-1] = alpha_k / alpha_{k-1}`` up to ``k = _CF_MAX_ORDER``, from ``start`` down."""
-        qk_array(law, omega, start, store)
+        q = qk_array(law, omega, start)[start:]
         ratios = np.empty(min(start, _CF_MAX_ORDER), dtype=complex)
         r = 0.0 + 0.0j
         for k in range(start, 0, -1):
-            x = x_at(k)
-            if x == complex(math.inf):
+            qk = complex(q[k])
+            if abs(qk) <= Q_ZERO:
                 r = 0.0 + 0.0j
             else:
-                denom = x + r
+                denom = (1.0 / qk + lam0) * (2.0 / eps) + r
                 if denom == 0.0:
                     raise NumericalError("continued fraction hit a zero denominator")
                 r = -1.0 / denom
@@ -339,7 +304,7 @@ def periodic_rate(sys: HarmonicSystem, beta: Spectrum, grid: TimeGrid) -> Trace:
     harmonics where ``q_k`` vanishes.
     """
     b = beta.order
-    q = qk_array(sys.law, sys.omega, b, sys._store)
+    q = qk_array(sys.law, sys.omega, b)
     alpha = np.empty(2 * b + 1, dtype=complex)
     for k in range(-b, b + 1):
         alpha[k + b] = (1.0 if k == 0 else 0.0) - q[k + b] * beta.coefficient(k)

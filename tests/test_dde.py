@@ -14,6 +14,7 @@ from deadtime.core import (
     GammaDeadTime,
     History,
     Step,
+    TabulatedDeadTime,
     TimeGrid,
     angular_frequency,
     equilibrium_history,
@@ -224,6 +225,28 @@ class TestDistributedDelay:
         law = GammaDeadTime(order=3, rate=50.0)
         with pytest.raises(ValueError, match="coarse"):
             integrate_pprd(Constant(5.0), law, None, TimeGrid(0.0, 0.004, 100))
+
+    @pytest.mark.parametrize("table", [False, True], ids=["gamma", "table"])
+    def test_equilibrium_history_passes_the_gate(self, table):
+        law = GammaDeadTime(order=3, rate=100.0)
+        if table:
+            x = np.linspace(0.0, law.quantile(1.0 - 1e-13), 2001)
+            law = TabulatedDeadTime(x, law.density(x) / np.trapezoid(law.density(x), x))
+        sig = Step(20.0, 60.0, 0.0)
+        grid = TimeGrid(0.0, law.support_window() / 512, 600)
+        explicit = integrate_pprd(sig, law, equilibrium_history(20.0, law.mean()), grid)
+        assert np.array_equal(explicit.active, integrate_pprd(sig, law, None, grid).active)
+
+    def test_history_off_the_occupation_balance_rejected(self):
+        law = GammaDeadTime(order=3, rate=100.0)
+        grid = TimeGrid(0.0, law.support_window() / 512, 100)
+        eq = equilibrium_history(30.0, law.mean())
+        # balance 0.5 + 10 * 0.04 = 0.9
+        low = History(active=lambda t: 0.5, rate=lambda t: 10.0 + 0.0 * np.asarray(t))
+        for hist in (low, History(lambda t: eq.active(t) + 2e-6, eq.rate)):
+            with pytest.raises(ValueError, match="normalization"):
+                integrate_pprd(Constant(30.0), law, hist, grid)
+        integrate_pprd(Constant(30.0), law, History(lambda t: eq.active(t) + 5e-7, eq.rate), grid)
 
     def test_short_history_rejected(self):
         law = GammaDeadTime(order=3, rate=50.0)

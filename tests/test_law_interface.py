@@ -21,6 +21,7 @@ from deadtime.core import (
     Step,
     TabulatedDeadTime,
     TimeGrid,
+    equilibrium_history,
     read_law_csv,
     write_law_csv,
 )
@@ -123,6 +124,13 @@ class TestLawDefinedOutsideThePackage:
         assert dde.normalization_residual(trace, sig, law).max_abs <= tol
         settled = 1.0 / (1.0 + 60.0 * law.mean())
         assert trace.active[-1] == pytest.approx(settled, abs=10 * tol)
+
+    def test_integrate_pprd_passes_the_equilibrium_history(self, case):
+        law = case[0]
+        sig = Step(20.0, 60.0, 0.0)
+        grid = TimeGrid(0.0, law.support_window() / 300, 400)
+        explicit = dde.integrate_pprd(sig, law, equilibrium_history(20.0, law.mean()), grid)
+        assert np.array_equal(explicit.active, dde.integrate_pprd(sig, law, None, grid).active)
 
     def test_law_csv_round_trip(self, tmp_path):
         law = CASES["shifted-gamma"][0]

@@ -1,8 +1,13 @@
 import cmath
 import math
+from concurrent.futures import ThreadPoolExecutor
+from sys import getswitchinterval, setswitchinterval
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, special
 
@@ -115,30 +120,48 @@ def tabulated_gamma(order=3, rate=50.0, nodes=2001):
     return TabulatedDeadTime(x, pdf / np.trapezoid(pdf, x))
 
 
-def simpson_qk_reference(law, omega, k):
-    """Per-harmonic quadrature of the survivor transform on its own grid."""
-    upper = float(law.x[-1])
-    cycles = abs(k) * omega * upper / (2 * math.pi)
-    n = max(8192, 4 * law.x.size, int(64 * cycles))
-    n += n % 2
-    y = np.linspace(0.0, upper, n + 1)
-    return complex(integrate.simpson(law.survivor(y) * np.exp(-1j * k * omega * y), x=y))
+def mp_survivor_transform(law, omega, k):
+    """``int S(y) exp(-i k omega y) dy`` cell by cell at 50 digits, ``S`` linear
+    between the law's nodes (and flat from zero to the first)."""
+    z = law.x if law.x[0] == 0.0 else np.concatenate(([0.0], law.x))
+    with mpmath.workdps(50):
+        z_mp = [mpmath.mpf(float(v)) for v in z]
+        s_mp = [mpmath.mpf(float(v)) for v in law.survivor(z)]
+        w = mpmath.mpf(k) * mpmath.mpf(omega)
+        total = mpmath.mpc(0)
+        for a, b, sa, sb in zip(z_mp[:-1], z_mp[1:], s_mp[:-1], s_mp[1:]):
+            theta = w * (b - a)
+            e = mpmath.expj(-theta)
+            phi0 = (1 - e) / (1j * theta)  # int_0^1 exp(-i theta u) du
+            phi1 = (phi0 - e) / (1j * theta)  # int_0^1 u exp(-i theta u) du
+            total += (b - a) * mpmath.expj(-w * a) * (sa * phi0 + (sb - sa) * phi1)
+        return complex(total)
+
+
+@st.composite
+def tables(draw):
+    """A table law on 2 to 24 random nodes from ``x[0] >= 0``, with an atom below 0.5."""
+    n = draw(st.integers(2, 24))
+    first = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+    gaps = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n - 1, max_size=n - 1)))
+    scale = 10.0 ** draw(st.floats(-3.0, 1.0))
+    x = scale * (first + np.concatenate(([0.0], np.cumsum(gaps))))
+    pdf = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    pdf[draw(st.integers(0, n - 1))] += 0.1  # some mass in the density
+    atom = draw(st.floats(0.0, 0.5, exclude_max=True))
+    return TabulatedDeadTime(x, pdf * ((1.0 - atom) / np.trapezoid(pdf, x)), atom)
 
 
 class TestQkTabulated:
-    def test_matches_per_harmonic_simpson(self):
-        law = tabulated_gamma()
-        w = angular_frequency(20.0)
-        kmax = 32
-        # harmonics from k = 13 on need more than the 8192-cell floor
-        upper = float(law.x[-1])
-        assert 64 * kmax * w * upper / (2 * math.pi) > 8192 > 64 * w * upper / (2 * math.pi)
-        q = qk_array(law, w, kmax)
-        for k in range(kmax + 1):
-            ref = simpson_qk_reference(law, w, k)
-            assert abs(q[kmax + k] - ref) < 1e-13
-            assert abs(q[kmax - k] - ref.conjugate()) < 1e-13
-            assert qk_law(law, w, k) == q[kmax + k]
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(law=tables(), log_span=st.floats(-4.0, 4.0), k=st.integers(1, 40))
+    def test_exact_on_its_own_nodes(self, law, log_span, k):
+        # k * omega * x[-1] from 1e-4 to 1e4, across the switch to the series
+        omega = 10.0**log_span / (k * float(law.x[-1]))
+        q = law.survivor_transform(omega, [k, -k])
+        ref = mp_survivor_transform(law, omega, k)
+        assert abs(q[0] - ref) <= 1e-12 * abs(ref)
+        assert abs(q[1] - ref.conjugate()) <= 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("law", [tabulated_gamma(), GammaDeadTime(3, 50.0)])
     def test_doubled_truncation_is_a_fresh_system(self, law):
@@ -150,25 +173,31 @@ class TestQkTabulated:
         assert np.array_equal(doubled.q, fresh.q)
         assert np.array_equal(sys.q, fresh.q[8:-8])
 
-    def test_survivor_evaluated_once_per_grid(self, monkeypatch):
+    def test_one_system_shared_between_threads(self):
         law = tabulated_gamma()
-        sizes = []
-        survivor = TabulatedDeadTime.survivor
-
-        def counting(self, x):
-            sizes.append(np.size(x))
-            return survivor(self, x)
-
-        monkeypatch.setattr(TabulatedDeadTime, "survivor", counting)
         f = 6.25
         w = angular_frequency(f)
-        lam_spec = signal_spectrum(Cosine(LAM0, EPS, f), w, order=1)
-        sys = HarmonicSystem(w, 4, law, lam_spec)
-        alpha = solve_active_spectrum(sys)
-        assert alpha.order > sys.K  # the solve doubled its truncation
-        beta = output_spectrum(sys, alpha)
-        periodic_rate(sys, beta, TimeGrid(0.0, 1.0 / f / 64, 65))
-        assert sizes and len(sizes) == len(set(sizes))
+        sys = HarmonicSystem(w, 4, law, signal_spectrum(Cosine(LAM0, EPS, f), w, order=1))
+        grid = TimeGrid(0.0, 1.0 / f / 64, 65)
+
+        def run():
+            alpha = solve_active_spectrum(sys)
+            beta = output_spectrum(sys, alpha)
+            trace = periodic_rate(sys, beta, grid)
+            return alpha.coeffs, beta.coeffs, trace.active, trace.rate
+
+        serial = run()
+        interval = getswitchinterval()
+        setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(run) for _ in range(2)]
+                shared = [fut.result(timeout=300) for fut in futures]
+        finally:
+            setswitchinterval(interval)
+        for got in shared:
+            for a, b in zip(got, serial):
+                assert np.array_equal(a, b)
 
 
 class TestSolveActiveSpectrum:
