@@ -263,10 +263,14 @@ def cmd_periodic(args) -> int:
     if args.f is not None:
         freqs = [args.f]
     elif args.f_sweep:
-        lo_s, hi_s, n_s = args.f_sweep.split(":")
-        lo, hi, steps = float(lo_s), float(hi_s), int(n_s)
-        if not (0.0 < lo < hi) or steps < 2:
-            raise ValueError("--f-sweep must be lo:hi:steps with lo < hi, steps >= 2")
+        form = "--f-sweep must be lo:hi:steps with lo < hi, steps >= 2"
+        try:
+            lo_s, hi_s, n_s = args.f_sweep.split(":")
+            lo, hi, steps = float(lo_s), float(hi_s), int(n_s)
+        except ValueError:
+            raise ValueError(f"{form}, got {args.f_sweep!r}") from None
+        if not (0.0 < lo < hi < math.inf) or steps < 2:
+            raise ValueError(form)
         freqs = list(np.linspace(lo, hi, steps))
     else:
         raise ValueError("need --f or --f-sweep")

@@ -99,7 +99,7 @@ def hermitian(pos) -> np.ndarray:
 
 
 def _fmt(value: float) -> str:
-    """Shortest round-trip decimal used by every CSV writer."""
+    """17 significant digits, which read back bit for bit; used by every CSV writer."""
     return format(float(value), ".17g")
 
 
@@ -947,6 +947,19 @@ class TabulatedDeadTime(DeadTimeLaw):
 # ---------------------------------------------------------------------------
 
 
+def _real_signal(values: np.ndarray, max_imag: float) -> np.ndarray:
+    """Real part of a sampled Fourier series whose imaginary residue is at most
+    ``max_imag`` relative to the signal scale; a larger one raises."""
+    scale = max(float(np.max(np.abs(values))), 1.0)
+    resid = float(np.max(np.abs(values.imag))) / scale
+    if resid > max_imag:
+        raise NumericalError(
+            f"imaginary residue {resid:.3e} exceeds {max_imag:.1e}; "
+            "spectrum is not consistent with a real signal"
+        )
+    return values.real
+
+
 class Spectrum:
     """Finite Fourier series ``sum_k c_k exp(i k omega t)`` with real signal.
 
@@ -1003,15 +1016,25 @@ class Spectrum:
         arr = np.atleast_1d(np.asarray(t, dtype=float))
         k = np.arange(-self.order, self.order + 1)
         phases = np.exp(1j * self.omega * np.outer(arr, k))
-        values = phases @ self.coeffs
-        scale = max(float(np.max(np.abs(values))), 1.0)
-        resid = float(np.max(np.abs(values.imag))) / scale
-        if resid > max_imag:
-            raise NumericalError(
-                f"imaginary residue {resid:.3e} exceeds {max_imag:.1e}; "
-                "spectrum is not consistent with a real signal"
-            )
-        return _wrap_scalar(t, values.real.reshape(np.shape(t)))
+        values = _real_signal(phases @ self.coeffs, max_imag)
+        return _wrap_scalar(t, values.reshape(np.shape(t)))
+
+    def sample_period(self, n: int) -> np.ndarray:
+        """Real signal at ``t = j*T/n`` for ``j = 0..n``, one period ``T = 2 pi/omega``.
+
+        At these times ``exp(i k omega t)`` depends on ``k mod n`` only, so
+        the coefficients are folded into ``n`` bins and summed by one
+        unscaled inverse FFT.  The values agree with :meth:`evaluate` on the
+        same times to rounding; the last one repeats the first.  The
+        imaginary residue is checked as :meth:`evaluate` checks it by
+        default.
+        """
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"samples per period must be a positive integer, got {n}")
+        k = np.arange(-self.order, self.order + 1) % n
+        folded = np.bincount(k, self.coeffs.real, n) + 1j * np.bincount(k, self.coeffs.imag, n)
+        values = _real_signal(np.fft.ifft(folded, norm="forward"), 1e-8)
+        return np.append(values, values[0])
 
     def to_csv(self, path):
         """Write headerless rows ``k, re, im`` from ``-K`` to ``K``."""

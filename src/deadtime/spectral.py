@@ -301,13 +301,21 @@ def periodic_rate(sys: HarmonicSystem, beta: Spectrum, grid: TimeGrid) -> Trace:
 
     The active fraction is reconstructed from the output spectrum through
     ``alpha_k = delta_{k,0} - q_k beta_k``, which stays valid at resonant
-    harmonics where ``q_k`` vanishes.
+    harmonics where ``q_k`` vanishes.  A grid spanning exactly one period
+    from zero is summed by one inverse FFT (:meth:`Spectrum.sample_period`);
+    any other grid by the direct sum (:meth:`Spectrum.evaluate`).
     """
     b = beta.order
     q = qk_array(sys.law, sys.omega, b)
     alpha = np.empty(2 * b + 1, dtype=complex)
     for k in range(-b, b + 1):
         alpha[k + b] = (1.0 if k == 0 else 0.0) - q[k + b] * beta.coefficient(k)
-    active = Spectrum(sys.omega, alpha, tol=1e-8).evaluate(grid.times(), max_imag=1e-8)
-    rate = beta.evaluate(grid.times(), max_imag=1e-8)
+    active_spectrum = Spectrum(sys.omega, alpha, tol=1e-8)
+    period = 2.0 * math.pi
+    if grid.t0 == 0.0 and abs(grid.dt * (grid.n - 1) * sys.omega - period) <= 1e-12 * period:
+        active = active_spectrum.sample_period(grid.n - 1)
+        rate = beta.sample_period(grid.n - 1)
+    else:
+        active = active_spectrum.evaluate(grid.times(), max_imag=1e-8)
+        rate = beta.evaluate(grid.times(), max_imag=1e-8)
     return Trace(grid, np.clip(active, 0.0, 1.0), np.clip(rate, 0.0, None))

@@ -139,6 +139,24 @@ class TestPeriodic:
         assert "1000.0" in err and "1000.0005" in err and "1000.001" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("sweep", ["1:2", "1:2:3:4", "1:2:x"])
+    def test_malformed_sweep_names_the_flag(self, tmp_path, capsys, sweep):
+        code = run(["periodic", "--d", 0.08, "--nu0", 10, "--f-sweep", sweep,
+                    "--out-prefix", tmp_path / "s"])
+        assert code == 2
+        assert "--f-sweep must be lo:hi:steps" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_sample_writes_both_ends_of_the_period(self, tmp_path):
+        prefix = tmp_path / "one"
+        assert run(["periodic", "--d", 0.08, "--nu0", 10, "--mod-depth", 0.9,
+                    "--f", 4, "--harmonics", 8, "--samples", 1,
+                    "--out-prefix", prefix]) == 0
+        trace = Trace.from_csv(f"{prefix}-trace-f4.csv")
+        assert trace.grid.times().tolist() == [0.0, 0.25]
+        assert trace.active[0] == trace.active[1]
+        assert trace.rate[0] == trace.rate[1]
+
     def test_zero_samples_rejected_before_solving(self, tmp_path, capsys, monkeypatch):
         def solve(*args):
             raise AssertionError("solved before checking --samples")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from deadtime.core import (
@@ -224,6 +226,40 @@ class TestSpectrum:
         s = Spectrum(1.0, [0.5, 1.0, 0.5 + 1e-3j], tol=1.0)
         with pytest.raises(NumericalError):
             s.evaluate(np.linspace(0.0, 6.0, 50), max_imag=1e-9)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        order=st.integers(0, 200),
+        n=st.integers(1, 1024),
+        f=st.floats(0.01, 1000.0),
+    )
+    @example(seed=1, order=200, n=7, f=3.0)
+    @example(seed=2, order=0, n=1, f=0.01)
+    def test_sample_period_matches_direct_sum(self, seed, order, n, f):
+        # order >= n folds several harmonics into one FFT bin
+        rng = np.random.default_rng(seed)
+        pos = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
+        pos[0] = pos[0].real
+        s = Spectrum(angular_frequency(f), np.concatenate((pos[:0:-1].conj(), pos)))
+        got = s.sample_period(n)
+        want = s.evaluate(TimeGrid(0.0, 1.0 / f / n, n + 1).times())
+        assert got.shape == (n + 1,)
+        assert got[-1] == got[0]
+        # the signal is bounded by sum |c_k|
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(s.coeffs))
+
+    def test_sample_period_rejects_bogus_imaginary(self):
+        s = Spectrum(1.0, [0.5, 1.0, 0.5 + 1e-3j], tol=1.0)
+        with pytest.raises(NumericalError, match="imaginary residue"):
+            s.evaluate(TimeGrid(0.0, 2 * math.pi / 16, 17).times())
+        with pytest.raises(NumericalError, match="imaginary residue"):
+            s.sample_period(16)
+
+    @pytest.mark.parametrize("n", [0, -1, 2.0])
+    def test_sample_period_needs_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match="samples per period"):
+            Spectrum(1.0, [1.0]).sample_period(n)
 
     def test_csv_roundtrip(self, tmp_path):
         w = angular_frequency(12.0)

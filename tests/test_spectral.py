@@ -378,6 +378,46 @@ class TestPeriodicRate:
         assert peak(12.5) > peak(4.0)
         assert peak(12.5) > peak(30.0)
 
+    @staticmethod
+    def direct_sums(sys, beta, grid):
+        """The trace of ``periodic_rate`` summed by ``Spectrum.evaluate``."""
+        b = beta.order
+        q = qk_array(sys.law, sys.omega, b)
+        alpha = [
+            (1.0 if k == 0 else 0.0) - q[k + b] * beta.coefficient(k) for k in range(-b, b + 1)
+        ]
+        t = grid.times()
+        active = Spectrum(sys.omega, alpha, tol=1e-8).evaluate(t, max_imag=1e-8)
+        return np.clip(active, 0.0, 1.0), np.clip(beta.evaluate(t, max_imag=1e-8), 0.0, None)
+
+    @pytest.mark.parametrize("grid", [
+        TimeGrid(0.05, 1.0 / 6.25 / 64, 65),
+        TimeGrid(0.0, 1.0 / 6.25 / 64, 129),
+        TimeGrid(0.0, 1.0 / 6.25 / 64.5, 65),
+    ], ids=["shifted", "two-periods", "partial-period"])
+    def test_off_period_grid_keeps_the_direct_sum(self, grid):
+        sys = fig3_system(6.25)
+        beta = output_spectrum(sys, solve_active_spectrum(sys))
+        tr = periodic_rate(sys, beta, grid)
+        active, rate = self.direct_sums(sys, beta, grid)
+        assert np.array_equal(tr.active, active)
+        assert np.array_equal(tr.rate, rate)
+
+    def test_one_period_grid_takes_the_fft(self, monkeypatch):
+        f = 6.25
+        sys = fig3_system(f)
+        beta = output_spectrum(sys, solve_active_spectrum(sys))
+        grid = TimeGrid(0.0, 1.0 / f / 512, 513)
+        active, rate = self.direct_sums(sys, beta, grid)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("one-period grid summed directly")
+
+        monkeypatch.setattr(Spectrum, "evaluate", refuse)
+        tr = periodic_rate(sys, beta, grid)
+        assert_allclose(tr.rate, rate, rtol=0, atol=1e-12 * np.max(rate))
+        assert_allclose(tr.active, active, rtol=0, atol=1e-12 * np.max(active))
+
 
 class TestGammaChainCrossCheck:
     def test_periodic_steady_state(self):
