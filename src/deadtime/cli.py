@@ -11,7 +11,9 @@ Exit codes: 0 success, 2 usage or malformed input, 3 not representable,
 commands additionally take ``--seed``.  A ``--scenario FILE`` option reads
 ``key = value`` defaults that explicit flags override.  Worker threads for
 sweeps and trial fan-out come from ``--threads`` or the DEADTIME_THREADS
-environment variable.
+environment variable.  Each numeric flag has one declared domain, its
+argparse ``type``: a value outside it (NaN and infinities included) exits 2
+naming the flag before anything is computed or written.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -98,19 +101,59 @@ def _report(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _thread_count(args) -> int:
-    name, count = "--threads", args.threads
-    if count is None:
-        name, text = "DEADTIME_THREADS", os.environ.get("DEADTIME_THREADS", "").strip()
-        if not text:
-            return min(8, os.cpu_count() or 1)
+class _OutOfDomain(Exception):
+    """A flag value outside its domain; not a ValueError, so argparse passes it on."""
+
+
+def _domain(convert, ok, rule):
+    """Argparse ``type`` of one flag: ``convert`` its text, then require ``ok``."""
+
+    def parse(flag, text):
         try:
-            count = int(text)
+            value = convert(text)
+            if ok(value):
+                return value
         except ValueError:
-            raise ValueError(f"{name} must be a positive integer, got {text!r}") from None
-    if count < 1:
-        raise ValueError(f"{name} must be a positive integer, got {count}")
-    return count
+            pass
+        raise _OutOfDomain(f"{flag} must be {rule}, got {text!r}")
+
+    return parse
+
+
+def _at_least(low):
+    return _domain(int, lambda v: v >= low, f"an integer >= {low}")
+
+
+def _sweep_bounds(text):
+    lo, hi, steps = text.split(":")
+    return float(lo), float(hi), int(steps)
+
+
+def _process_fields(text):
+    kind, _, rest = text.partition(":")
+    types = {"gamma": (int, float), "lognormal": (float,) * 3, "table": (str,)}.get(kind, ())
+    fields = [rest] if kind == "table" else rest.split(",")
+    if not rest or len(fields) != len(types):
+        raise ValueError(text)
+    return kind, [convert(field) for convert, field in zip(types, fields)]
+
+
+_POSITIVE = _domain(float, lambda v: 0.0 < v < math.inf, "positive and finite")
+_NON_NEGATIVE = _domain(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+_FRACTION = _domain(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_INTEGER = _domain(int, lambda v: True, "an integer")
+_THREADS = _at_least(1)
+_SWEEP = _domain(_sweep_bounds, lambda b: 0.0 < b[0] < b[1] < math.inf and b[2] >= 2,
+                 "lo:hi:steps with 0 < lo < hi finite and steps >= 2")
+_PROCESS_FORM = "gamma:r,beta | lognormal:mu,sigma,delta | table:FILE"
+_PROCESS = _domain(_process_fields, lambda spec: True, _PROCESS_FORM)
+
+
+def _thread_count(args) -> int:
+    if args.threads is not None:
+        return args.threads
+    text = os.environ.get("DEADTIME_THREADS", "").strip()
+    return _THREADS("DEADTIME_THREADS", text) if text else min(8, os.cpu_count() or 1)
 
 
 def _parse_law(text: str):
@@ -129,16 +172,13 @@ def _parse_law(text: str):
     raise ValueError(f"unknown law kind {kind!r} (use fixed:, gamma:, table:)")
 
 
-def _rate_from_target(nu: float, mean_dead: float, label: str) -> float:
-    """Input rate hitting the target equilibrium output rate."""
-    if nu <= 0.0:
-        raise ValueError(f"{label} must be positive, got {nu}")
-    slack = 1.0 / nu - mean_dead
-    if slack <= 0.0:
-        raise ValueError(
-            f"{label} = {nu} Hz is unreachable with mean dead time {mean_dead}"
-        )
-    return 1.0 / slack
+def _law(args):
+    """Dead-time law of ``--law``, else the fixed dead time ``--d``."""
+    if args.law is not None:
+        return _parse_law(args.law)
+    if args.d is None:
+        raise ValueError("need --d or --law")
+    return FixedDeadTime(args.d)
 
 
 def _load_scenario(path: str) -> list[str]:
@@ -157,7 +197,7 @@ def _load_scenario(path: str) -> list[str]:
             elif value.lower() in ("false", "no", "off"):
                 pass
             else:
-                tokens.extend([flag, value])
+                tokens.append(f"{flag}={value}")
     return tokens
 
 
@@ -181,13 +221,15 @@ def _expand_scenario(argv: list[str]) -> list[str]:
 
 
 def _target_or_override(override, nu, mean_dead, label):
+    """``override``, else the input rate whose equilibrium output rate is ``nu``."""
     if override is not None:
-        if override <= 0.0:
-            raise ValueError(f"input rate override must be positive, got {override}")
         return override
     if nu is None:
         raise ValueError(f"{label} (or an input rate override) is required")
-    return _rate_from_target(nu, mean_dead, label)
+    slack = 1.0 / nu - mean_dead
+    if slack <= 0.0:
+        raise ValueError(f"{label} = {nu} Hz is unreachable with mean dead time {mean_dead}")
+    return 1.0 / slack
 
 
 def _mc_bins(args, lam0: float, lam1: float):
@@ -216,8 +258,6 @@ def cmd_step(args) -> int:
         raise ValueError("--d is required")
     lam0 = _target_or_override(args.lambda0, args.nu0, d, "--nu0")
     lam1 = _target_or_override(args.lambda1, args.nu1, d, "--nu1")
-    if args.t_max <= 0.0 or args.dt <= 0.0:
-        raise ValueError("--t-max and --dt must be positive")
 
     if not args.mc:
         n = int(math.floor(args.t_max / args.dt + 1e-9)) + 1
@@ -253,31 +293,15 @@ def _solve_one_frequency(law, lam0, eps, f, harmonics, samples):
 
 def cmd_periodic(args) -> int:
     threads = _thread_count(args)
-    if args.law is None and args.d is None:
-        raise ValueError("need --d or --law")
-    law = _parse_law(args.law) if args.law else FixedDeadTime(args.d)
-    if not (0.0 <= args.mod_depth <= 1.0):
-        raise ValueError("--mod-depth must lie in [0, 1]")
+    law = _law(args)
     lam0 = _target_or_override(args.lambda0, args.nu0, law.mean(), "--nu0")
     eps = args.mod_depth * lam0
     if args.f is not None:
         freqs = [args.f]
-    elif args.f_sweep:
-        form = "--f-sweep must be lo:hi:steps with lo < hi, steps >= 2"
-        try:
-            lo_s, hi_s, n_s = args.f_sweep.split(":")
-            lo, hi, steps = float(lo_s), float(hi_s), int(n_s)
-        except ValueError:
-            raise ValueError(f"{form}, got {args.f_sweep!r}") from None
-        if not (0.0 < lo < hi < math.inf) or steps < 2:
-            raise ValueError(form)
-        freqs = list(np.linspace(lo, hi, steps))
+    elif args.f_sweep is not None:
+        freqs = list(np.linspace(*args.f_sweep))
     else:
         raise ValueError("need --f or --f-sweep")
-    if args.harmonics < 4:
-        raise ValueError("--harmonics must be at least 4")
-    if args.samples < 1:
-        raise ValueError("--samples must be at least 1")
     out_dir = os.path.dirname(args.out_prefix)
     if out_dir and not os.path.isdir(out_dir):
         raise ValueError(f"output directory {out_dir!r} does not exist")
@@ -318,15 +342,9 @@ def cmd_pprd_step(args) -> int:
     threads = _thread_count(args)
     if args.mean is None or args.shape is None:
         raise ValueError("--mean and --shape are required")
-    if args.mean <= 0.0 or args.shape < 1:
-        raise ValueError("--mean must be positive and --shape at least 1")
     law = GammaDeadTime(args.shape, (args.shape + 1) / args.mean)
     lam0 = _target_or_override(args.lambda0, args.nu0, args.mean, "--nu0")
     lam1 = _target_or_override(args.lambda1, args.nu1, args.mean, "--nu1")
-    if args.t_max <= 0.0 or args.dt <= 0.0:
-        raise ValueError("--t-max and --dt must be positive")
-    if args.trials < 0:
-        raise ValueError(f"--trials must be non-negative, got {args.trials}")
 
     if not args.trials:
         n = int(math.floor(args.t_max / args.dt + 1e-9)) + 1
@@ -368,8 +386,6 @@ def cmd_pprd_step(args) -> int:
 
 def cmd_hazard(args) -> int:
     law = _parse_law(args.law)
-    if args.lambda0 <= 0.0 or args.tau_max <= 0.0 or args.points < 2:
-        raise ValueError("--lambda0, --tau-max must be positive; --points >= 2")
     tau = np.linspace(0.0, args.tau_max, args.points)
     h = hazard_pprd(Constant(args.lambda0), law, np.zeros_like(tau), tau)
     rho = np.asarray(law.density(tau), dtype=float)
@@ -385,23 +401,15 @@ def cmd_hazard(args) -> int:
 
 
 def cmd_represent(args) -> int:
-    kind, _, rest = args.process.partition(":")
+    kind, params = args.process
     if kind == "gamma":
-        r_str, beta_str = rest.split(",")
-        r, beta = int(r_str), float(beta_str)
-        if r < 1:
+        if params[0] < 1:
             raise ValueError("gamma interval index must be at least 1")
-        spec = RenewalSpec.from_gamma(r, beta)
+        spec = RenewalSpec.from_gamma(*params)
     elif kind == "lognormal":
-        mu_str, sigma_str, delta_str = rest.split(",")
-        mu, sigma, delta = float(mu_str), float(sigma_str), float(delta_str)
-        spec = RenewalSpec.from_lognormal(mu, sigma, delta)
-    elif kind == "table":
-        spec = RenewalSpec.from_sampled(*read_csv(rest, INTERVAL_CSV)[0])
+        spec = RenewalSpec.from_lognormal(*params)
     else:
-        raise ValueError(
-            f"unknown process kind {kind!r} (use gamma:, lognormal:, table:)"
-        )
+        spec = RenewalSpec.from_sampled(*read_csv(params[0], INTERVAL_CSV)[0])
 
     lam_min = minimal_lambda(spec)
     # an explicit rate takes the generic route, which reports the violation
@@ -409,9 +417,9 @@ def cmd_represent(args) -> int:
     if args.lam is not None:
         rep = dead_time_from_interval(spec, args.lam)
     elif kind == "gamma":
-        rep = construct_gamma(r, beta)
+        rep = construct_gamma(*params)
     elif kind == "lognormal":
-        rep = dead_time_from_interval(spec, lognormal_minimal_rate(mu, sigma, delta))
+        rep = dead_time_from_interval(spec, lognormal_minimal_rate(*params))
     else:
         rep = dead_time_from_interval(spec, lam_min)
     verdict = check_hazard_condition(spec, rep.input_rate)
@@ -430,11 +438,7 @@ def cmd_represent(args) -> int:
 
 
 def cmd_infer_input(args) -> int:
-    if args.law is None and args.d is None:
-        raise ValueError("need --d or --law")
-    law = _parse_law(args.law) if args.law else FixedDeadTime(args.d)
-    if args.f <= 0.0:
-        raise ValueError("--f must be positive")
+    law = _law(args)
     beta = Spectrum.from_csv(args.beta_csv, omega=angular_frequency(args.f))
     lam_spec, cond = infer_input_spectrum(beta, law)
     lam_spec.to_csv(args.out)
@@ -512,82 +516,77 @@ def _add_common_out(p, default="-"):
     p.add_argument("--out", default=default, help="output file ('-' for stdout)")
 
 
+def _number(p, flag, domain, **kwargs):
+    p.add_argument(flag, type=partial(domain, flag), **kwargs)
+
+
+def _step_flags(t_max: float) -> argparse.ArgumentParser:
+    """The flags ``step`` and ``pprd-step`` share; only the ``--t-max`` default differs."""
+    p = argparse.ArgumentParser(add_help=False)
+    _number(p, "--nu0", _POSITIVE, help="pre-step equilibrium output rate (Hz)")
+    _number(p, "--nu1", _POSITIVE, help="post-step equilibrium output rate (Hz)")
+    _number(p, "--lambda0", _POSITIVE, help="pre-step input rate override")
+    _number(p, "--lambda1", _POSITIVE, help="post-step input rate override")
+    _number(p, "--t-max", _POSITIVE, default=t_max)
+    _number(p, "--dt", _POSITIVE, default=1e-3)
+    _number(p, "--mc", _at_least(0), default=0, help="Monte Carlo components (per trial)")
+    _number(p, "--seed", _INTEGER, default=0)
+    _number(p, "--bin-width", _POSITIVE, help="Monte Carlo bin width (default --dt)")
+    _add_common_out(p)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deadtime",
         description="Ensemble statistics of Poisson processes with refractoriness.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    law_flags = argparse.ArgumentParser(add_help=False)
+    _number(law_flags, "--d", _NON_NEGATIVE, help="fixed dead time in seconds")
+    law_flags.add_argument("--law", help="dead-time law: fixed:D | gamma:n,beta | table:FILE")
 
-    p = sub.add_parser("step", help="transient after a rate step at t = 0")
-    p.add_argument("--d", type=float, help="fixed dead time in seconds")
-    p.add_argument("--nu0", type=float, help="pre-step equilibrium output rate (Hz)")
-    p.add_argument("--nu1", type=float, help="post-step equilibrium output rate (Hz)")
-    p.add_argument("--lambda0", type=float, default=None, help="input rate override")
-    p.add_argument("--lambda1", type=float, default=None, help="input rate override")
-    p.add_argument("--t-max", type=float, default=0.5)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--mc", type=int, default=0, help="component count for MC columns")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bin-width", type=float, default=None)
-    _add_common_out(p)
+    p = sub.add_parser("step", parents=[_step_flags(0.5)], help="transient after a rate step")
+    _number(p, "--d", _NON_NEGATIVE, help="fixed dead time in seconds")
     p.set_defaults(func=cmd_step)
 
-    p = sub.add_parser("periodic", help="steady-state response to cosine drive")
-    p.add_argument("--d", type=float, default=None, help="fixed dead time in seconds")
-    p.add_argument("--law", default=None, help="dead-time law, e.g. gamma:10,137.5")
-    p.add_argument("--nu0", type=float, help="mean equilibrium output rate (Hz)")
-    p.add_argument("--lambda0", type=float, default=None, help="input rate override")
-    p.add_argument("--mod-depth", type=float, default=0.9)
-    p.add_argument("--f", type=float, default=None, help="drive frequency (Hz)")
-    p.add_argument("--f-sweep", default=None, help="lo:hi:steps frequency sweep")
-    p.add_argument("--harmonics", type=int, default=16)
-    p.add_argument("--samples", type=int, default=512, help="trace points per period")
+    p = sub.add_parser("periodic", parents=[law_flags], help="steady response to cosine drive")
+    _number(p, "--nu0", _POSITIVE, help="mean equilibrium output rate (Hz)")
+    _number(p, "--lambda0", _POSITIVE, help="mean input rate override")
+    _number(p, "--mod-depth", _FRACTION, default=0.9)
+    _number(p, "--f", _POSITIVE, help="drive frequency (Hz)")
+    _number(p, "--f-sweep", _SWEEP, help="lo:hi:steps frequency sweep")
+    _number(p, "--harmonics", _at_least(4), default=16)
+    _number(p, "--samples", _at_least(1), default=512, help="trace points per period")
     p.add_argument("--max-rate", action="store_true", help="append peak rate column")
     p.add_argument("--out-prefix", default="periodic")
-    p.add_argument("--threads", type=int, default=None, help="worker thread count")
+    _number(p, "--threads", _THREADS, help="worker thread count")
     p.set_defaults(func=cmd_periodic)
 
-    p = sub.add_parser("pprd-step", help="rate-step transient with gamma dead time")
-    p.add_argument("--mean", type=float, help="mean dead time in seconds")
-    p.add_argument("--shape", type=int, help="gamma stage index (kernel order)")
-    p.add_argument("--nu0", type=float)
-    p.add_argument("--nu1", type=float)
-    p.add_argument("--lambda0", type=float, default=None)
-    p.add_argument("--lambda1", type=float, default=None)
-    p.add_argument("--t-max", type=float, default=1.0)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--trials", type=int, default=0, help="MC trial count")
-    p.add_argument("--mc", type=int, default=0, help="components per trial")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bin-width", type=float, default=None)
-    p.add_argument("--threads", type=int, default=None, help="worker thread count")
-    _add_common_out(p)
+    p = sub.add_parser("pprd-step", parents=[_step_flags(1.0)], help="step with gamma dead time")
+    _number(p, "--mean", _POSITIVE, help="mean dead time in seconds")
+    _number(p, "--shape", _at_least(1), help="gamma stage index (kernel order)")
+    _number(p, "--trials", _at_least(0), default=0, help="MC trial count")
+    _number(p, "--threads", _THREADS, help="worker thread count")
     p.set_defaults(func=cmd_pprd_step)
 
     p = sub.add_parser("hazard", help="conditional intensity and law density")
     p.add_argument("--law", required=True)
-    p.add_argument("--lambda0", type=float, required=True)
-    p.add_argument("--tau-max", type=float, required=True)
-    p.add_argument("--points", type=int, default=513)
+    _number(p, "--lambda0", _POSITIVE, required=True)
+    _number(p, "--tau-max", _POSITIVE, required=True)
+    _number(p, "--points", _at_least(2), default=513)
     _add_common_out(p)
     p.set_defaults(func=cmd_hazard)
 
     p = sub.add_parser("represent", help="map a renewal interval to rate + dead time")
-    p.add_argument(
-        "--process",
-        required=True,
-        help="gamma:r,beta | lognormal:mu,sigma,delta | table:FILE",
-    )
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    _number(p, "--process", _PROCESS, required=True, help=_PROCESS_FORM)
+    _number(p, "--lambda", _POSITIVE, dest="lam")
     _add_common_out(p, default="law.csv")
     p.set_defaults(func=cmd_represent)
 
-    p = sub.add_parser("infer-input", help="input spectrum from an output spectrum")
+    p = sub.add_parser("infer-input", parents=[law_flags], help="input from output spectrum")
     p.add_argument("--beta-csv", required=True)
-    p.add_argument("--law", default=None)
-    p.add_argument("--d", type=float, default=None)
-    p.add_argument("--f", type=float, required=True, help="base frequency (Hz)")
+    _number(p, "--f", _POSITIVE, required=True, help="base frequency (Hz)")
     _add_common_out(p)
     p.set_defaults(func=cmd_infer_input)
 
@@ -605,9 +604,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         _report(f"error: {err}")
         return 2
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NotRepresentableError as err:
         loc = f" at x = {err.x:.6g}" if err.x is not None else ""
@@ -616,7 +614,7 @@ def main(argv=None) -> int:
     except NumericalError as err:
         _report(f"numerical failure: {err}")
         return 4
-    except (ValueError, OSError) as err:
+    except (_OutOfDomain, ValueError, OSError) as err:
         _report(f"error: {err}")
         return 2
 

@@ -273,6 +273,16 @@ class TestPprdStep:
         assert "--trials" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_single_trial_has_no_standard_error(self, tmp_path):
+        out = tmp_path / "one.csv"
+        assert run(["pprd-step", "--mean", 0.08, "--shape", 10, "--nu0", 5,
+                    "--nu1", 10, "--t-max", 0.1, "--dt", 0.02, "--trials", 1,
+                    "--mc", 500, "--seed", 2, "--out", out]) == 0
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.all(np.isnan(data[:, [4, 6]]))
+        assert np.all(np.isfinite(np.delete(data, [4, 6], axis=1)))
+        assert run(["validate", out]) == 0
+
 
 class TestHazardCmd:
     def test_fixed_law_threshold(self, tmp_path):
@@ -350,6 +360,15 @@ class TestRepresentCmd:
     def test_gamma_rate_too_small_exits_three(self, tmp_path):
         assert run(["represent", "--process", "gamma:3,25", "--lambda", 12,
                     "--out", tmp_path / "x.csv"]) == 3
+
+    @pytest.mark.parametrize("process", ["gamma:3", "lognormal:0,0.8", "gamma:x,2",
+                                         "gamma:3,25,1", "table"])
+    def test_malformed_process_names_the_form(self, tmp_path, capsys, process):
+        assert run(["represent", "--process", process, "--out", tmp_path / "x.csv"]) == 2
+        err = capsys.readouterr().err
+        assert repr(process) in err
+        assert "gamma:r,beta | lognormal:mu,sigma,delta | table:FILE" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_process_kind(self, tmp_path):
         assert run(["represent", "--process", "weird:1,2",
@@ -547,6 +566,117 @@ def test_threads_only_where_work_fans_out(tmp_path, argv):
     assert not (tmp_path / "x.csv").exists()
 
 
+_STEP = ["--d", 0.05, "--nu0", 5, "--nu1", 10, "--t-max", 0.05, "--dt", 0.01]
+_PPRD = ["--mean", 0.08, "--shape", 4, "--nu0", 5, "--nu1", 10, "--t-max", 0.05,
+         "--dt", 0.01]
+_PERIODIC = ["--d", 0.08, "--nu0", 10, "--f", 4, "--harmonics", 4, "--samples", 4]
+_VALID = {
+    "step": ["step", *_STEP, "--out", "OUT/x.csv"],
+    "pprd-step": ["pprd-step", *_PPRD, "--out", "OUT/x.csv"],
+    "periodic": ["periodic", *_PERIODIC, "--out-prefix", "OUT/p"],
+    "hazard": ["hazard", "--law", "fixed:0.05", "--lambda0", 10, "--tau-max", 0.1,
+               "--points", 11, "--out", "OUT/x.csv"],
+    "represent": ["represent", "--process", "gamma:2,30", "--out", "OUT/x.csv"],
+    "infer-input": ["infer-input", "--beta-csv", "BETA", "--d", 0.05, "--f", 1,
+                    "--out", "OUT/x.csv"],
+}
+_RATE, _DEAD, _COUNT, _THREADS = ("-1", "0"), ("-0.01",), ("-1",), ("0",)
+_DOMAINS = {
+    "step": {"--d": _DEAD, "--nu0": _RATE, "--nu1": _RATE, "--lambda0": _RATE,
+             "--lambda1": _RATE, "--t-max": _RATE, "--dt": _RATE, "--mc": _COUNT,
+             "--seed": ("1.5",), "--bin-width": _RATE},
+    "pprd-step": {"--mean": _RATE, "--shape": ("0",), "--nu0": _RATE, "--nu1": _RATE,
+                  "--lambda0": _RATE, "--lambda1": _RATE, "--t-max": _RATE,
+                  "--dt": _RATE, "--trials": _COUNT, "--mc": _COUNT, "--seed": ("1.5",),
+                  "--bin-width": _RATE, "--threads": _THREADS},
+    "periodic": {"--d": _DEAD, "--nu0": _RATE, "--lambda0": _RATE,
+                 "--mod-depth": ("-0.1", "1.5"), "--f": _RATE, "--harmonics": ("3",),
+                 "--samples": ("0",), "--threads": _THREADS},
+    "hazard": {"--lambda0": _RATE, "--tau-max": _RATE, "--points": ("1",)},
+    "represent": {"--lambda": _RATE},
+    "infer-input": {"--d": _DEAD, "--f": _RATE},
+}
+_OUT_OF_DOMAIN = [
+    (command, flag, value)
+    for command, flags in _DOMAINS.items()
+    for flag, bad in flags.items()
+    for value in ("nan", "inf", "-inf", *bad)
+]
+
+
+def _valid_argv(tmp_path, command):
+    """A working ``command`` line whose files go to ``tmp_path/out``."""
+    beta_csv = tmp_path / "beta.csv"
+    beta_csv.write_text("0,5,0\n")
+    (tmp_path / "out").mkdir()
+    return [str(beta_csv) if a == "BETA" else str(a).replace("OUT", str(tmp_path / "out"))
+            for a in _VALID[command]]
+
+
+@pytest.mark.parametrize("command, flag, value", _OUT_OF_DOMAIN,
+                         ids=["{}{}={}".format(*case) for case in _OUT_OF_DOMAIN])
+def test_out_of_domain_value_names_the_flag(tmp_path, capsys, command, flag, value):
+    assert run([*_valid_argv(tmp_path, command), f"{flag}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} must be" in err and repr(value) in err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("step", "--d", 0), ("step", "--mc", 0), ("pprd-step", "--trials", 0),
+    ("pprd-step", "--shape", 1), ("periodic", "--mod-depth", 0),
+    ("periodic", "--mod-depth", 1), ("periodic", "--samples", 1),
+    ("periodic", "--harmonics", 4), ("periodic", "--threads", 1),
+    ("hazard", "--points", 2), ("infer-input", "--d", 0),
+], ids=lambda v: str(v))
+def test_domain_boundaries_are_accepted(tmp_path, command, flag, value):
+    assert run([*_valid_argv(tmp_path, command), flag, value]) == 0
+    assert list((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("command, argv, rates", [
+    ("step", _STEP, [("--lambda0", 5, 0.05), ("--lambda1", 10, 0.05)]),
+    ("pprd-step", _PPRD, [("--lambda0", 5, 0.08), ("--lambda1", 10, 0.08)]),
+    ("periodic", _PERIODIC, [("--lambda0", 10, 0.08)]),
+])
+def test_input_rate_overrides_match_the_targets(tmp_path, command, argv, rates):
+    # the override equal to the rate a target implies writes the same bytes
+    overrides = [a for flag, nu, dead in rates for a in (flag, repr(1.0 / (1.0 / nu - dead)))]
+    out = {"periodic": "--out-prefix"}.get(command, "--out")
+    assert run([command, *argv, out, tmp_path / "target"]) == 0
+    assert run([command, *argv, *overrides, out, tmp_path / "override"]) == 0
+    targets = sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("target"))
+    assert targets
+    for name in targets:
+        twin = tmp_path / name.replace("target", "override", 1)
+        assert (tmp_path / name).read_bytes() == twin.read_bytes()
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--tau-max", ["hazard", "--law", "fixed:0.05", "--lambda0", "10", "--tau-max", "nan",
+                   "--out", "h.csv"]),
+    ("--bin-width", ["step", "--d", "0.05", "--nu0", "5", "--nu1", "10", "--mc", "100",
+                     "--bin-width", "0", "--out", "s.csv"]),
+    ("--t-max", ["pprd-step", "--mean", "0.08", "--shape", "10", "--nu0", "5", "--nu1", "10",
+                 "--t-max", "inf", "--out", "p.csv"]),
+], ids=["hazard", "step", "pprd-step"])
+def test_entry_point_rejects_without_traceback(tmp_path, flag, argv):
+    done = _entry_point(argv, tmp_path)
+    assert done.returncode == 2
+    assert flag in done.stderr and "Traceback" not in done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    [], ["step"], ["periodic"], ["pprd-step"], ["hazard"], ["represent"], ["infer-input"],
+    ["validate"],
+], ids=lambda c: c[0] if c else "deadtime")
+def test_entry_point_help(tmp_path, command):
+    done = _entry_point([*command, "--help"], tmp_path)
+    assert done.returncode == 0 and "usage:" in done.stdout
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestScenario:
     def test_file_defaults_and_flag_override(self, tmp_path):
         scen = tmp_path / "scen.txt"
@@ -578,14 +708,24 @@ class TestScenario:
             assert fh.readline().strip().endswith(",max_nu")
 
 
+def _fresh_env():
+    """Environment of a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def _entry_point(argv, cwd):
+    """``python -m deadtime.cli argv`` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "deadtime.cli", *argv], env=_fresh_env(),
+                          cwd=cwd, capture_output=True, text=True, timeout=120)
+
+
 def _loaded_after(modules, probes, argv=None, cwd=None):
     """Which of ``probes`` a fresh interpreter holds after importing ``modules``
     and, given ``argv``, after ``deadtime.cli.main(argv)`` has returned 0."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     main = "" if argv is None else f"assert deadtime.cli.main({[str(a) for a in argv]!r}) == 0; "
     probe = f"import sys, {modules}; {main}print([m for m in {probes!r} if m in sys.modules])"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", probe], env=_fresh_env(), capture_output=True,
                           text=True, check=True, timeout=120, cwd=cwd)
     return done.stdout.strip().splitlines()[-1]
 

@@ -22,6 +22,7 @@ from deadtime.core import (
     equilibrium_history,
     read_law_csv,
     signal_spectrum,
+    simpson_weights,
     write_law_csv,
 )
 
@@ -31,6 +32,20 @@ def test_time_grid_basics():
     assert_allclose(g.times(), [-0.5, -0.25, 0.0, 0.25, 0.5])
     assert g.t_end == pytest.approx(0.5)
     assert g.span == pytest.approx(1.25)
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_simpson_weights_exactness(n):
+    # odd cell counts end on a trapezoid cell, so only linear integrands stay exact
+    h, a = 0.3, -0.7
+    w = simpson_weights(n, h)
+    x = a + h * np.arange(n + 1)
+    b = x[-1]
+    assert w.sum() == pytest.approx(n * h, rel=1e-14)
+    assert w @ (2.0 * x - 1.0) == pytest.approx((b * b - b) - (a * a - a), rel=1e-13)
+    if n % 2 == 0:
+        exact = (b**4 - a**4) / 4 - (b**3 - a**3) + (b - a)
+        assert w @ (x**3 - 3.0 * x**2 + 1.0) == pytest.approx(exact, rel=1e-13)
 
 
 @pytest.mark.parametrize("bad", [dict(dt=0.0), dict(dt=-1.0), dict(n=0), dict(t0=math.nan)])

@@ -29,6 +29,7 @@ from deadtime.renewal_map import (
     dead_time_from_interval,
     lognormal_minimal_rate,
     minimal_lambda,
+    _criterion_grid,
 )
 
 
@@ -194,6 +195,21 @@ class TestHazardCondition:
         good = 1.05 * bound
         assert check_hazard_condition(spec, good).admissible
         dead_time_from_interval(spec, good)
+
+    def test_violation_found_only_by_refinement(self):
+        # a rate between the grid maximum of -f'/f and its refined supremum
+        # passes every grid node, so only the refined supremum rejects it
+        spec = RenewalSpec.from_lognormal(0.0, 0.8, 0.1)
+        grid_max = float(np.max(_criterion_grid(spec)[3]))
+        sup = check_hazard_condition(spec, 100.0).supremum
+        rate = 0.5 * (grid_max + sup)
+        assert grid_max < rate * (1 + 1e-9) < sup
+        assert grid_max == pytest.approx(10.9011919, abs=1e-7)
+        assert sup == pytest.approx(10.9011926, abs=1e-7)
+        out = check_hazard_condition(spec, rate)
+        assert not out.admissible
+        assert out.supremum == sup
+        assert out.violation_x == pytest.approx(0.1433, abs=1e-4)
 
     def test_monotone_in_rate(self):
         spec = RenewalSpec.from_lognormal(0.0, 0.6, 0.5)
