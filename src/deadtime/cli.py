@@ -9,11 +9,14 @@ spectral problem, and ``validate`` for schema checks on produced files.
 Exit codes: 0 success, 2 usage or malformed input, 3 not representable,
 4 numerical failure.  Every command is deterministic given its flags; MC
 commands additionally take ``--seed``.  A ``--scenario FILE`` option reads
-``key = value`` defaults that explicit flags override.  Worker threads for
-sweeps and trial fan-out come from ``--threads`` or the DEADTIME_THREADS
-environment variable.  Each numeric flag has one declared domain, its
-argparse ``type``: a value outside it (NaN and infinities included) exits 2
-naming the flag before anything is computed or written.
+``key = value`` defaults that explicit flags override.  ``periodic`` solves
+its frequencies in threads and ``pprd-step`` runs its trials in worker
+processes; their count comes from ``--threads`` or the DEADTIME_THREADS
+environment variable, and no output byte depends on it.  Each numeric flag
+has one declared domain, its argparse ``type``: a value outside it (NaN and
+infinities included) exits 2 naming the flag before anything is computed
+or written, as does a ``--dt`` or ``--bin-width`` that lays more than
+``_MAX_STEPS`` steps over ``--t-max``.
 """
 
 from __future__ import annotations
@@ -232,14 +235,27 @@ def _target_or_override(override, nu, mean_dead, label):
     return 1.0 / slack
 
 
+# most steps of --dt or --bin-width a command lays over --t-max
+_MAX_STEPS = 1 << 26
+
+
+def _steps(t_max: float, width: float, flag: str) -> int:
+    """Whole steps of ``width`` (the value of ``flag``) in ``t_max``, checked
+    against ``_MAX_STEPS`` before any grid is built."""
+    steps = t_max / width + 1e-9
+    if not steps <= _MAX_STEPS:
+        raise ValueError(f"{flag} {width!r} lays more than {_MAX_STEPS} steps over --t-max {t_max!r}")
+    return int(math.floor(steps))
+
+
 def _mc_bins(args, lam0: float, lam1: float):
     """Step input, run settings and bin centers of a Monte Carlo step command.
 
     The run starts one bin before the switch, so its first bin is dropped
     and ``centers`` holds the ``--t-max`` worth of bins after it.
     """
-    bw = args.bin_width if args.bin_width is not None else args.dt
-    n = int(math.floor(args.t_max / bw + 1e-9))
+    flag, bw = ("--bin-width", args.bin_width) if args.bin_width is not None else ("--dt", args.dt)
+    n = _steps(args.t_max, bw, flag)
     if n < 1:
         raise ValueError("--t-max shorter than one bin")
     cfg = SimConfig(
@@ -260,7 +276,7 @@ def cmd_step(args) -> int:
     lam1 = _target_or_override(args.lambda1, args.nu1, d, "--nu1")
 
     if not args.mc:
-        n = int(math.floor(args.t_max / args.dt + 1e-9)) + 1
+        n = _steps(args.t_max, args.dt, "--dt") + 1
         trace = analytic_ppd.step_response(lam0, lam1, d, TimeGrid(0.0, args.dt, n))
         trace.to_csv(args.out)
         return 0
@@ -338,6 +354,11 @@ def cmd_periodic(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _rejection_trial(sig, law, cfg):
+    """One ``pprd-step`` trial; module-level, so worker processes can unpickle it."""
+    return simulate_rejection(sig, law, cfg)
+
+
 def cmd_pprd_step(args) -> int:
     threads = _thread_count(args)
     if args.mean is None or args.shape is None:
@@ -347,7 +368,7 @@ def cmd_pprd_step(args) -> int:
     lam1 = _target_or_override(args.lambda1, args.nu1, args.mean, "--nu1")
 
     if not args.trials:
-        n = int(math.floor(args.t_max / args.dt + 1e-9)) + 1
+        n = _steps(args.t_max, args.dt, "--dt") + 1
         grid = TimeGrid(0.0, args.dt, n)
         trace = gamma_chain.step_response(args.shape, law.rate, lam0, lam1, grid)
         trace.to_csv(args.out)
@@ -356,12 +377,21 @@ def cmd_pprd_step(args) -> int:
     if not args.mc:
         raise ValueError("--trials needs --mc for the per-trial component count")
     sig, cfg, centers = _mc_bins(args, lam0, lam1)
+    configs = [replace(cfg, seed=args.seed + t) for t in range(args.trials)]
+    workers = min(threads, args.trials)
+    if workers == 1:
+        trials = [simulate_rejection(sig, law, c) for c in configs]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    def one_trial(t):
-        return simulate_rejection(sig, law, replace(cfg, seed=args.seed + t))
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        trials = list(pool.map(one_trial, range(args.trials)))
+        # forked workers inherit the law's SciPy functions instead of each
+        # importing them
+        law.survivor(0.0)
+        context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            n = args.trials
+            trials = list(pool.map(_rejection_trial, [sig] * n, [law] * n, configs))
 
     def trial_se(values):
         if args.trials < 2:
@@ -567,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     _number(p, "--mean", _POSITIVE, help="mean dead time in seconds")
     _number(p, "--shape", _at_least(1), help="gamma stage index (kernel order)")
     _number(p, "--trials", _at_least(0), default=0, help="MC trial count")
-    _number(p, "--threads", _THREADS, help="worker thread count")
+    _number(p, "--threads", _THREADS, help="worker process count")
     p.set_defaults(func=cmd_pprd_step)
 
     p = sub.add_parser("hazard", help="conditional intensity and law density")

@@ -726,6 +726,10 @@ def _gamma_log_density(order: int, rate: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
+# exp(-s) is a normal float, with full precision, only for s below this
+_EXP_NORMAL_FLOOR = -math.log(sys.float_info.min)
+
+
 def _log_gammainc(a: int, z):
     """Log of the regularized lower incomplete gamma function, finite where it underflows.
 
@@ -818,11 +822,19 @@ class GammaDeadTime(DeadTimeLaw):
                 delta[lo] = special.gammainc(n1, zb[lo]) - lower_a[lo]
         delta = np.clip(delta, 0.0, None)
         ratio = self.rate / shift
+        s = np.asarray(s, dtype=float)
         # the float power raises where it would overflow, so test its log first
-        if n1 * math.log(ratio) < 700.0 and ratio**n1 < 1e290:
-            return np.exp(-np.asarray(s, dtype=float)) * (delta * ratio**n1)
-        # a far tilt: the factor overflows and the mass underflows, so add
-        # logs, summing a lower tail that underflowed by its series
+        near = n1 * math.log(ratio) < 700.0 and ratio**n1 < 1e290
+        if near:
+            out = np.exp(-s) * (delta * ratio**n1)
+            # where exp(-s) alone leaves the normal range the product need
+            # not: those elements take the log form below, the others keep
+            # their bits
+            deep = np.broadcast_to(s > _EXP_NORMAL_FLOOR, out.shape)
+            if not np.any(deep):
+                return out
+        # a far tilt (the factor overflows and the mass underflows) or a deep
+        # discount: add logs, summing a lower tail that underflowed by its series
         with np.errstate(divide="ignore", invalid="ignore"):
             log_delta = np.log(delta)
             lost = (delta < 1e-300) & (zb < n1)
@@ -830,7 +842,8 @@ class GammaDeadTime(DeadTimeLaw):
                 lb, la = _log_gammainc(n1, zb), _log_gammainc(n1, za)
                 series = np.where(la < lb, lb + np.log1p(-np.exp(la - lb)), -np.inf)
                 log_delta = np.where(lost, series, log_delta)
-        return np.exp(n1 * math.log(ratio) + log_delta - s)
+        via_logs = np.exp(n1 * math.log(ratio) + log_delta - s)
+        return np.where(deep, via_logs, out) if near else via_logs
 
     def survivor_transform(self, omega, ks):
         return _closed_transform(

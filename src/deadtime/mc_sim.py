@@ -16,6 +16,7 @@ need to be advanced in lockstep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .core import (
     Constant,
     DeadTimeLaw,
     InputSignal,
+    NumericalError,
     Schema,
     TimeGrid,
     read_csv,
@@ -48,6 +50,12 @@ __all__ = [
 _CHUNK = 1 << 18
 # largest occupation table (nodes); older ages are evaluated exactly
 _TABLE_MAX_NODES = 1 << 16
+# largest error of an occupation table, checked at its half-nodes as it grows
+_TABLE_BOUND = 1e-8
+# half-width of the squeeze band around a table's hazard, in units of the
+# input rate: ten times the table bound, so no proposal outside it can fall
+# on the other side of the exact hazard
+_SQUEEZE_MARGIN = 1e-7
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -195,12 +203,15 @@ class _OccupationTable:
 
     For a law under its closed form (``tilted_closed_form``).  Holds the
     exact ``_occupation`` at the ages ``k*h`` and interpolates between them
-    with the four-point Lagrange cubic; ``h`` is 1/128 of the dead time's
-    standard deviation or of the mean input interval, whichever is
-    shorter, which keeps the error below 1e-8 for gamma laws of any order
-    and rate.  Nodes are computed on demand and each ``k`` always gets the
-    same value, so the result does not depend on how the components are
-    chunked.  Ages past ``_TABLE_MAX_NODES`` nodes are evaluated exactly.
+    with the four-point Lagrange cubic, evaluated in Newton's form; ``h``
+    is 1/128 of the dead time's standard deviation or of the mean input
+    interval, whichever is shorter, which keeps the error below
+    ``_TABLE_BOUND`` (1e-8) for gamma laws of any order and rate.  Nodes
+    are computed on demand and each ``k`` always gets the same value, so
+    the result does not depend on how the components are chunked.  Every
+    half-node the new nodes complete is checked against the exact value as
+    the table grows; a miss raises ``NumericalError``.  Ages past
+    ``_TABLE_MAX_NODES`` nodes are evaluated exactly.
     """
 
     def __init__(self, law: DeadTimeLaw, lam: float):
@@ -211,6 +222,8 @@ class _OccupationTable:
             scale = min(scale, 1.0 / lam)
         self.h = scale / 128.0
         self.values = np.empty(0)
+        # Newton coefficients of the cubic on each stencil of four nodes
+        self.newton = np.empty((4, 0))
 
     def __call__(self, tau: np.ndarray) -> np.ndarray:
         x = tau / self.h
@@ -223,22 +236,42 @@ class _OccupationTable:
         if x.size:
             need = int(j0.max()) + 4
             if need > self.values.size:
-                n = min(max(need, 2 * self.values.size), _TABLE_MAX_NODES)
-                ages = np.arange(self.values.size, n) * self.h
-                fresh = _occupation(self.sig, self.law, 0.0, ages)
-                self.values = np.concatenate([self.values, fresh])
-            u = x - j0
-            u1, u2, u3 = u - 1.0, u - 2.0, u - 3.0
-            j = j0.astype(np.int64)
-            v = self.values
-            q = (
-                (u * u1 * u2) / 6.0 * v[j + 3]
-                - (u * u1 * u3) / 2.0 * v[j + 2]
-                + (u * u2 * u3) / 2.0 * v[j + 1]
-                - (u1 * u2 * u3) / 6.0 * v[j]
-            )
-            out[inside] = np.clip(q, 0.0, 1.0)
+                self._grow(min(max(need, 2 * self.values.size), _TABLE_MAX_NODES))
+            out[inside] = self._interpolate(x, j0)
         return out
+
+    def _interpolate(self, x: np.ndarray, j0: np.ndarray) -> np.ndarray:
+        # the cubic through nodes j0..j0+3 in Newton's form, nested in place
+        u = x - j0
+        c = self.newton.take(j0.astype(np.int64), axis=1)
+        q = c[3]
+        q *= u - 2.0
+        q += c[2]
+        q *= u - 1.0
+        q += c[1]
+        q *= u
+        q += c[0]
+        return np.clip(q, 0.0, 1.0, out=q)
+
+    def _grow(self, n: int) -> None:
+        old = self.values.size
+        fresh = _occupation(self.sig, self.law, 0.0, np.arange(old, n) * self.h)
+        v = self.values = np.concatenate([self.values, fresh])
+        d1 = np.diff(v)
+        d2 = np.diff(d1) / 2.0
+        d3 = np.diff(d2) / 3.0
+        self.newton = np.stack([v[:-3], d1[:-2], d2[:-1], d3])
+        # the half-node k + 1/2 reads nodes up to k + 2
+        x = np.arange(max(old - 2, 0), n - 2) + 0.5
+        if x.size:
+            exact = _occupation(self.sig, self.law, 0.0, x * self.h)
+            miss = np.abs(self._interpolate(x, np.maximum(np.floor(x) - 1.0, 0.0)) - exact)
+            worst = int(np.argmax(miss))
+            if not miss[worst] <= _TABLE_BOUND:
+                raise NumericalError(
+                    f"occupation table at rate {self.sig.level} misses the exact value by "
+                    f"{miss[worst]:.3g} at age {x[worst] * self.h:.6g}, over its {_TABLE_BOUND:g} bound"
+                )
 
 
 def _occupation_tables(sig, law) -> dict:
@@ -246,11 +279,40 @@ def _occupation_tables(sig, law) -> dict:
     return {lam: _OccupationTable(law, lam) for lam in sig.levels() if law.tilted_closed_form(lam)}
 
 
-def _sweep_occupation(sig, law, t: float, tau: np.ndarray, tables) -> np.ndarray:
+def _closed_switch(sig, tables) -> bool:
+    """Whether windows across the switch of ``sig`` take the switch identity.
+
+    That needs an upward step, both of whose levels have a table: downward
+    the identity subtracts, and its error is no longer the table's.
+    """
+    if sig.switch_time() is None:
+        return False
+    lam0, lam1 = sig.levels()
+    return lam0 <= lam1 and lam0 in tables and lam1 in tables
+
+
+def _switch_excess(sig, law, a: np.ndarray) -> np.ndarray:
+    """``D(a) = H_lam0(a) - H_lam1(a)`` of a step, with ``H_lam(a)`` the
+    recovery integral ``int_[0, a] exp(-lam*(a - x)) dF(x)``.
+
+    ``a`` is the time from a component's last event to the switch.  The
+    expected interval survivor of a window across the switch is then
+    ``E_lam1[F](tau) + exp(-lam1*(t - t_switch)) * D(a)``.
+    """
+    lam0, lam1 = sig.levels()
+    return (
+        law.tilted_integral(lam0, 0.0, a, lam0 * a) - law.tilted_integral(lam1, 0.0, a, lam1 * a)
+    )
+
+
+def _sweep_occupation(sig, law, t: float, tau: np.ndarray, tables, excess=None) -> np.ndarray:
     """``_occupation(sig, law, t, tau)`` with constant-rate windows read from tables.
 
-    Windows at a level without a table, or that see the rate change, stay
-    exact.
+    Windows across the switch of a step read the post-switch table through
+    the switch identity where ``excess`` holds their ``_switch_excess``:
+    with ``x = 1 - q_lam1(tau)`` and ``c = exp(-lam1*(t - t_switch)) * D / S(tau)``
+    the occupation is ``1 - x/(1 + c*x)``, whose error is at most the
+    table's for ``D >= 0``.  Every other window stays exact.
     """
     rate = sig.window_rate(t, tau)
     out = np.empty_like(tau)
@@ -259,9 +321,47 @@ def _sweep_occupation(sig, law, t: float, tau: np.ndarray, tables) -> np.ndarray
         at = rate == lam
         out[at] = table(tau[at])
         exact &= ~at
+    if excess is not None:
+        across = np.isnan(rate) & ~np.isnan(excess)
+        if np.any(across):
+            lam1, ts = sig.levels()[1], sig.switch_time()
+            x = 1.0 - tables[lam1](tau[across])
+            surv = np.asarray(law.survivor(tau[across]), dtype=float)
+            # x/(1 + c*x) with the survivor multiplied through; where it
+            # underflows the dead time is over
+            den = surv + math.exp(-lam1 * (t - ts)) * excess[across] * x
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out[across] = 1.0 - np.where(den > 0.0, x * surv / den, 0.0)
+            exact &= ~across
     if np.any(exact):
         out[exact] = _occupation(sig, law, t, tau[exact])
     return out
+
+
+def _accept(sig, law, tables, t: np.ndarray, tau: np.ndarray, u: np.ndarray, lam_max: float):
+    """Thinning decisions ``u < hazard_pprd(sig, law, t, tau)``, by squeeze.
+
+    Where the window sits at a tabulated level, the table's hazard decides
+    every proposal outside the band ``rate * (q_table -+ _SQUEEZE_MARGIN)``;
+    the proposals inside it, and windows without a table, take the exact
+    hazard, so the decisions are the exact ones.
+    """
+    lam = np.asarray(sig.rate(t), dtype=float)
+    rate = sig.window_rate(t, tau)
+    q = np.full(tau.shape, np.nan)
+    for level, table in tables.items():
+        at = rate == level
+        q[at] = table(tau[at])
+    # a NaN occupation (no table) fails both comparisons
+    with np.errstate(invalid="ignore"):
+        acc = u < lam * (q - _SQUEEZE_MARGIN)
+        exact = ~acc & ~(u >= lam * (q + _SQUEEZE_MARGIN))
+    if np.any(exact):
+        h = np.asarray(hazard_pprd(sig, law, t[exact], tau[exact]))
+        if np.any(h > lam_max * (1.0 + 1e-9)):
+            raise ValueError("hazard exceeded the thinning bound")
+        acc[exact] = u[exact] < h
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +630,9 @@ def simulate_rejection(
     active fraction is estimated from the occupation probability at each
     bin center given each component's age, averaged over components; for
     a gamma law the constant-rate regimes read it from an age table
-    (within 1e-8), while the thinning always uses the exact hazard.
+    (within 1e-8), and so do windows across an upward step, through the
+    switch identity of ``_sweep_occupation``.  The thinning decides by
+    squeeze (``_accept``): the same events as with the exact hazard alone.
     """
     _validate_bound(sig, cfg)
     t0 = cfg.t_span[0]
@@ -541,6 +643,7 @@ def simulate_rejection(
     lam0 = float(sig.rate_left(t0))
     centers = cfg.bin_grid().times()
     tables = _occupation_tables(sig, law)
+    closed_switch, ts = _closed_switch(sig, tables), sig.switch_time()
 
     counts = np.zeros(n_bins, dtype=np.int64)
     q_sum = np.zeros(n_bins)
@@ -575,10 +678,7 @@ def simulate_rejection(
             if sub.size == 0:
                 continue
             t_cur[sub] = t_prop
-            h = np.asarray(hazard_pprd(sig, law, t_prop, t_prop - last_ev[sub]))
-            if np.any(h > lam_max * (1.0 + 1e-9)):
-                raise ValueError("hazard exceeded the thinning bound")
-            acc = u_a[keep] * lam_max < h
+            acc = _accept(sig, law, tables, t_prop, t_prop - last_ev[sub], u_a[keep] * lam_max, lam_max)
             hit = sub[acc]
             if hit.size:
                 t_ev = t_prop[acc]
@@ -601,12 +701,19 @@ def simulate_rejection(
             e_t = np.empty(0)
         sweep_last = init_last
         ptr = 0
+        excess = None
         for b, tc in enumerate(centers):
             nxt = int(np.searchsorted(e_t, tc, side="right"))
             if nxt > ptr:
                 np.maximum.at(sweep_last, e_c[ptr:nxt], e_t[ptr:nxt])
                 ptr = nxt
-            q = _sweep_occupation(sig, law, float(tc), tc - sweep_last, tables)
+            if excess is None and closed_switch and tc > ts:
+                # a component's last event before the switch stays its
+                # last until it is past the switch window
+                excess = np.full(comp.size, np.nan)
+                before = sweep_last < ts
+                excess[before] = _switch_excess(sig, law, ts - sweep_last[before])
+            q = _sweep_occupation(sig, law, float(tc), tc - sweep_last, tables, excess)
             q_sum[b] += float(q.sum())
             q_sq[b] += float((q * q).sum())
         if collect is not None and e_c.size:

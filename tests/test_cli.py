@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 from deadtime import cli
 from deadtime.core import (
     GammaDeadTime,
+    NumericalError,
     Spectrum,
     TabulatedDeadTime,
     Trace,
@@ -261,6 +263,30 @@ class TestPprdStep:
         monkeypatch.setenv("DEADTIME_THREADS", "6")
         assert run(args + ["--out", out2]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+        argv = [*_PPRD_TRIALS, "--t-max", 0.1, "--mc", 600]
+        for threads in (1, 2, 3):
+            assert run([*argv, "--threads", threads, "--out", tmp_path / f"t{threads}.csv"]) == 0
+        monkeypatch.setenv("DEADTIME_THREADS", "2")
+        assert run([*argv, "--out", tmp_path / "env.csv"]) == 0
+        want = (tmp_path / "t1.csv").read_bytes()
+        for name in ("t2.csv", "t3.csv", "env.csv"):
+            assert (tmp_path / name).read_bytes() == want
+        assert multiprocessing.active_children() == []
+
+    def test_failing_trial_leaves_no_worker_behind(self, tmp_path, capsys, monkeypatch):
+        def fail(sig, law, cfg):
+            raise NumericalError(f"trial with seed {cfg.seed} failed")
+
+        # forked workers inherit the patched module
+        monkeypatch.setattr(cli, "simulate_rejection", fail)
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}.csv"
+            assert run([*_PPRD_TRIALS, "--threads", threads, "--out", out]) == 4
+            assert "trial with seed 5 failed" in capsys.readouterr().err
+            assert multiprocessing.active_children() == []
+            assert not out.exists()
 
     def test_trials_without_components_rejected(self, tmp_path):
         assert run(["pprd-step", "--mean", 0.08, "--shape", 10, "--nu0", 5,
@@ -667,6 +693,28 @@ def test_entry_point_rejects_without_traceback(tmp_path, flag, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["step", "--d", 0.05, "--dt", 1e-320], "--dt"),
+    (["pprd-step", "--mean", 0.08, "--shape", 10, "--dt", 1e-320], "--dt"),
+    (["step", "--d", 0.05, "--mc", 100, "--bin-width", 1e-320], "--bin-width"),
+    (["pprd-step", "--mean", 0.08, "--shape", 10, "--trials", 2, "--mc", 100,
+      "--t-max", 2.0, "--dt", 1e-8], "--dt"),
+], ids=["step", "pprd-step", "step-mc", "pprd-step-trials"])
+def test_grid_past_the_step_cap_names_the_flag(tmp_path, capsys, argv, flag):
+    # each of these would lay at least 2e8 steps; none is allocated
+    assert run([*argv, "--nu0", 5, "--nu1", 10, "--out", tmp_path / "x.csv"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {flag}" in err and f"more than {cli._MAX_STEPS} steps" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_step_count_at_the_cap():
+    assert cli._steps(0.5, 1e-3, "--dt") == 500
+    assert cli._steps(1.0, 1.0 / cli._MAX_STEPS, "--dt") == cli._MAX_STEPS
+    with pytest.raises(ValueError, match="--bin-width"):
+        cli._steps(1.0, 0.5 / cli._MAX_STEPS, "--bin-width")
+
+
 @pytest.mark.parametrize("command", [
     [], ["step"], ["periodic"], ["pprd-step"], ["hazard"], ["represent"], ["infer-input"],
     ["validate"],
@@ -734,6 +782,11 @@ def test_importing_the_cli_loads_no_scipy():
     assert _loaded_after("deadtime.cli", ["scipy"]) == "[]"
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    probes = ["multiprocessing", "concurrent.futures.process"]
+    assert _loaded_after("deadtime.cli", probes) == "[]"
+
+
 @pytest.fixture(scope="module")
 def sweep_dir(tmp_path_factory):
     """A periodic run's files and a tabulated gamma law, made in this process."""
@@ -777,7 +830,8 @@ def test_sampling_commands_leave_scipy_optimize_out(tmp_path, argv):
 
 
 def test_first_scipy_import_in_worker_threads_keeps_bytes(tmp_path):
-    # a fresh process first imports scipy.special inside the trial workers
+    # fresh processes: one runs the trials itself, the other forks two
+    # workers after its first scipy.special import
     for threads in (1, 2):
         argv = [*_PPRD_TRIALS, "--threads", threads, "--out", f"t{threads}.csv"]
         _loaded_after("deadtime.cli", [], argv, cwd=tmp_path)

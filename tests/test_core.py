@@ -182,6 +182,24 @@ class TestLaws:
         assert law.density(0.0) == pytest.approx(8.0)
         assert law.survivor(0.2) == pytest.approx(math.exp(-1.6))
 
+    def test_gamma_tilted_integral_past_the_discount_underflow(self):
+        # 60-digit mpmath, by the incomplete gamma function and by quadrature
+        law = GammaDeadTime(200, 2150.713094551063)
+        got = law.tilted_integral(675.4108702366457, 0.0, 0.2530732989693054, 747.1858096094052)
+        assert got == pytest.approx(2.5428680946970390e-292, rel=1e-10, abs=0.0)
+
+    def test_gamma_tilted_integral_keeps_the_bits_of_normal_discounts(self):
+        from scipy import special
+
+        law, c = GammaDeadTime(50, 400.0), 350.0
+        b = np.linspace(0.05, 2.3, 46)
+        got = law.tilted_integral(c, 0.0, b, c * b)
+        plain = np.exp(-c * b) * (special.gammainc(51, (law.rate - c) * b) * (law.rate / (law.rate - c)) ** 51)
+        normal = c * b <= 708.0
+        assert 0 < np.count_nonzero(normal) < b.size
+        np.testing.assert_array_equal(got[normal], plain[normal])
+        assert np.all(got[~normal] > 0.0) and np.all(np.diff(np.log(got[~normal])) < 0.0)
+
     def test_tabulated_requires_unit_mass(self):
         x = np.linspace(0.0, 1.0, 200)
         with pytest.raises(ValueError):

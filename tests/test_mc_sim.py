@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from deadtime import mc_sim
@@ -14,6 +16,7 @@ from deadtime.core import (
     DeadTimeLaw,
     FixedDeadTime,
     GammaDeadTime,
+    NumericalError,
     Step,
     TabulatedDeadTime,
     TimeGrid,
@@ -144,6 +147,14 @@ class TestHazard:
         surv = law.survivor(tau)
         body = DeadTimeLaw.tilted_integral(law, lam, 0.0, tau, lam * tau)
         np.testing.assert_allclose(h, lam * body / (body + surv), rtol=1e-3, atol=1e-12)
+
+    def test_strong_tilt_where_the_discount_alone_underflows(self):
+        # exp(-350 tau) underflows at tau = 2.25 while the tilted integral is
+        # 1.1e-296; 60-digit mpmath values of h / lambda
+        law, tau = GammaDeadTime(50, 400.0), np.array([2.0, 2.25, 2.5])
+        h = hazard_pprd(Constant(350.0), law, 0.0, tau) / 350.0
+        want = [0.99999999836928828713, 0.99999999999782166007, 0.99999999999999843405]
+        np.testing.assert_allclose(h, want, rtol=0.0, atol=1e-10)
 
     def test_general_route_integrates_past_the_support_window(self):
         # under this tilt E[F] is mostly density beyond the 1 - 1e-12 window
@@ -554,6 +565,139 @@ class TestOccupationTable:
         np.testing.assert_array_equal(est.rate_hat, ref.rate_hat)
         np.testing.assert_allclose(est.active_hat, ref.active_hat, rtol=0.0, atol=1e-8)
         np.testing.assert_allclose(est.active_se, ref.active_se, rtol=0.0, atol=1e-8)
+
+
+def _scaled_run(order: int, kind: str):
+    """A short run of ``kind`` input at up to 0.9 of the rate of a gamma law
+    whose mean dead time is 0.08 s."""
+    law = GammaDeadTime(order, (order + 1) / 0.08)
+    hi, lo = 0.9 * law.rate, 0.2 * law.rate
+    sig = {"constant": Constant(hi), "up": Step(lo, hi, 0.08), "down": Step(hi, lo, 0.08)}[kind]
+    cfg = SimConfig(components=300, seed=order + 11, t_span=(0.0, 0.24), bin_width=0.008,
+                    lambda_max=hi)
+    return sig, law, cfg
+
+
+class TestSqueeze:
+    @pytest.mark.parametrize("kind", ["constant", "up", "down"])
+    @pytest.mark.parametrize("order", [0, 10, 50, 200])
+    def test_events_match_the_exact_thinning(self, order, kind, monkeypatch):
+        sig, law, cfg = _scaled_run(order, kind)
+        exact_calls = []
+        hazard = mc_sim.hazard_pprd
+
+        def counted(sig, law, t, tau):
+            exact_calls.append(np.size(tau))
+            return hazard(sig, law, t, tau)
+
+        monkeypatch.setattr(mc_sim, "hazard_pprd", counted)
+        est, ev = simulate_rejection(sig, law, cfg, return_events=True)
+        squeezed = sum(exact_calls)
+        exact_calls.clear()
+        monkeypatch.setattr(mc_sim, "_SQUEEZE_MARGIN", math.inf)
+        ref, ev_ref = simulate_rejection(sig, law, cfg, return_events=True)
+        # the infinite margin sends every proposal to the exact hazard
+        assert squeezed < sum(exact_calls)
+        np.testing.assert_array_equal(ev[0], ev_ref[0])
+        np.testing.assert_array_equal(ev[1], ev_ref[1])
+        np.testing.assert_array_equal(est.event_count, ref.event_count)
+        np.testing.assert_array_equal(est.rate_hat, ref.rate_hat)
+        np.testing.assert_array_equal(est.active_hat, ref.active_hat)
+
+    def test_table_missing_its_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(mc_sim, "_TABLE_BOUND", 1e-30)
+        law = GammaDeadTime(10, 137.5)
+        table = mc_sim._occupation_tables(Constant(30.0), law)[30.0]
+        with pytest.raises(NumericalError, match="occupation table"):
+            table(np.array([0.05]))
+        cfg = SimConfig(components=50, seed=1, t_span=(0.0, 0.1), bin_width=0.01,
+                        lambda_max=30.0)
+        with pytest.raises(NumericalError, match="occupation table"):
+            simulate_rejection(Constant(30.0), law, cfg)
+
+    def test_growth_checks_every_half_node_once(self, monkeypatch):
+        law = GammaDeadTime(3, 50.0)
+        table = mc_sim._OccupationTable(law, 20.0)
+        checked = []
+        occupation = mc_sim._occupation
+
+        def spy(sig, law, t, tau):
+            checked.append(np.asarray(tau) / table.h)
+            return occupation(sig, law, t, tau)
+
+        monkeypatch.setattr(mc_sim, "_occupation", spy)
+        for age in (0.01, 0.05, 0.3):
+            table(np.array([age]))
+        # each growth evaluates its new nodes, then the half-nodes they complete:
+        # k + 1/2 for every k whose stencil, nodes max(k-1, 0) to k+2, is tabulated
+        assert len(checked) == 6
+        np.testing.assert_allclose(np.concatenate(checked[::2]), np.arange(table.values.size))
+        np.testing.assert_allclose(np.concatenate(checked[1::2]),
+                                   np.arange(table.values.size - 2) + 0.5)
+
+
+def _switch_case(order, share0, share1, since, age):
+    """Step up at t = 0 and a window holding it, given as multiples of the
+    mean input interval after the step: ``since`` after the switch, the
+    last event ``age`` before it."""
+    law = GammaDeadTime(order, (order + 1) / 0.08)
+    lam0, lam1 = share0 * law.rate, share1 * law.rate
+    t = since / lam1
+    a = np.asarray(age, dtype=float) / lam1
+    return Step(lam0, lam1, 0.0), law, t, t + a, a
+
+
+class TestSwitchIdentity:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        order=st.integers(0, 200),
+        share1=st.floats(0.01, 0.95),
+        drop=st.floats(0.0, 1.0),
+        since=st.floats(1e-3, 50.0),
+    )
+    @example(order=200, share1=0.95, drop=0.05, since=1e-3)
+    @example(order=0, share1=0.95, drop=1.0, since=50.0)
+    @example(order=50, share1=0.5, drop=0.0, since=0.3)
+    def test_matches_the_exact_occupation(self, order, share1, drop, since):
+        # the pre-switch rate is the fraction ``drop`` of the post-switch one
+        share0 = drop * share1
+        ages = np.concatenate([np.geomspace(1e-4, 500.0, 150), [0.0]])
+        ages = ages[since + ages < 600.0]
+        sig, law, t, tau, a = _switch_case(order, share0, share1, since, ages)
+        tables = mc_sim._occupation_tables(sig, law)
+        assert mc_sim._closed_switch(sig, tables)
+        excess = mc_sim._switch_excess(sig, law, a)
+        assert np.all(excess >= -1e-15)
+        got = mc_sim._sweep_occupation(sig, law, t, tau, tables, excess)
+        want = mc_sim._occupation(sig, law, t, tau)
+        assert np.max(np.abs(got - want)) <= 1e-8
+
+    def test_downward_step_takes_the_exact_path(self, monkeypatch):
+        law = GammaDeadTime(10, 137.5)
+        sig = Step(0.95 * law.rate, 0.05 * law.rate, 0.0)
+        lam1 = sig.levels()[1]
+        tables = mc_sim._occupation_tables(sig, law)
+        assert list(tables) == list(sig.levels()) and not mc_sim._closed_switch(sig, tables)
+        # downward D < 0: the identity cancels and amplifies the table's error
+        t, tau = 0.0225, np.array([1.0354])
+        x = 1.0 - tables[lam1](tau)
+        carried = math.exp(-lam1 * t) * mc_sim._switch_excess(sig, law, tau - t)
+        identity = 1.0 - x * law.survivor(tau) / (law.survivor(tau) + carried * x)
+        exact = mc_sim._occupation(sig, law, t, tau)
+        assert abs(identity - exact)[0] > 1e-3
+        np.testing.assert_array_equal(mc_sim._sweep_occupation(sig, law, t, tau, tables), exact)
+
+        def no_identity(*args):
+            raise AssertionError("the switch identity ran on a downward step")
+
+        monkeypatch.setattr(mc_sim, "_switch_excess", no_identity)
+        cfg = SimConfig(components=500, seed=4, t_span=(-0.05, 0.25), bin_width=0.01,
+                        lambda_max=sig.levels()[0])
+        est = simulate_rejection(sig, law, cfg)
+        monkeypatch.setattr(mc_sim, "_occupation_tables", lambda s, l: {})
+        ref = simulate_rejection(sig, law, cfg)
+        np.testing.assert_array_equal(est.event_count, ref.event_count)
+        np.testing.assert_allclose(est.active_hat, ref.active_hat, rtol=0.0, atol=1e-8)
 
 
 class TestEstimateFromEvents:
