@@ -54,6 +54,7 @@ from .core import (
     read_law_csv,
     signal_spectrum,
     write_csv,
+    whole_steps,
     write_law_csv,
 )
 from .mc_sim import (
@@ -242,10 +243,10 @@ _MAX_STEPS = 1 << 26
 def _steps(t_max: float, width: float, flag: str) -> int:
     """Whole steps of ``width`` (the value of ``flag``) in ``t_max``, checked
     against ``_MAX_STEPS`` before any grid is built."""
-    steps = t_max / width + 1e-9
+    steps = whole_steps(t_max, width)
     if not steps <= _MAX_STEPS:
         raise ValueError(f"{flag} {width!r} lays more than {_MAX_STEPS} steps over --t-max {t_max!r}")
-    return int(math.floor(steps))
+    return int(steps)
 
 
 def _mc_bins(args, lam0: float, lam1: float):

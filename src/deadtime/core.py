@@ -56,6 +56,17 @@ def angular_frequency(frequency: float) -> float:
     return TWO_PI * frequency
 
 
+def whole_steps(span: float, width: float):
+    """Whole steps of ``width`` in ``span``; an inf or NaN ratio passes through.
+
+    A shortfall of up to 1e-9 of the count (1e-9 below one step) still
+    counts the step, so a span built as ``n*width``, rounded however,
+    counts ``n`` at any size.
+    """
+    x = span / width
+    return math.floor(x + 1e-9 * max(1.0, x)) if math.isfinite(x) else x
+
+
 def simpson_weights(n_cells: int, h: float) -> np.ndarray:
     """Composite Simpson weights on ``n_cells`` uniform cells.
 

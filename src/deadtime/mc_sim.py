@@ -30,6 +30,7 @@ from .core import (
     TimeGrid,
     read_csv,
     tabulated_quantile,
+    whole_steps,
     write_csv,
 )
 
@@ -48,14 +49,21 @@ __all__ = [
 
 # components processed per vectorized pass; estimates do not depend on it
 _CHUNK = 1 << 18
-# largest occupation table (nodes); older ages are evaluated exactly
+# largest occupation table (nodes); a table capped there evaluates older ages
+# exactly
 _TABLE_MAX_NODES = 1 << 16
 # largest error of an occupation table, checked at its half-nodes as it grows
 _TABLE_BOUND = 1e-8
+# bound on 1 - q that makes an age saturated: a tenth of the table bound
+_SATURATION = 1e-9
 # half-width of the squeeze band around a table's hazard, in units of the
 # input rate: ten times the table bound, so no proposal outside it can fall
 # on the other side of the exact hazard
 _SQUEEZE_MARGIN = 1e-7
+# a saturation node no age reaches
+_NEVER = 1 << 62
+# stencils the occupation sweep weighs at a time
+_GROUP = 1 << 14
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -198,29 +206,77 @@ def hazard_pprd(sig: InputSignal, law: DeadTimeLaw, t, tau):
     return float(out.ravel()[0]) if lam.ndim == 0 and tau_arr.ndim == 0 else out
 
 
+def _table_step(law: DeadTimeLaw, lam: float) -> float:
+    """Node step of an age table at rate ``lam``: 1/128 of the dead time's
+    standard deviation or of the mean input interval, whichever is shorter."""
+    scale = law.std()
+    if lam > 0.0:
+        scale = min(scale, 1.0 / lam)
+    return scale / 128.0
+
+
+def _saturation_node(law: DeadTimeLaw, lam: float, h: float) -> int | None:
+    """First node ``k`` past which the law certifies ``1 - q <= _SATURATION`` at rate ``lam``.
+
+    ``R(tau) = int_[tau, inf) exp(lam x) dF / int_[0, tau] exp(lam x) dF``
+    bounds ``1 - q(tau) = S(tau)/E[F](tau)`` for every window whose rate
+    stays at or below ``lam``: ``S(tau)`` is at most ``exp(-lam tau)`` times
+    the numerator and ``E[F](tau)`` at least ``exp(-lam tau)`` times the
+    denominator.  ``R`` falls as ``tau`` grows, so the first node with
+    ``R(k h) <= _SATURATION`` certifies every later age.  Both integrals
+    are the law's closed tilt; None where they cannot certify any age.
+    """
+
+    def saturated(k):
+        tau = k * h
+        s = lam * tau
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            r = law.tilted_integral(lam, tau, np.inf, s) / law.tilted_integral(lam, 0.0, tau, s)
+        return r <= _SATURATION  # NaN (both integrals lost) certifies nothing
+
+    # bracket the first saturated node between powers of two up to 2**32,
+    # then narrow the bracket 64-fold per pass
+    powers = 2.0 ** np.arange(33)
+    hit = np.flatnonzero(saturated(powers))
+    if not hit.size:
+        return None
+    lo, hi = (int(powers[hit[0] - 1]) if hit[0] else 0), int(powers[hit[0]])
+    while hi - lo > 1:
+        k = np.unique(np.linspace(lo, hi, 66).astype(np.int64))[1:-1]
+        ok = saturated(k.astype(float))
+        i = int(np.argmax(ok)) if np.any(ok) else k.size
+        lo, hi = (int(k[i - 1]) if i else lo), (int(k[i]) if i < k.size else hi)
+    return hi
+
+
 class _OccupationTable:
     """Occupation at one constant input rate as a function of age alone.
 
     For a law under its closed form (``tilted_closed_form``).  Holds the
     exact ``_occupation`` at the ages ``k*h`` and interpolates between them
-    with the four-point Lagrange cubic, evaluated in Newton's form; ``h``
-    is 1/128 of the dead time's standard deviation or of the mean input
-    interval, whichever is shorter, which keeps the error below
-    ``_TABLE_BOUND`` (1e-8) for gamma laws of any order and rate.  Nodes
-    are computed on demand and each ``k`` always gets the same value, so
-    the result does not depend on how the components are chunked.  Every
-    half-node the new nodes complete is checked against the exact value as
-    the table grows; a miss raises ``NumericalError``.  Ages past
-    ``_TABLE_MAX_NODES`` nodes are evaluated exactly.
+    with the four-point Lagrange cubic, evaluated in Newton's form.  The
+    step ``h`` defaults to ``_table_step``, which keeps the error below
+    ``_TABLE_BOUND`` (1e-8) for gamma laws of any order and rate; a finer
+    step only lowers it.  Nodes are computed on demand and each ``k``
+    always gets the same value, so the result does not depend on how the
+    components are chunked.  Every half-node the new nodes complete is
+    checked against the exact value as the table grows; a miss raises
+    ``NumericalError``.
+
+    Nodes from ``saturation`` (``_saturation_node``) on read exactly 1.0,
+    so the table holds at most ``saturation + 3`` nodes and every older age
+    reads 1.0.  Where that exceeds ``_TABLE_MAX_NODES``, the table stops
+    there and ages past it are evaluated exactly.
     """
 
-    def __init__(self, law: DeadTimeLaw, lam: float):
+    def __init__(self, law: DeadTimeLaw, lam: float, h: float | None = None):
         self.sig = Constant(lam)
         self.law = law
-        scale = law.std()
-        if lam > 0.0:
-            scale = min(scale, 1.0 / lam)
-        self.h = scale / 128.0
+        self.h = _table_step(law, lam) if h is None else h
+        self.saturation = _saturation_node(law, lam, self.h)
+        self.saturates = self.saturation is not None and self.saturation + 3 <= _TABLE_MAX_NODES
+        # most nodes the table grows to
+        self.nodes = self.saturation + 3 if self.saturates else _TABLE_MAX_NODES
         self.values = np.empty(0)
         # Newton coefficients of the cubic on each stencil of four nodes
         self.newton = np.empty((4, 0))
@@ -228,17 +284,25 @@ class _OccupationTable:
     def __call__(self, tau: np.ndarray) -> np.ndarray:
         x = tau / self.h
         j0 = np.maximum(np.floor(x) - 1.0, 0.0)
-        inside = j0 + 4.0 <= _TABLE_MAX_NODES
+        inside = j0 + 4.0 <= self.nodes
         out = np.empty_like(tau)
         if not np.all(inside):
-            out[~inside] = _occupation(self.sig, self.law, 0.0, tau[~inside])
+            far = ~inside
+            out[far] = 1.0 if self.saturates else _occupation(self.sig, self.law, 0.0, tau[far])
             x, j0 = x[inside], j0[inside]
         if x.size:
             need = int(j0.max()) + 4
             if need > self.values.size:
-                self._grow(min(max(need, 2 * self.values.size), _TABLE_MAX_NODES))
+                self._grow(min(max(need, 2 * self.values.size), self.nodes))
             out[inside] = self._interpolate(x, j0)
         return out
+
+    def node_values(self, n: int) -> np.ndarray:
+        """The values at nodes ``0..n-1``, 1.0 past a saturated table's last node."""
+        if self.values.size < min(n, self.nodes):
+            self._grow(min(n, self.nodes))
+        head = self.values[:n]
+        return np.concatenate([head, np.ones(n - head.size)])
 
     def _interpolate(self, x: np.ndarray, j0: np.ndarray) -> np.ndarray:
         # the cubic through nodes j0..j0+3 in Newton's form, nested in place
@@ -255,8 +319,11 @@ class _OccupationTable:
 
     def _grow(self, n: int) -> None:
         old = self.values.size
-        fresh = _occupation(self.sig, self.law, 0.0, np.arange(old, n) * self.h)
-        v = self.values = np.concatenate([self.values, fresh])
+        cut = n if self.saturation is None else min(max(self.saturation, old), n)
+        fresh = [self.values]
+        if cut > old:
+            fresh.append(_occupation(self.sig, self.law, 0.0, np.arange(old, cut) * self.h))
+        v = self.values = np.concatenate([*fresh, np.ones(n - max(cut, old))])
         d1 = np.diff(v)
         d2 = np.diff(d1) / 2.0
         d3 = np.diff(d2) / 3.0
@@ -274,9 +341,18 @@ class _OccupationTable:
                 )
 
 
-def _occupation_tables(sig, law) -> dict:
-    """Age tables for the levels of ``sig`` at which the law has its closed form."""
-    return {lam: _OccupationTable(law, lam) for lam in sig.levels() if law.tilted_closed_form(lam)}
+def _occupation_tables(sig, law, width: float | None = None) -> dict:
+    """Age tables for the levels of ``sig`` at which the law has its closed form.
+
+    Each table takes its own ``_table_step`` unless a bin ``width`` is
+    given: then all share ``width/m``, with ``m`` the fewest nodes per bin
+    that make the step no longer than any of theirs.
+    """
+    levels = [lam for lam in dict.fromkeys(sig.levels()) if law.tilted_closed_form(lam)]
+    h = None
+    if width is not None and levels:
+        h = width / math.ceil(width / min(_table_step(law, lam) for lam in levels))
+    return {lam: _OccupationTable(law, lam, h) for lam in levels}
 
 
 def _closed_switch(sig, tables) -> bool:
@@ -305,53 +381,56 @@ def _switch_excess(sig, law, a: np.ndarray) -> np.ndarray:
     )
 
 
-def _sweep_occupation(sig, law, t: float, tau: np.ndarray, tables, excess=None) -> np.ndarray:
-    """``_occupation(sig, law, t, tau)`` with constant-rate windows read from tables.
+def _switch_identity(x, surv, carried):
+    """Occupation of a window across an upward switch: ``1 - x/(1 + c*x)``.
 
-    Windows across the switch of a step read the post-switch table through
-    the switch identity where ``excess`` holds their ``_switch_excess``:
-    with ``x = 1 - q_lam1(tau)`` and ``c = exp(-lam1*(t - t_switch)) * D / S(tau)``
-    the occupation is ``1 - x/(1 + c*x)``, whose error is at most the
-    table's for ``D >= 0``.  Every other window stays exact.
+    ``x = 1 - q_lam1(tau)``, and ``c = carried/S(tau)`` with ``carried =
+    exp(-lam1*(t - t_switch)) * D(a)``.  The survivor is multiplied
+    through; where it underflows the dead time is over.  For ``D >= 0``
+    the error is at most that of ``x``.
     """
-    rate = sig.window_rate(t, tau)
-    out = np.empty_like(tau)
-    exact = np.ones(tau.shape, dtype=bool)
-    for lam, table in tables.items():
-        at = rate == lam
-        out[at] = table(tau[at])
-        exact &= ~at
-    if excess is not None:
-        across = np.isnan(rate) & ~np.isnan(excess)
-        if np.any(across):
-            lam1, ts = sig.levels()[1], sig.switch_time()
-            x = 1.0 - tables[lam1](tau[across])
-            surv = np.asarray(law.survivor(tau[across]), dtype=float)
-            # x/(1 + c*x) with the survivor multiplied through; where it
-            # underflows the dead time is over
-            den = surv + math.exp(-lam1 * (t - ts)) * excess[across] * x
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out[across] = 1.0 - np.where(den > 0.0, x * surv / den, 0.0)
-            exact &= ~across
-    if np.any(exact):
-        out[exact] = _occupation(sig, law, t, tau[exact])
-    return out
+    den = surv + carried * x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 1.0 - np.where(den > 0.0, x * surv / den, 0.0)
 
 
-def _accept(sig, law, tables, t: np.ndarray, tau: np.ndarray, u: np.ndarray, lam_max: float):
-    """Thinning decisions ``u < hazard_pprd(sig, law, t, tau)``, by squeeze.
+def _table_occupation(sig, law, t, tau: np.ndarray, tables, excess=None) -> np.ndarray:
+    """``_occupation(sig, law, t, tau)`` where the tables give it, NaN elsewhere.
 
-    Where the window sits at a tabulated level, the table's hazard decides
-    every proposal outside the band ``rate * (q_table -+ _SQUEEZE_MARGIN)``;
-    the proposals inside it, and windows without a table, take the exact
-    hazard, so the decisions are the exact ones.
+    Windows at a tabulated level read its table.  Windows across the switch
+    of a step read the post-switch table through ``_switch_identity``
+    where ``excess`` holds their ``_switch_excess``.
     """
-    lam = np.asarray(sig.rate(t), dtype=float)
+    t = np.broadcast_to(np.asarray(t, dtype=float), tau.shape)
     rate = sig.window_rate(t, tau)
     q = np.full(tau.shape, np.nan)
     for level, table in tables.items():
         at = rate == level
         q[at] = table(tau[at])
+    if excess is not None:
+        across = np.isnan(rate) & ~np.isnan(excess)
+        if np.any(across):
+            lam1, ts = sig.levels()[1], sig.switch_time()
+            tau_a = tau[across]
+            carried = np.exp(-lam1 * (t[across] - ts)) * excess[across]
+            q[across] = _switch_identity(
+                1.0 - tables[lam1](tau_a), np.asarray(law.survivor(tau_a), dtype=float), carried
+            )
+    return q
+
+
+def _accept(sig, law, tables, t: np.ndarray, tau: np.ndarray, u: np.ndarray, lam_max: float,
+            excess=None):
+    """Thinning decisions ``u < hazard_pprd(sig, law, t, tau)``, by squeeze.
+
+    Where the tables give the occupation (``_table_occupation``, with
+    ``excess`` for windows across an upward switch), every proposal
+    outside the band ``rate * (q_table -+ _SQUEEZE_MARGIN)`` is decided by
+    it; the proposals inside the band, and windows without a table, take
+    the exact hazard, so the decisions are the exact ones.
+    """
+    lam = np.asarray(sig.rate(t), dtype=float)
+    q = _table_occupation(sig, law, t, tau, tables, excess)
     # a NaN occupation (no table) fails both comparisons
     with np.errstate(invalid="ignore"):
         acc = u < lam * (q - _SQUEEZE_MARGIN)
@@ -398,7 +477,7 @@ class SimConfig:
     @property
     def n_bins(self) -> int:
         t0, t1 = self.t_span
-        return max(1, int(np.floor((t1 - t0) / self.bin_width + 1e-9)))
+        return max(1, int(whole_steps(t1 - t0, self.bin_width)))
 
     def bin_grid(self) -> TimeGrid:
         """Grid of bin centers."""
@@ -532,6 +611,269 @@ def _finish_estimate(cfg: SimConfig, counts, active_hat, spread, collect):
     return est, (comp[order], times[order])
 
 
+def _nonempty(ranges):
+    """The segments ``idx``, with their bins ``[lo, hi)``, of the ranges that hold a bin."""
+    parts = []
+    for idx, lo, hi in ranges:
+        keep = np.flatnonzero(hi > lo)
+        parts.append((idx.take(keep), lo.take(keep), hi.take(keep)))
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _stencils(frac, sign) -> np.ndarray:
+    """Rows of the four Lagrange weights, times ``sign``, of a cubic stencil
+    read at offset ``1 + frac`` from its first node."""
+    f = frac
+    g = f - 1.0
+    fg = f * g * sign
+    he = (f + 1.0) * (f - 2.0) * sign
+    w = np.empty((f.size, 4))
+    np.multiply(fg, (f - 2.0) / -6.0, out=w[:, 0])
+    np.multiply(he, g / 2.0, out=w[:, 1])
+    np.multiply(he, f / -2.0, out=w[:, 2])
+    np.multiply(fg, (f + 1.0) / 6.0, out=w[:, 3])
+    return w
+
+
+class _BirthSweep:
+    """The occupation sums of a rejection run, ``q_sum`` and ``q_sq`` per bin.
+
+    The sweep works in birth coordinates.  The table step ``h`` divides the
+    bin width ``m`` times and the birth nodes sit at ``c_0 - k*h``, ``c_0``
+    the first bin center.  A segment runs from one birth of a component
+    (its initial age, then each event) to the next.  Its age at bin ``b``
+    is ``(x + b*m)*h`` for a birth coordinate ``x``, so its table stencil
+    keeps its four Lagrange weights and moves ``m`` nodes a bin.  One ring
+    of weights over birth nodes takes those of the segments in the table's
+    range as they start and end, and each bin dots it with the table
+    shifted by ``b*m`` (with ``q**2`` for ``q_sq``).  Past an upward switch,
+    births before it read ``_switch_identity`` on the nodes instead.
+
+    Ages from a table's saturation node on count as 1.0 without entering
+    the ring.  The rest is exact, element by element: a segment's first
+    bin while its age is under one node, stencils that straddle the
+    switch, windows across a downward switch, levels without a table, and
+    ages between a capped table's last node and saturation.  Without
+    tables every element is exact.
+    """
+
+    def __init__(self, sig, law, cfg, tables):
+        self.sig, self.law, self.tables = sig, law, tables
+        self.centers = cfg.bin_grid().times()
+        self.width = cfg.bin_width
+        n_bins = self.n_bins = cfg.n_bins
+        # the centers between -inf and inf, for _first_bin's correction
+        self.padded = np.concatenate(([-np.inf], self.centers, [np.inf]))
+        self.q_sum = np.zeros(n_bins)
+        self.q_sq = np.zeros(n_bins)
+        self.pending = []
+        ts = sig.switch_time()
+        self.b_switch = n_bins if ts is None else int(np.searchsorted(self.centers, ts, side="right"))
+        if not tables:
+            return
+        levels = sig.levels()
+        self.h = next(iter(tables.values())).h
+        self.m = round(cfg.bin_width / self.h)
+        # ring length: the nodes of the longest table
+        k = self.k = max(t.nodes for t in tables.values())
+
+        def rows(lam):
+            v = tables[lam].node_values(k) if lam in tables else np.zeros(k)
+            return np.stack([v, v * v])
+
+        def sat(lam, exact):
+            # stencil base floor(x) + b*m from which the ages are saturated
+            s = tables[lam].saturation if lam in tables else None
+            return exact if s is None else s + 1
+
+        # every window's rate is at most the top level's
+        self.sat_exact = sat(max(levels), _NEVER)
+        self.pre = rows(levels[0])
+        self.sat_pre = sat(levels[0], self.sat_exact)
+        if ts is None:
+            return
+        lam1 = levels[1]
+        self.post = rows(lam1)
+        self.sat_post = sat(lam1, self.sat_exact)
+        self.k_switch = (self.centers[0] - ts) / self.h
+        self.closed = _closed_switch(sig, tables)
+        if self.closed:
+            # D at birth nodes before the switch; x and S at age nodes
+            lo = math.floor(self.k_switch) + 1
+            hi = max(k - self.b_switch * self.m, lo)
+            self.excess = _switch_excess(sig, law, (np.arange(lo, hi) - self.k_switch) * self.h)
+            self.x = 1.0 - self.post[0]
+            self.surv = np.asarray(law.survivor(np.arange(k) * self.h), dtype=float)
+            self.rows_now = self.post.copy()
+
+    def _first_bin(self, t: np.ndarray) -> np.ndarray:
+        """``np.searchsorted(self.centers, t)``: by arithmetic, then one
+        correction of the rounding either way."""
+        e = np.ceil((t - self.centers[0]) / self.width)
+        e = np.clip(e, 0, self.n_bins, out=e).astype(np.int64)
+        e -= self.padded.take(e) >= t
+        e += self.padded.take(e + 1) < t
+        return e
+
+    def add(self, born: np.ndarray, end: np.ndarray) -> None:
+        """Take the segments from ``born`` to ``end`` (inf while still running)."""
+        self.pending.append((born, end))
+
+    def flush(self, block: int) -> None:
+        """Sweep the segments taken so far: ``block`` of them, and at most
+        ``block`` exact elements, at a time."""
+        born, end = (np.concatenate(col) for col in zip(*self.pending))
+        self.pending = []
+        exact, ring = zip(*(self._split(born[i : i + block], end[i : i + block])
+                            for i in range(0, born.size, block)))
+        del born, end
+        self._exact(*(np.concatenate(col) for col in zip(*exact)), block)
+        if self.tables:
+            ring = [np.concatenate(col) for col in zip(*ring)]
+            self._ring(*ring)
+
+    def _split(self, born, end):
+        """Count the saturated bins of segments; return the births and bins
+        ``[lo, hi)`` to evaluate exactly, and the ring slot of each stencil's
+        first node, its offset and the bins ``[start, stop)`` it spends in
+        the ring."""
+        lo, hi = self._first_bin(born), self._first_bin(end)
+        if not self.tables:
+            return (born, lo, hi), None
+        n_bins, m, bsw = self.n_bins, self.m, self.b_switch
+        x = (self.centers[0] - born) / self.h
+        base = np.floor(x)
+        frac = x - base
+        base = base.astype(np.int64)
+        levels = self.sig.levels()
+        # (segments, first bin, bin past the last, whether their windows
+        # read the ring, saturation base) of each regime
+        if bsw >= n_bins:
+            idx = np.flatnonzero(hi > lo)
+            phases = [(idx, lo.take(idx), hi.take(idx), levels[0] in self.tables, self.sat_pre)]
+        else:
+            pre = np.flatnonzero(lo < np.minimum(hi, bsw))
+            post = np.flatnonzero(hi > np.maximum(lo, bsw))
+            phases = [(pre, lo.take(pre), np.minimum(hi.take(pre), bsw), levels[0] in self.tables, self.sat_pre)]
+            b = base.take(post)
+            # a stencil on one side of the switch reads the post-switch table,
+            # or the identity; one across it stays exact
+            tab = (b + 2 <= self.k_switch) & (levels[1] in self.tables)
+            ring = tab | ((b - 1 >= self.k_switch) & self.closed)
+            for mask, mode, sat in ((ring, True, self.sat_post), (~ring, False, self.sat_exact)):
+                idx = post[mask]
+                phases.append((idx, np.maximum(lo.take(idx), bsw), hi.take(idx), mode, sat))
+
+        exact, rings, sats = [], [], []
+        for idx, p0, p1, mode, sat in phases:
+            b = base.take(idx)
+
+            def reach(level):
+                # first bin whose stencil base b + bin*m reaches ``level``
+                return np.clip(-((b - level) // m), 0, n_bins)
+
+            bs = reach(sat)
+            if mode:
+                by, br = reach(1), reach(self.k - 2)
+                exact.append((idx, p0, np.minimum(p1, by)))
+                rings.append((idx, np.maximum(p0, by), np.minimum(p1, br)))
+                if sat > self.k - 2:
+                    # a capped table: exact from its end to saturation
+                    exact.append((idx, np.maximum(p0, br), np.minimum(p1, bs)))
+                bs = np.maximum(bs, br)
+            else:
+                exact.append((idx, p0, np.minimum(p1, bs)))
+            sats.append((np.maximum(p0, bs), p1))
+        self._saturated(sats)
+        seg, lo, hi = _nonempty(exact)
+        exact = born.take(seg), lo, hi
+        seg, start, stop = _nonempty(rings)
+        # compact: the ring's inputs are held for the whole run
+        first = (base.take(seg) - 1) % self.k
+        return exact, (first.astype(np.int32), frac.take(seg), start.astype(np.int32), stop.astype(np.int32))
+
+    def _exact(self, born, lo, hi, block: int) -> None:
+        """Exact occupations of the segments born at ``born`` over their bins
+        ``[lo, hi)``, ``block`` elements at a time."""
+        count = np.maximum(hi - lo, 0)
+        ends = np.cumsum(count)
+        total = int(ends[-1]) if ends.size else 0
+        for start in range(0, total, max(block, 1)):
+            pos = np.arange(start, min(start + block, total))
+            i = np.searchsorted(ends, pos, side="right")
+            b = lo.take(i) + (pos - (ends.take(i) - count.take(i)))
+            t = self.centers.take(b)
+            q = _occupation(self.sig, self.law, t, t - born.take(i))
+            self.q_sum += np.bincount(b, weights=q, minlength=self.n_bins)
+            self.q_sq += np.bincount(b, weights=q * q, minlength=self.n_bins)
+
+    def _saturated(self, ranges) -> None:
+        """Count 1.0 for each segment over its bins ``[lo, hi)``."""
+        diff = np.zeros(self.n_bins + 1)
+        for lo, hi in ranges:
+            keep = np.flatnonzero(hi > lo)
+            diff += np.bincount(lo.take(keep), minlength=self.n_bins + 1)
+            diff -= np.bincount(hi.take(keep), minlength=self.n_bins + 1)
+        count = np.cumsum(diff[:-1])
+        self.q_sum += count
+        self.q_sq += count
+
+    def _ring(self, first, frac, start, stop) -> None:
+        """Dot each bin's ring with its table rows, the ring holding the
+        stencil weights of each segment over its bins ``[start, stop)``."""
+        if not start.size:
+            return
+        k, n_bins, m = self.k, self.n_bins, self.m
+        # each segment arrives at its start and departs at its stop, in bin order
+        arrive, depart = np.bincount(start, minlength=n_bins + 1), np.bincount(stop, minlength=n_bins + 1)
+        held = np.cumsum(arrive - depart)
+        bounds = np.concatenate(([0], np.cumsum(arrive + depart)))
+        order = np.argsort(np.concatenate((start, stop)))
+        ring = np.zeros(k + 3)
+        group = int(start.min())
+        for b in range(group, n_bins):
+            if b == group:
+                # the stencils of the next bins, about _GROUP of them, with the
+                # ring slots of their nodes; the last three slots wrap
+                group = max(b + 1, int(np.searchsorted(bounds, bounds[b] + _GROUP, side="right")) - 1)
+                sel = order[bounds[b] : bounds[group]]
+                seg = sel % start.size
+                weight = _stencils(frac.take(seg), np.where(sel < start.size, 1.0, -1.0))
+                slot = first.take(seg)[:, None] + np.arange(4)
+                offset = bounds[b]
+            i, j = bounds[b] - offset, bounds[b + 1] - offset
+            if j > i:
+                ring += np.bincount(slot[i:j].ravel(), weight[i:j].ravel(), minlength=k + 3)
+            if not held[b]:
+                continue
+            ring[:3] += ring[k:]
+            ring[k:] = 0.0
+            rows = self._rows(b)
+            # node b*m + i of the table meets ring slot i - b*m
+            p = (-b * m) % k
+            q, q2 = rows[:, : k - p] @ ring[p:k] + rows[:, k - p :] @ ring[:p]
+            self.q_sum[b] += q
+            self.q_sq[b] += q2
+
+    def _rows(self, b: int) -> np.ndarray:
+        """``q`` and ``q**2`` at the ring's nodes for bin ``b``, by age node."""
+        if b < self.b_switch:
+            return self.pre
+        if not self.closed:
+            return self.post
+        # age nodes from ``cut`` on are births before the switch
+        cut = min(math.floor(self.k_switch) + 1 + b * self.m, self.k)
+        rows = self.rows_now
+        rows[:, :cut] = self.post[:, :cut]
+        if cut < self.k:
+            lam1, ts = self.sig.levels()[1], self.sig.switch_time()
+            carried = math.exp(-lam1 * (self.centers[b] - ts)) * self.excess[: self.k - cut]
+            q = _switch_identity(self.x[cut:], self.surv[cut:], carried)
+            rows[0, cut:] = q
+            rows[1, cut:] = q * q
+        return rows
+
+
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------
@@ -629,10 +971,10 @@ def simulate_rejection(
     per-component state, initialized from the stationary age law.  The
     active fraction is estimated from the occupation probability at each
     bin center given each component's age, averaged over components; for
-    a gamma law the constant-rate regimes read it from an age table
-    (within 1e-8), and so do windows across an upward step, through the
-    switch identity of ``_sweep_occupation``.  The thinning decides by
-    squeeze (``_accept``): the same events as with the exact hazard alone.
+    a gamma law the sweep reads it from age tables in birth coordinates
+    (``_BirthSweep``, within 1e-8 of the exact values).  The thinning
+    decides by squeeze (``_accept``), across an upward switch through the
+    switch identity: the same events as with the exact hazard alone.
     """
     _validate_bound(sig, cfg)
     t0 = cfg.t_span[0]
@@ -641,34 +983,36 @@ def simulate_rejection(
     t_stop = t0 + n_bins * bw
     lam_max = cfg.lambda_max
     lam0 = float(sig.rate_left(t0))
-    centers = cfg.bin_grid().times()
-    tables = _occupation_tables(sig, law)
-    closed_switch, ts = _closed_switch(sig, tables), sig.switch_time()
+    tables = _occupation_tables(sig, law, bw)
+    sweep = _BirthSweep(sig, law, cfg, tables)
+    ts = sig.switch_time() if _closed_switch(sig, tables) else None
 
     counts = np.zeros(n_bins, dtype=np.int64)
-    q_sum = np.zeros(n_bins)
-    q_sq = np.zeros(n_bins)
     collect = [] if return_events else None
 
     for c_lo in range(0, cfg.components, _CHUNK):
         comp = np.arange(c_lo, min(c_lo + _CHUNK, cfg.components), dtype=np.int64)
         keys = _component_keys(cfg.seed, comp)
-        idx = np.zeros(comp.size, dtype=np.int64)
 
-        u_age = _uniform(keys, idx)
-        idx += 1
-        init_last = t0 - _stationary_age_quantile(law, lam0, u_age)
-        last_ev = init_last.copy()
+        u_age = _uniform(keys, np.zeros(1, dtype=np.int64))
+        last_ev = t0 - _stationary_age_quantile(law, lam0, u_age)
         t_cur = np.full(comp.size, t0)
-        local_events = []
+        # D of each component whose last event precedes the switch, once a
+        # proposal of it is past the switch; ``crossing`` while any proposal
+        # is not
+        excess = None if ts is None else np.full(comp.size, np.nan)
+        crossing = True
 
+        # every live component has drawn as often as any other: its age,
+        # then two draws a proposal
+        draw = np.ones(1, dtype=np.int64)
         alive = np.ones(comp.size, dtype=bool)
         while np.any(alive):
             sub = np.nonzero(alive)[0]
-            u_e = _uniform(keys[sub], idx[sub])
-            idx[sub] += 1
-            u_a = _uniform(keys[sub], idx[sub])
-            idx[sub] += 1
+            key = keys[sub]
+            u_e = _uniform(key, draw)
+            u_a = _uniform(key, draw + 1)
+            draw += 2
             t_prop = t_cur[sub] - np.log1p(-u_e) / lam_max
             over = t_prop >= t_stop
             alive[sub[over]] = False
@@ -678,49 +1022,34 @@ def simulate_rejection(
             if sub.size == 0:
                 continue
             t_cur[sub] = t_prop
-            acc = _accept(sig, law, tables, t_prop, t_prop - last_ev[sub], u_a[keep] * lam_max, lam_max)
+            last = last_ev[sub]
+            held = None
+            if excess is not None:
+                if crossing:
+                    fresh = sub[(t_prop > ts) & (last < ts) & np.isnan(excess[sub])]
+                    if fresh.size:
+                        excess[fresh] = _switch_excess(sig, law, ts - last_ev[fresh])
+                    crossing = t_prop.min() <= ts
+                held = excess[sub]
+            acc = _accept(sig, law, tables, t_prop, t_prop - last, u_a[keep] * lam_max, lam_max, held)
             hit = sub[acc]
             if hit.size:
                 t_ev = t_prop[acc]
                 counts += np.bincount(
                     ((t_ev - t0) / bw).astype(np.int64), minlength=n_bins
                 )
-                local_events.append((hit, t_ev))
+                if collect is not None:
+                    collect.append((comp[hit], t_ev))
+                # a segment ends at each event: from the component's previous birth
+                sweep.add(last_ev[hit], t_ev)
                 last_ev[hit] = t_ev
 
-        # replay the chunk's events chronologically so every bin center
-        # sees each component's latest preceding event
-        if local_events:
-            e_c = np.concatenate([c for c, _ in local_events])
-            e_t = np.concatenate([t for _, t in local_events])
-            order = np.argsort(e_t, kind="stable")
-            e_c = e_c[order]
-            e_t = e_t[order]
-        else:
-            e_c = np.empty(0, dtype=np.int64)
-            e_t = np.empty(0)
-        sweep_last = init_last
-        ptr = 0
-        excess = None
-        for b, tc in enumerate(centers):
-            nxt = int(np.searchsorted(e_t, tc, side="right"))
-            if nxt > ptr:
-                np.maximum.at(sweep_last, e_c[ptr:nxt], e_t[ptr:nxt])
-                ptr = nxt
-            if excess is None and closed_switch and tc > ts:
-                # a component's last event before the switch stays its
-                # last until it is past the switch window
-                excess = np.full(comp.size, np.nan)
-                before = sweep_last < ts
-                excess[before] = _switch_excess(sig, law, ts - sweep_last[before])
-            q = _sweep_occupation(sig, law, float(tc), tc - sweep_last, tables, excess)
-            q_sum[b] += float(q.sum())
-            q_sq[b] += float((q * q).sum())
-        if collect is not None and e_c.size:
-            collect.append((comp[e_c], e_t))
+        # and one runs on from each component's last birth
+        sweep.add(last_ev, np.full(comp.size, np.inf))
+        sweep.flush(comp.size)
 
-    active_hat = q_sum / cfg.components
-    spread = q_sq / cfg.components - active_hat**2
+    active_hat = sweep.q_sum / cfg.components
+    spread = sweep.q_sq / cfg.components - active_hat**2
     return _finish_estimate(cfg, counts, active_hat, spread, collect)
 
 

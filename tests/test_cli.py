@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import math
 import multiprocessing
 import os
@@ -9,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deadtime import cli
 from deadtime.core import (
@@ -715,6 +718,20 @@ def test_step_count_at_the_cap():
         cli._steps(1.0, 0.5 / cli._MAX_STEPS, "--bin-width")
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    count=st.floats(5e6, float(cli._MAX_STEPS)),
+    width=st.floats(1e-4, 1e-2),
+)
+@example(count=8854.620079164091 / 0.0012636405654108816, width=0.0012636405654108816)
+def test_monte_carlo_settings_count_the_bins_of_their_grid(count, width):
+    # the run starts one bin early, so it holds one bin more than the grid;
+    # no simulation runs here
+    args = argparse.Namespace(bin_width=width, dt=None, t_max=count * width, mc=1, seed=0)
+    _, cfg, centers = cli._mc_bins(args, 5.0, 10.0)
+    assert cfg.n_bins == centers.n + 1
+
+
 @pytest.mark.parametrize("command", [
     [], ["step"], ["periodic"], ["pprd-step"], ["hazard"], ["represent"], ["infer-input"],
     ["validate"],
@@ -836,6 +853,31 @@ def test_first_scipy_import_in_worker_threads_keeps_bytes(tmp_path):
         argv = [*_PPRD_TRIALS, "--threads", threads, "--out", f"t{threads}.csv"]
         _loaded_after("deadtime.cli", [], argv, cwd=tmp_path)
     assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
+
+
+def test_periodic_bytes_at_each_blas_thread_count(tmp_path):
+    # at 1.20967 Hz the harmonic solve reaches K 64, where a threaded BLAS
+    # rounds differently: bytes hold at one thread count, not across them
+    argv = ["periodic", "--law", "gamma:10,137.5", "--nu0", "10", "--mod-depth", "0.9",
+            "--f", "1.20967"]
+    names = ["trace-f1.20967.csv", "beta-f1.20967.csv", "sweep.csv"]
+    out = {}
+    for blas in ("1", "2"):
+        for rep in (0, 1):
+            prefix = f"blas{blas}-{rep}"
+            done = subprocess.run(
+                [sys.executable, "-m", "deadtime.cli", *argv, "--out-prefix", prefix],
+                env=dict(_fresh_env(), OPENBLAS_NUM_THREADS=blas), cwd=tmp_path,
+                capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            out[blas, rep] = [(tmp_path / f"{prefix}-{name}").read_bytes() for name in names]
+    for blas in ("1", "2"):
+        assert out[blas, 0] == out[blas, 1]
+    omega = 2.0 * math.pi * 1.20967
+    one, two = (Spectrum.from_csv(tmp_path / f"blas{b}-0-beta-f1.20967.csv", omega).coeffs
+                for b in ("1", "2"))
+    assert np.max(np.abs(one - two)) <= 1e-14 * np.max(np.abs(one))
 
 
 def test_closed_form_and_chain_modules_leave_linalg_and_optimize_out():

@@ -1,10 +1,11 @@
 """Tests for the event-level samplers and the renewal hazard."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -557,7 +558,7 @@ class TestOccupationTable:
             components=3000, seed=9, t_span=(0.0, 0.4), bin_width=0.01, lambda_max=50.0
         )
         est, ev = simulate_rejection(sig, law, cfg, return_events=True)
-        monkeypatch.setattr(mc_sim, "_occupation_tables", lambda s, l: {})
+        monkeypatch.setattr(mc_sim, "_occupation_tables", lambda *args: {})
         ref, ev_ref = simulate_rejection(sig, law, cfg, return_events=True)
         # the tables feed only the occupation sweep: thinning is untouched
         np.testing.assert_array_equal(ev[0], ev_ref[0])
@@ -603,6 +604,29 @@ class TestSqueeze:
         np.testing.assert_array_equal(est.event_count, ref.event_count)
         np.testing.assert_array_equal(est.rate_hat, ref.rate_hat)
         np.testing.assert_array_equal(est.active_hat, ref.active_hat)
+
+    @pytest.mark.parametrize("order", [0, 10, 50, 200])
+    def test_switch_windows_match_the_exact_thinning(self, order, monkeypatch):
+        sig, law, cfg = _scaled_run(order, "up")
+        across = []
+        hazard = mc_sim.hazard_pprd
+
+        def counted(sig, law, t, tau):
+            across.append(int(np.count_nonzero(np.isnan(sig.window_rate(t, tau)))))
+            return hazard(sig, law, t, tau)
+
+        monkeypatch.setattr(mc_sim, "hazard_pprd", counted)
+        est, ev = simulate_rejection(sig, law, cfg, return_events=True)
+        squeezed = sum(across)
+        across.clear()
+        monkeypatch.setattr(mc_sim, "_SQUEEZE_MARGIN", math.inf)
+        ref, ev_ref = simulate_rejection(sig, law, cfg, return_events=True)
+        # the identity decides most proposals across the switch; the infinite
+        # margin sends all of them to the exact hazard
+        assert 10 * squeezed < sum(across)
+        np.testing.assert_array_equal(ev[0], ev_ref[0])
+        np.testing.assert_array_equal(ev[1], ev_ref[1])
+        np.testing.assert_array_equal(est.event_count, ref.event_count)
 
     def test_table_missing_its_bound_raises(self, monkeypatch):
         monkeypatch.setattr(mc_sim, "_TABLE_BOUND", 1e-30)
@@ -668,7 +692,7 @@ class TestSwitchIdentity:
         assert mc_sim._closed_switch(sig, tables)
         excess = mc_sim._switch_excess(sig, law, a)
         assert np.all(excess >= -1e-15)
-        got = mc_sim._sweep_occupation(sig, law, t, tau, tables, excess)
+        got = mc_sim._table_occupation(sig, law, t, tau, tables, excess)
         want = mc_sim._occupation(sig, law, t, tau)
         assert np.max(np.abs(got - want)) <= 1e-8
 
@@ -685,7 +709,8 @@ class TestSwitchIdentity:
         identity = 1.0 - x * law.survivor(tau) / (law.survivor(tau) + carried * x)
         exact = mc_sim._occupation(sig, law, t, tau)
         assert abs(identity - exact)[0] > 1e-3
-        np.testing.assert_array_equal(mc_sim._sweep_occupation(sig, law, t, tau, tables), exact)
+        # so the tables leave that window to the exact hazard and the exact sweep
+        assert np.isnan(mc_sim._table_occupation(sig, law, t, tau, tables))
 
         def no_identity(*args):
             raise AssertionError("the switch identity ran on a downward step")
@@ -694,10 +719,124 @@ class TestSwitchIdentity:
         cfg = SimConfig(components=500, seed=4, t_span=(-0.05, 0.25), bin_width=0.01,
                         lambda_max=sig.levels()[0])
         est = simulate_rejection(sig, law, cfg)
-        monkeypatch.setattr(mc_sim, "_occupation_tables", lambda s, l: {})
+        monkeypatch.setattr(mc_sim, "_occupation_tables", lambda *args: {})
         ref = simulate_rejection(sig, law, cfg)
         np.testing.assert_array_equal(est.event_count, ref.event_count)
         np.testing.assert_allclose(est.active_hat, ref.active_hat, rtol=0.0, atol=1e-8)
+
+
+def _sweep_case(order, share_hi, drop, kind, nodes, fill, shift):
+    """A short run of ``kind`` input under a gamma law of mean 0.08 s, with a
+    bin of ``nodes - 1 + fill`` table steps, so that the sweep takes ``nodes``
+    nodes a bin, and for a step a switch ``shift`` of a bin past a center."""
+    law = GammaDeadTime(order, (order + 1) / 0.08)
+    hi = share_hi * law.rate
+    lo = drop * hi
+    if kind == "constant":
+        levels = (hi,)
+    else:
+        levels = (lo, hi) if kind == "up" else (hi, lo)
+    step = min(mc_sim._table_step(law, lam) for lam in levels)
+    bw = (nodes - 1 + fill) * step
+    ts = (7.5 + shift) * bw
+    sig = Constant(hi) if kind == "constant" else Step(*levels, ts)
+    cfg = SimConfig(components=150, seed=order + nodes, t_span=(0.0, 24 * bw), bin_width=bw,
+                    lambda_max=hi)
+    return sig, law, cfg
+
+
+class TestBirthSweep:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        order=st.integers(0, 200),
+        share_hi=st.floats(0.05, 0.9),
+        drop=st.floats(0.0, 1.0),
+        kind=st.sampled_from(["constant", "up", "down"]),
+        nodes=st.integers(1, 64),
+        fill=st.floats(0.01, 1.0),
+        shift=st.floats(0.01, 0.99),
+    )
+    @example(order=10, share_hi=0.4, drop=0.2, kind="up", nodes=64, fill=1.0, shift=0.37)
+    @example(order=0, share_hi=0.9, drop=0.1, kind="up", nodes=7, fill=0.3, shift=0.91)
+    @example(order=200, share_hi=0.9, drop=0.5, kind="down", nodes=1, fill=0.5, shift=0.5)
+    @example(order=50, share_hi=0.9, drop=0.0, kind="up", nodes=2, fill=0.8, shift=0.02)
+    def test_matches_the_exact_sweep(self, order, share_hi, drop, kind, nodes, fill, shift):
+        sig, law, cfg = _sweep_case(order, share_hi, drop, kind, nodes, fill, shift)
+        est, ev = simulate_rejection(sig, law, cfg, return_events=True)
+        with mock.patch.object(mc_sim, "_occupation_tables", lambda *args: {}):
+            ref, ev_ref = simulate_rejection(sig, law, cfg, return_events=True)
+        np.testing.assert_array_equal(ev[0], ev_ref[0])
+        np.testing.assert_array_equal(ev[1], ev_ref[1])
+        np.testing.assert_array_equal(est.event_count, ref.event_count)
+        np.testing.assert_allclose(est.active_hat, ref.active_hat, rtol=0.0, atol=1e-8)
+        np.testing.assert_allclose(est.active_se, ref.active_se, rtol=0.0, atol=1e-8)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(order=st.integers(0, 200), share=st.floats(0.0, 0.9))
+    @example(order=10, share=50.0 / 137.5)
+    @example(order=0, share=0.0)
+    def test_ages_past_saturation_are_within_its_bound(self, order, share):
+        law = GammaDeadTime(order, (order + 1) / 0.08)
+        lam = share * law.rate
+        table = mc_sim._OccupationTable(law, lam)
+        assume(table.saturation is not None)
+        tau = table.saturation * table.h * np.geomspace(1.0, 50.0, 400)
+        q = mc_sim._occupation(Constant(lam), law, 0.0, tau)
+        assert np.all(1.0 - q <= mc_sim._SATURATION)
+        if table.saturates:
+            # every stencil past the saturation node reads exactly 1.0
+            past = tau >= (table.saturation + 1) * table.h
+            assert np.all(table(tau[past]) == 1.0)
+            assert table.values.size <= table.nodes
+
+    def test_chunk_invariant_across_a_switch(self, monkeypatch):
+        law = GammaDeadTime(10, 137.5)
+        sig = Step(8.0, 50.0, 0.1)
+        cfg = SimConfig(components=500, seed=5, t_span=(0.0, 0.3), bin_width=0.01, lambda_max=50.0)
+        est1, ev1 = simulate_rejection(sig, law, cfg, return_events=True)
+        monkeypatch.setattr(mc_sim, "_CHUNK", 37)
+        est2, ev2 = simulate_rejection(sig, law, cfg, return_events=True)
+        np.testing.assert_array_equal(ev1[0], ev2[0])
+        np.testing.assert_array_equal(ev1[1], ev2[1])
+        np.testing.assert_array_equal(est1.event_count, est2.event_count)
+        np.testing.assert_allclose(est1.active_hat, est2.active_hat, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(est1.active_se, est2.active_se, rtol=0.0, atol=1e-12)
+
+    def test_no_call_during_the_sweep_spans_the_components(self, monkeypatch):
+        law = GammaDeadTime(10, 137.5)
+        sig = Step(8.3, 50.0, 0.0)
+        n = 2003
+        cfg = SimConfig(components=n, seed=3, t_span=(-0.005, 0.3), bin_width=0.005,
+                        lambda_max=50.0)
+        sizes, sweeping = [], []
+        flush, occupation = mc_sim._BirthSweep.flush, mc_sim._occupation
+        table_call = mc_sim._OccupationTable.__call__
+
+        def sweep(self, *args):
+            sweeping.append(True)
+            try:
+                return flush(self, *args)
+            finally:
+                sweeping.pop()
+
+        def occupation_spy(sig, law, t, tau):
+            if sweeping:
+                sizes.append(np.size(tau))
+            return occupation(sig, law, t, tau)
+
+        def table_spy(self, tau):
+            if sweeping:
+                sizes.append(np.size(tau))
+            return table_call(self, tau)
+
+        monkeypatch.setattr(mc_sim._BirthSweep, "flush", sweep)
+        monkeypatch.setattr(mc_sim, "_occupation", occupation_spy)
+        monkeypatch.setattr(mc_sim._OccupationTable, "__call__", table_spy)
+        est = simulate_rejection(sig, law, cfg)
+        assert est.event_count.sum() > n
+        # only first bins under one node and stencils across the switch are exact
+        assert n not in sizes
+        assert sum(sizes) < n
 
 
 class TestEstimateFromEvents:
