@@ -10,6 +10,7 @@ safe to share between worker threads.
 
 import cmath
 import contextlib
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -160,18 +161,16 @@ def write_csv(path, schema: Schema, columns, value: float | None = None) -> None
     ]
     if len({col.shape for col in columns}) > 1:
         raise ValueError(f"{schema.kind} columns differ in length")
-    formats = [str if kind == "i" else _fmt for kind in schema.types]
+    # '%.17g' is the routine behind _fmt's format(v, '.17g'), byte for byte
+    row = ",".join("%d" if kind == "i" else "%.17g" for kind in schema.types) + "\n"
     out = contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="ascii")
     with out as fh:
         if not schema.headerless:
             param = "" if schema.parameter is None else f",{schema.parameter}={_fmt(value)}"
             fh.write(f"{schema.header}{param}\n")
         for start in range(0, columns[0].size, _BLOCK_ROWS):
-            cells = [
-                map(fmt, col[start:start + _BLOCK_ROWS].tolist())
-                for fmt, col in zip(formats, columns)
-            ]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            block = [col[start:start + _BLOCK_ROWS].tolist() for col in columns]
+            fh.write(row * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
 
 
 def read_csv(path, schema: Schema) -> tuple[list[np.ndarray], float | None]:
@@ -850,9 +849,11 @@ class GammaDeadTime(DeadTimeLaw):
             log_delta = np.log(delta)
             lost = (delta < 1e-300) & (zb < n1)
             if np.any(lost):
-                lb, la = _log_gammainc(n1, zb), _log_gammainc(n1, za)
-                series = np.where(la < lb, lb + np.log1p(-np.exp(la - lb)), -np.inf)
-                log_delta = np.where(lost, series, log_delta)
+                # the series takes time linear in z, so sum it only where needed
+                lb = _log_gammainc(n1, zb[lost])
+                la = _log_gammainc(n1, np.broadcast_to(za, np.shape(zb))[lost])
+                log_delta = np.array(log_delta)
+                log_delta[lost] = np.where(la < lb, lb + np.log1p(-np.exp(la - lb)), -np.inf)
         via_logs = np.exp(n1 * math.log(ratio) + log_delta - s)
         return np.where(deep, via_logs, out) if near else via_logs
 

@@ -846,6 +846,46 @@ def test_sampling_commands_leave_scipy_optimize_out(tmp_path, argv):
     assert _loaded_after("deadtime.cli", ["scipy.optimize"], argv, cwd=tmp_path) == "[]"
 
 
+@pytest.mark.parametrize("process, probe", [
+    ("lognormal:0,0.8,0.1", "scipy"),
+    ("gamma:3,25", "scipy.optimize"),
+], ids=["lognormal", "gamma"])
+def test_represent_leaves_scipy_out(tmp_path, process, probe):
+    # a gamma interval still needs scipy.special for its quantile
+    argv = ["represent", "--process", process, "--out", "law.csv"]
+    assert _loaded_after("deadtime.cli", [probe], argv, cwd=tmp_path) == "[]"
+
+
+# A child's ru_maxrss starts from the resident size of the process it was
+# forked from, so a small interpreter spawns the command and reaps it as the
+# benchmark does, and prints its exit code and peak in KiB.
+_PEAK_RSS = """
+import os, subprocess, sys, threading
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+timer = threading.Timer(100, proc.kill)
+timer.start()
+try:
+    _, status, usage = os.wait4(proc.pid, 0)
+finally:
+    timer.cancel()
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_represent_peak_memory_budget(tmp_path):
+    # the 524,289-node lognormal law: its convolution check runs in row
+    # blocks, so the whole process peaks near 70 MB (152 MB with one grid)
+    argv = ["represent", "--process", "lognormal:0,0.8,0.1", "--out", "law.csv"]
+    done = subprocess.run([sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "deadtime.cli",
+                           *argv], env=_fresh_env(), cwd=tmp_path, capture_output=True,
+                          text=True, check=True, timeout=120)
+    code, peak_kib = map(int, done.stdout.split())
+    assert code == 0
+    assert peak_kib / 1024.0 <= 100.0
+
+
 def test_first_scipy_import_in_worker_threads_keeps_bytes(tmp_path):
     # fresh processes: one runs the trials itself, the other forks two
     # workers after its first scipy.special import

@@ -200,6 +200,33 @@ class TestLaws:
         np.testing.assert_array_equal(got[normal], plain[normal])
         assert np.all(got[~normal] > 0.0) and np.all(np.diff(np.log(got[~normal])) < 0.0)
 
+    @pytest.mark.parametrize("start", ["zero", "array"])
+    def test_gamma_tilted_integral_sums_the_series_only_where_the_mass_underflows(
+        self, monkeypatch, start
+    ):
+        from deadtime import core
+
+        # order 200 at 0.97 of its rate, where the tilt factor alone would
+        # overflow: the lower tail underflows below z = 2.4, and past z = 1e8
+        # the series costs time linear in z
+        law, c = GammaDeadTime(200, 100.0), 97.0
+        b = np.array([0.5, 1.0, 0.7, 1e3, 1e8, 3e10])
+        a = 0.0 if start == "zero" else b / 2.0
+        sizes = []
+        series = core._log_gammainc
+
+        def spy(order, z):
+            sizes.append(np.size(z))
+            return series(order, z)
+
+        monkeypatch.setattr(core, "_log_gammainc", spy)
+        got = law.tilted_integral(c, a, b, 0.0)
+        assert sizes == [2, 2]
+        alone = [law.tilted_integral(c, a if start == "zero" else a[k], b[k], 0.0)
+                 for k in range(b.size)]
+        assert got.tobytes() == np.array(alone).tobytes()
+        assert np.all(got[[0, 2]] > 0.0)
+
     def test_tabulated_requires_unit_mass(self):
         x = np.linspace(0.0, 1.0, 200)
         with pytest.raises(ValueError):

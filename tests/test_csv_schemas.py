@@ -7,25 +7,31 @@ reader raise ``ValueError`` and ``validate`` exit 2.
 """
 
 import contextlib
+import importlib
 import io
 import math
 import os
+import pkgutil
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deadtime import cli
+import deadtime
+from deadtime import cli, core
 from deadtime.core import (
     LAW_CSV,
     SPECTRUM_CSV,
     TRACE_CSV,
+    Schema,
     Spectrum,
     TabulatedDeadTime,
     TimeGrid,
     Trace,
+    _fmt,
     read_csv,
     read_law_csv,
     write_csv,
@@ -230,3 +236,82 @@ def test_malformed_file_rejected(tmp_path, read, text):
     with pytest.raises(ValueError):
         read(path)
     assert _validate(str(path))[0] == 2
+
+
+def _declared_schemas():
+    """Every ``Schema`` a module of the package holds at its top level."""
+    found = {}
+    for info in pkgutil.iter_modules(deadtime.__path__):
+        module = importlib.import_module(f"deadtime.{info.name}")
+        found.update((id(v), v) for v in vars(module).values() if isinstance(v, Schema))
+    return sorted(found.values(), key=lambda schema: (schema.kind, schema.header))
+
+
+SCHEMAS = _declared_schemas()
+
+#: the cells each column type may hold, weighted toward the ones whose
+#: text is easy to get wrong
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.1125369292536007e-308, 2.2250738585072014e-308,
+               1e308, -1e308, 1.7976931348623157e308, 0.1, 1.0 / 3.0]
+CELLS = {
+    "f": st.one_of(FINITE, st.sampled_from(EDGE_FLOATS)),
+    "n": st.one_of(FINITE, st.sampled_from(EDGE_FLOATS), st.just(math.nan)),
+    "i": st.one_of(INT64, st.sampled_from([0, -1, 2**63 - 1, -(2**63)])),
+}
+
+
+def _reference_text(schema, columns, value):
+    """The file ``schema`` describes, built cell by cell."""
+    lines = [] if schema.headerless else [
+        schema.header + ("" if schema.parameter is None else f",{schema.parameter}={_fmt(value)}")
+    ]
+    text = [[str(int(v)) if kind == "i" else _fmt(v) for v in col]
+            for kind, col in zip(schema.types, columns)]
+    lines += map(",".join, zip(*text))
+    return "".join(line + "\n" for line in lines)
+
+
+def _written_text(schema, columns, value, to_stdout):
+    if to_stdout:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            write_csv("-", schema, columns, value)
+        return out.getvalue()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "file.csv")
+        write_csv(path, schema, columns, value)
+        with open(path, "rb") as fh:
+            return fh.read().decode("ascii")
+
+
+def test_every_declared_schema_is_covered():
+    kinds = {schema.kind for schema in SCHEMAS}
+    assert {"trace", "spectrum", "law", "estimate", "events", "combined", "hazard",
+            "sweep", "interval"} <= kinds
+
+
+@pytest.mark.parametrize("schema", SCHEMAS, ids=[s.kind + ":" + s.header for s in SCHEMAS])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_writer_bytes_match_cell_by_cell_text(schema, data):
+    n = data.draw(st.integers(0 if schema.empty_ok else 1, 40), label="rows")
+    columns = [
+        np.array(data.draw(st.lists(CELLS[kind], min_size=n, max_size=n)),
+                 dtype=np.int64 if kind == "i" else float)
+        for kind in schema.types
+    ]
+    value = None if schema.parameter is None else data.draw(CELLS["f"], label="parameter")
+    to_stdout = data.draw(st.booleans(), label="stdout")
+    # a few rows a block, so files span blocks and end on a short one
+    with mock.patch.object(core, "_BLOCK_ROWS", data.draw(st.integers(1, 8), label="block")):
+        got = _written_text(schema, columns, value, to_stdout)
+    assert got == _reference_text(schema, columns, value)
+
+
+@pytest.mark.parametrize("to_stdout", [False, True], ids=["file", "stdout"])
+def test_empty_ok_schema_writes_its_header_alone(to_stdout):
+    empty = [schema for schema in SCHEMAS if schema.empty_ok]
+    assert empty
+    for schema in empty:
+        columns = [np.array([], dtype=np.int64 if k == "i" else float) for k in schema.types]
+        assert _written_text(schema, columns, None, to_stdout) == schema.header + "\n"

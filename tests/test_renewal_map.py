@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
+from deadtime import renewal_map
 from deadtime.core import (
     FixedDeadTime,
     GammaDeadTime,
     NotRepresentableError,
     TabulatedDeadTime,
     read_law_csv,
+    simpson_weights,
     write_law_csv,
 )
 from deadtime.mc_sim import SimConfig, simulate_generative
@@ -66,6 +68,9 @@ class TestRenewalSpec:
             worst = max(worst, h - hp / h)
         lam_min = minimal_lambda(spec)
         assert abs(worst - lam_min) / lam_min < 1e-6
+
+    def test_lognormal_tail_quantile_is_the_scipy_value(self):
+        assert renewal_map._NORMAL_TAIL_Z == float(special.ndtri(1.0 - 1e-10))
 
     def test_lognormal_factory_normalized(self):
         spec = RenewalSpec.from_lognormal(0.0, 0.8, 0.1)
@@ -354,6 +359,26 @@ class TestConvolutionIdentity:
         spec = RenewalSpec.from_lognormal(mu, sigma, delta)
         rep = construct_lognormal(mu, sigma, delta)
         assert convolution_residual(rep, spec) < 1e-6
+
+    @pytest.mark.parametrize("build", [
+        lambda: (construct_lognormal(0.0, 0.8, 0.1), RenewalSpec.from_lognormal(0.0, 0.8, 0.1)),
+        lambda: (construct_gamma(3, 25.0), RenewalSpec.from_gamma(3, 25.0)),
+        lambda: (construct_gamma(0, 12.0), RenewalSpec.from_gamma(0, 12.0)),
+    ], ids=["lognormal", "gamma", "atom"])
+    def test_row_blocks_keep_the_bits_of_the_full_grid(self, build):
+        rep, spec = build()
+        lam = rep.input_rate
+        t = np.geomspace(spec.x_max * 1e-4, spec.x_max, 257)
+        x_lo = min(spec.x_max * 1e-9, float(t[0]) * 1e-3)
+        s = np.linspace(0.0, 1.0, 4097)
+        y_lo, y_hi = math.log(x_lo), np.log(t)
+        x = np.exp(y_lo + (y_hi[:, None] - y_lo) * s[None, :])
+        dens = np.asarray(rep.law.density(x.ravel()), dtype=float).reshape(x.shape)
+        integ = dens * x * lam * np.exp(-lam * (t[:, None] - x))
+        conv = (integ * simpson_weights(4096, 1.0)[None, :]).sum(axis=1) * (y_hi - y_lo) / 4096
+        conv += float(rep.law.atom0) * lam * np.exp(-lam * t)
+        full = float(np.max(np.abs(conv - spec.interval_pdf(t))))
+        assert convolution_residual(rep, spec) == full
 
 
 class TestSimulatedIntervals:
