@@ -386,9 +386,6 @@ def cmd_pprd_step(args) -> int:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # forked workers inherit the law's SciPy functions instead of each
-        # importing them
-        law.survivor(0.0)
         context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
         with ProcessPoolExecutor(workers, mp_context=context) as pool:
             n = args.trials

@@ -4,6 +4,7 @@ import argparse
 import math
 import multiprocessing
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -837,23 +838,27 @@ _PPRD_TRIALS = ["pprd-step", "--mean", 0.08, "--shape", 10, "--nu0", 5, "--nu1",
                 "--t-max", 0.2, "--dt", 0.02, "--trials", 3, "--mc", 2000, "--seed", 5]
 
 
+_STEP = ["step", "--d", 0.02, "--nu0", 5, "--nu1", 10, "--t-max", 0.1, "--dt", 0.005]
+
+
 @pytest.mark.parametrize("argv", [
-    [*_PPRD_TRIALS, "--out", "pp.csv"],
-    ["step", "--d", 0.02, "--nu0", 5, "--nu1", 10, "--t-max", 0.1, "--dt", 0.005,
-     "--mc", 2000, "--seed", 1, "--out", "st.csv"],
-], ids=["pprd-step", "step"])
-def test_sampling_commands_leave_scipy_optimize_out(tmp_path, argv):
-    assert _loaded_after("deadtime.cli", ["scipy.optimize"], argv, cwd=tmp_path) == "[]"
+    [*_STEP, "--out", "st.csv"],
+    [*_STEP, "--mc", 2000, "--seed", 1, "--out", "st.csv"],
+    ["pprd-step", "--mean", 0.08, "--shape", 10, "--nu0", 5, "--nu1", 10, "--t-max", 0.2,
+     "--dt", 0.02, "--out", "pp.csv"],
+    [*_PPRD_TRIALS, "--threads", 1, "--out", "pp.csv"],
+    ["hazard", "--law", "gamma:10,137.5", "--lambda0", 10, "--tau-max", 0.1, "--out", "h.csv"],
+], ids=["step", "step-mc", "pprd-step", "pprd-step-trials", "hazard-gamma"])
+def test_sampling_commands_load_no_scipy(tmp_path, argv):
+    # the trials run in this process at one thread, so the probe sees them
+    assert _loaded_after("deadtime.cli", ["scipy"], argv, cwd=tmp_path) == "[]"
 
 
-@pytest.mark.parametrize("process, probe", [
-    ("lognormal:0,0.8,0.1", "scipy"),
-    ("gamma:3,25", "scipy.optimize"),
-], ids=["lognormal", "gamma"])
-def test_represent_leaves_scipy_out(tmp_path, process, probe):
-    # a gamma interval still needs scipy.special for its quantile
+@pytest.mark.parametrize("process", ["lognormal:0,0.8,0.1", "gamma:3,25"],
+                         ids=["lognormal", "gamma"])
+def test_represent_leaves_scipy_out(tmp_path, process):
     argv = ["represent", "--process", process, "--out", "law.csv"]
-    assert _loaded_after("deadtime.cli", [probe], argv, cwd=tmp_path) == "[]"
+    assert _loaded_after("deadtime.cli", ["scipy"], argv, cwd=tmp_path) == "[]"
 
 
 # A child's ru_maxrss starts from the resident size of the process it was
@@ -888,7 +893,7 @@ def test_represent_peak_memory_budget(tmp_path):
 
 def test_first_scipy_import_in_worker_threads_keeps_bytes(tmp_path):
     # fresh processes: one runs the trials itself, the other forks two
-    # workers after its first scipy.special import
+    # workers; each trial's bytes depend on its seed alone
     for threads in (1, 2):
         argv = [*_PPRD_TRIALS, "--threads", threads, "--out", f"t{threads}.csv"]
         _loaded_after("deadtime.cli", [], argv, cwd=tmp_path)
@@ -920,6 +925,8 @@ def test_periodic_bytes_at_each_blas_thread_count(tmp_path):
     assert np.max(np.abs(one - two)) <= 1e-14 * np.max(np.abs(one))
 
 
-def test_closed_form_and_chain_modules_leave_linalg_and_optimize_out():
-    probes = ["scipy.linalg", "scipy.optimize"]
-    assert _loaded_after("deadtime.analytic_ppd, deadtime.gamma_chain", probes) == "[]"
+def test_importing_every_module_loads_no_scipy():
+    package = os.path.dirname(cli.__file__)
+    modules = ", ".join(f"deadtime.{m.name}" for m in pkgutil.iter_modules([package]))
+    assert "deadtime.spectral" in modules
+    assert _loaded_after(f"deadtime, {modules}", ["scipy"]) == "[]"

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from deadtime import core
 from deadtime.core import (
     Constant,
     Cosine,
@@ -189,12 +191,11 @@ class TestLaws:
         assert got == pytest.approx(2.5428680946970390e-292, rel=1e-10, abs=0.0)
 
     def test_gamma_tilted_integral_keeps_the_bits_of_normal_discounts(self):
-        from scipy import special
-
         law, c = GammaDeadTime(50, 400.0), 350.0
         b = np.linspace(0.05, 2.3, 46)
         got = law.tilted_integral(c, 0.0, b, c * b)
-        plain = np.exp(-c * b) * (special.gammainc(51, (law.rate - c) * b) * (law.rate / (law.rate - c)) ** 51)
+        lower = core._gamma_tail(51, (law.rate - c) * b, upper=False)
+        plain = np.exp(-c * b) * (lower * (law.rate / (law.rate - c)) ** 51)
         normal = c * b <= 708.0
         assert 0 < np.count_nonzero(normal) < b.size
         np.testing.assert_array_equal(got[normal], plain[normal])
@@ -204,8 +205,6 @@ class TestLaws:
     def test_gamma_tilted_integral_sums_the_series_only_where_the_mass_underflows(
         self, monkeypatch, start
     ):
-        from deadtime import core
-
         # order 200 at 0.97 of its rate, where the tilt factor alone would
         # overflow: the lower tail underflows below z = 2.4, and past z = 1e8
         # the series costs time linear in z
@@ -257,6 +256,95 @@ class TestLaws:
         law = GammaDeadTime(order=10, rate=137.5)
         w = law.support_window()
         assert law.survivor(w) == pytest.approx(1e-12, rel=1e-3)
+
+
+def _log_spread(a, us):
+    """Points from 1e-6 to 1e4 * a, log-uniform in ``us`` on [0, 1]."""
+    return 1e-6 * (1e4 * a / 1e-6) ** np.asarray(us, dtype=float)
+
+
+class TestErlangKernels:
+    """The incomplete gamma functions of integer shape ``a`` and the inverse of
+    the upper one, against SciPy (a test-only dependency) and mpmath."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        a=st.integers(1, 202),
+        us=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16),
+        near=st.lists(st.floats(-0.3, 0.3), max_size=8),
+    )
+    @example(a=1, us=[0.0, 0.5, 1.0], near=[0.0])
+    @example(a=202, us=[0.0, 0.5, 0.6, 1.0], near=[-1e-9, 0.0, 1e-9])
+    def test_tails_match_scipy(self, a, us, near):
+        from scipy import special
+
+        z = np.concatenate([_log_spread(a, us), a * np.exp(near)])
+        for upper, ref in ((False, special.gammainc(a, z)), (True, special.gammaincc(a, z))):
+            got = core._gamma_tail(a, z, upper)
+            normal = ref >= 1e-300
+            assert_allclose(got[normal], ref[normal], rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        a=st.integers(1, 202),
+        logs=st.lists(st.floats(-690.0, math.log(0.5)), min_size=1, max_size=16),
+    )
+    @example(a=1, logs=[-690.0, -36.8, math.log(0.5)])
+    @example(a=202, logs=[-690.0, -36.8, -1.0, math.log(0.5)])
+    def test_inverse_matches_scipy_and_round_trips(self, a, logs):
+        from scipy import special
+
+        tail = np.exp(logs)
+        y = np.concatenate([tail, 1.0 - tail])
+        x = core._gammainccinv(a, y)
+        assert_allclose(x, special.gammainccinv(a, y), rtol=1e-13, atol=0.0)
+        # the root lies within four ulps of x
+        eps = 4.0 * np.finfo(float).eps
+        assert np.all(core._gamma_tail(a, x * (1.0 + eps), True) <= y * (1.0 + 1e-12))
+        assert np.all(core._gamma_tail(a, x * (1.0 - eps), True) >= y * (1.0 - 1e-12))
+
+    @pytest.mark.parametrize("z", [20.1, 200.5, 402.0], ids=["far-below", "at-shape", "far-above"])
+    def test_order_200_against_50_digits(self, z):
+        import mpmath
+
+        a = 201
+        with mpmath.workdps(50):
+            lower = float(mpmath.gammainc(a, 0, z, regularized=True))
+            upper = float(mpmath.gammainc(a, z, mpmath.inf, regularized=True))
+        assert core._gamma_tail(a, z, False) == pytest.approx(lower, rel=1e-13, abs=0.0)
+        assert core._gamma_tail(a, z, True) == pytest.approx(upper, rel=1e-13, abs=0.0)
+        if upper < 1.0:
+            assert core._gammainccinv(a, upper) == pytest.approx(z, rel=1e-13)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(a=st.integers(1, 202), us=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=12))
+    def test_each_element_keeps_its_bits_alone(self, a, us):
+        z = _log_spread(a, us)
+        levels = np.asarray(us)
+        kernels = [
+            (lambda v: core._gamma_tail(a, v, False), z),
+            (lambda v: core._gamma_tail(a, v, True), z),
+            (lambda v: core._log_gammainc(a, v), z[z < a]),
+            (lambda v: core._gammainccinv(a, v), levels),
+        ]
+        for fn, arg in kernels:
+            whole = fn(arg)
+            for i in range(arg.size):
+                assert whole[i:i + 1].tobytes() == fn(arg[i:i + 1]).tobytes()
+
+    def test_order_5000_in_under_a_second(self):
+        from scipy import special
+
+        a = 5001
+        z = a * np.array([0.9, 0.99, 1.0, 1.01, 1.1])
+        y = np.array([1e-300, 1e-12, 0.25, 0.5, 0.75, 1.0 - 1e-12])
+        start = time.perf_counter()
+        lower, upper = core._gamma_tail(a, z, False), core._gamma_tail(a, z, True)
+        x = core._gammainccinv(a, y)
+        assert time.perf_counter() - start < 1.0
+        assert_allclose(lower, special.gammainc(a, z), rtol=1e-12, atol=0.0)
+        assert_allclose(upper, special.gammaincc(a, z), rtol=1e-12, atol=0.0)
+        assert_allclose(x, special.gammainccinv(a, y), rtol=1e-13, atol=0.0)
 
 
 class TestSpectrum:
