@@ -159,10 +159,12 @@ def step_response(
     if grid.t0 > 0.0:
         b = matrix_exponential(m * grid.t0) @ b
     prop = matrix_exponential(m * grid.dt)
+    nxt = np.empty_like(b)
     active = np.empty(grid.n)
     for i in range(grid.n):
         active[i] = b[-1]
-        b = prop @ b
+        np.dot(prop, b, out=nxt)
+        b, nxt = nxt, b
     return Trace(grid, active, lam1 * active)
 
 
@@ -180,6 +182,12 @@ def integrate(
     rejected rather than silently under-resolved.  With
     ``return_final_state`` the result is a ``(trace, state)`` pair, which
     lets callers audit the conserved occupation sum after long runs.
+
+    The stepper works in preallocated buffers and keeps the bits of the
+    stage form ``k = m_base @ x + (lam * x[-1]) * k_col``: the matvec is
+    the same BLAS call (``np.dot`` into a buffer), and the rank-one input
+    term, nonzero only in entries ``0`` and ``n + 1``, is added there as
+    two scalar updates.
     """
     _check_params(n, beta)
     if b0.n != n:
@@ -195,32 +203,42 @@ def integrate(
         raise ValueError(f"initial state breaks the occupation sum by {gap:.3e}")
 
     m_base = build_generator(n, beta, 0.0)
-    k_col = np.zeros(n + 2)
-    k_col[0] = beta
-    k_col[-1] = -1.0
-
-    def deriv(lam, b):
-        return m_base @ b + (lam * b[-1]) * k_col
-
+    last = n + 1
     h = grid.dt
+    # the step's factors as 0-d arrays, which ufuncs take faster than floats
+    half, full, two, sixth = (np.array(c) for c in (0.5 * h, h, 2.0, h / 6.0))
     b = b0.values.copy()
+    x, k1, k2, k3, k4 = (np.empty(n + 2) for _ in range(5))
+
+    def deriv(lam, y, out):
+        np.dot(m_base, y, out=out)
+        s = lam * y[last]
+        out[0] += s * beta
+        out[last] -= s
+
     t = grid.times()
     # input rates at the nodes, and at the half- and next nodes of each step
     at = sig.rate(t)
-    mid, end = (sig.rate(s) for s in (t[:-1] + 0.5 * h, t[:-1] + h))
+    mid, end = (sig.rate(s).tolist() for s in (t[:-1] + 0.5 * h, t[:-1] + h))
     active = np.empty(grid.n)
-    rate = np.empty(grid.n)
-    for i in range(grid.n):
-        active[i] = b[-1]
-        rate[i] = at[i] * b[-1]
+    for i, lam in enumerate(at.tolist()):
+        active[i] = b[last]
         if i == grid.n - 1:
             break
-        k1 = deriv(at[i], b)
-        k2 = deriv(mid[i], b + 0.5 * h * k1)
-        k3 = deriv(mid[i], b + 0.5 * h * k2)
-        k4 = deriv(end[i], b + h * k3)
-        b = b + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    trace = Trace(grid, active, rate)
+        deriv(lam, b, k1)
+        np.multiply(k1, half, out=x)
+        deriv(mid[i], np.add(b, x, out=x), k2)
+        np.multiply(k2, half, out=x)
+        deriv(mid[i], np.add(b, x, out=x), k3)
+        np.multiply(k3, full, out=x)
+        deriv(end[i], np.add(b, x, out=x), k4)
+        # b + (h/6) * (k1 + 2 k2 + 2 k3 + k4), summed in that order
+        k1 += np.multiply(k2, two, out=k2)
+        k1 += np.multiply(k3, two, out=k3)
+        k1 += k4
+        k1 *= sixth
+        b += k1
+    trace = Trace(grid, active, at * active)
     if return_final_state:
         return trace, ChainState(b)
     return trace

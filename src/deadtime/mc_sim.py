@@ -72,12 +72,25 @@ _INV_2_53 = float(2.0**-53)
 
 
 def _mix64(z):
+    """Splitmix64's finalizer of the words ``z``: an array is mixed in place."""
     # modular wraparound is the point of the mixer; only scalar inputs
     # would warn about it
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX_1
-        z = (z ^ (z >> np.uint64(27))) * _MIX_2
-        return z ^ (z >> np.uint64(31))
+        z ^= z >> np.uint64(30)
+        z *= _MIX_1
+        z ^= z >> np.uint64(27)
+        z *= _MIX_2
+        z ^= z >> np.uint64(31)
+        return z
+
+
+def _unit(words: np.ndarray) -> np.ndarray:
+    """Uniform variates in [0, 1) from the counter ``words``, which it mixes in place."""
+    z = _mix64(words)
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u *= _INV_2_53
+    return u
 
 
 def _component_keys(seed: int, comp: np.ndarray) -> np.ndarray:
@@ -88,8 +101,24 @@ def _component_keys(seed: int, comp: np.ndarray) -> np.ndarray:
 
 def _uniform(keys: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Uniform variate in [0, 1) for draw ``idx`` of each keyed substream."""
-    word = _mix64(keys + idx.astype(np.uint64) * _GOLDEN)
-    return (word >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    return _unit(keys + idx.astype(np.uint64) * _GOLDEN)
+
+
+def _draw(ctr: np.ndarray) -> np.ndarray:
+    """The next uniform of each counter word ``ctr = key + draw*GOLDEN``;
+    the words step to the draw after it."""
+    u = _unit(ctr.copy())
+    ctr += _GOLDEN
+    return u
+
+
+def _bin_index(t, t0: float, bw: float, n_bins: int) -> np.ndarray:
+    """Bin of each event time ``t`` in ``[t0, t0 + n_bins*bw)``.
+
+    ``(t - t0)/bw`` rounded down, except that an event just below the end
+    of the span whose quotient rounds up to ``n_bins`` falls in the last bin.
+    """
+    return np.minimum(((t - t0) / bw).astype(np.int64), n_bins - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -879,6 +908,23 @@ class _BirthSweep:
 # ---------------------------------------------------------------------------
 
 
+def _thin(sig: InputSignal, t: np.ndarray, ctr: np.ndarray, lam_max: float):
+    """Acceptance of the proposals at ``t``, ``u*lam_max < rate(t)``, with
+    ``u`` the next draw of ``ctr``; None where all are accepted.
+
+    A proposal where the rate is at the bound is accepted whatever its
+    draw, since ``u < 1``, so its uniform is never formed; every counter
+    steps past the draw all the same.
+    """
+    lam = np.asarray(sig.rate(t), dtype=float)
+    acc = lam >= lam_max
+    if not acc.all():
+        doubt = np.flatnonzero(~acc)
+        acc[doubt] = _unit(ctr.take(doubt)) * lam_max < lam.take(doubt)
+    ctr += _GOLDEN
+    return None if acc.all() else acc
+
+
 def simulate_generative(
     sig: InputSignal, law: DeadTimeLaw, cfg: SimConfig, return_events: bool = False
 ):
@@ -889,6 +935,14 @@ def simulate_generative(
     otherwise at a uniform position inside a length-biased dead time.
     With ``return_events`` the result is ``(estimate, (components, times))``
     sorted by component, then time.
+
+    Each component draws, in order: its state, the length and the position
+    of its initial dead time, then per proposal its waiting time, its
+    acceptance uniform and, when accepted, its dead time.  A proposal where
+    the input is at ``lambda_max`` is accepted whatever its draw, so that
+    uniform is skipped, the counter still stepping past it; a constant
+    input at the bound draws no acceptance uniforms at all.  Each round
+    works on the components still inside the span only.
     """
     _validate_bound(sig, cfg)
     t0 = cfg.t_span[0]
@@ -908,55 +962,44 @@ def simulate_generative(
 
     for c_lo in range(0, cfg.components, _CHUNK):
         comp = np.arange(c_lo, min(c_lo + _CHUNK, cfg.components), dtype=np.int64)
-        keys = _component_keys(cfg.seed, comp)
-        idx = np.zeros(comp.size, dtype=np.int64)
-
-        u_state = _uniform(keys, idx)
-        idx += 1
-        u_len = _uniform(keys, idx)
-        idx += 1
-        u_pos = _uniform(keys, idx)
-        idx += 1
+        # the counter word of each component's next draw
+        ctr = _component_keys(cfg.seed, comp)
+        u_state = _draw(ctr)
+        u_len = _draw(ctr)
+        u_pos = _draw(ctr)
         residual = (1.0 - u_pos) * law.length_biased_quantile(u_len)
         blocked = u_state >= a_eq
-        t_cur = np.where(blocked, t0 + residual, t0)
-        _mark_dead(
-            dead_diff, t0, bw, n_bins, np.full(int(blocked.sum()), t0), t_cur[blocked]
-        )
+        t = np.where(blocked, t0 + residual, t0)
+        _mark_dead(dead_diff, t0, bw, n_bins, np.full(int(blocked.sum()), t0), t[blocked])
 
-        alive = t_cur < t_stop
-        while np.any(alive):
-            sub = np.nonzero(alive)[0]
-            u_e = _uniform(keys[sub], idx[sub])
-            idx[sub] += 1
-            t_prop = t_cur[sub] - np.log1p(-u_e) / lam_max
-            over = t_prop >= t_stop
-            alive[sub[over]] = False
-            sub = sub[~over]
-            t_prop = t_prop[~over]
-            if sub.size == 0:
-                continue
-            t_cur[sub] = t_prop
-            if sure_accept:
-                acc = np.ones(sub.size, dtype=bool)
+        # the live components, (comp, ctr, t), shrink as they leave the span;
+        # one whose dead time ends past it leaves with its next proposal
+        while comp.size:
+            t = t - np.log1p(-_draw(ctr)) / lam_max
+            inside = t < t_stop
+            if not inside.all():
+                comp, ctr, t = comp[inside], ctr[inside], t[inside]
+                if not comp.size:
+                    break
+            acc = None if sure_accept else _thin(sig, t, ctr, lam_max)
+            if acc is None:
+                # every proposal is an event
+                ids, t_ev, u_d = comp, t, _draw(ctr)
             else:
-                u_a = _uniform(keys[sub], idx[sub])
-                idx[sub] += 1
-                acc = u_a * lam_max < np.asarray(sig.rate(t_prop), dtype=float)
-            hit = sub[acc]
-            if hit.size:
-                t_ev = t_prop[acc]
-                counts += np.bincount(
-                    ((t_ev - t0) / bw).astype(np.int64), minlength=n_bins
-                )
-                if collect is not None:
-                    collect.append((comp[hit], t_ev))
-                u_d = _uniform(keys[hit], idx[hit])
-                idx[hit] += 1
-                x = law.quantile(u_d)
-                _mark_dead(dead_diff, t0, bw, n_bins, t_ev, t_ev + x)
-                t_cur[hit] = t_ev + x
-                alive[hit] = t_cur[hit] < t_stop
+                hit = np.flatnonzero(acc)
+                if not hit.size:
+                    continue
+                ids, t_ev, u_d = comp.take(hit), t.take(hit), _unit(ctr.take(hit))
+                ctr[hit] += _GOLDEN
+            counts += np.bincount(_bin_index(t_ev, t0, bw, n_bins), minlength=n_bins)
+            if collect is not None:
+                collect.append((ids, t_ev))
+            t_end = t_ev + law.quantile(u_d)
+            _mark_dead(dead_diff, t0, bw, n_bins, t_ev, t_end)
+            if acc is None:
+                t = t_end
+            else:
+                t[hit] = t_end
 
     active_hat = 1.0 - np.cumsum(dead_diff[:-1]) / cfg.components
     return _finish_estimate(cfg, counts, active_hat, active_hat * (1.0 - active_hat), collect)
@@ -1035,9 +1078,7 @@ def simulate_rejection(
             hit = sub[acc]
             if hit.size:
                 t_ev = t_prop[acc]
-                counts += np.bincount(
-                    ((t_ev - t0) / bw).astype(np.int64), minlength=n_bins
-                )
+                counts += np.bincount(_bin_index(t_ev, t0, bw, n_bins), minlength=n_bins)
                 if collect is not None:
                     collect.append((comp[hit], t_ev))
                 # a segment ends at each event: from the component's previous birth

@@ -1,5 +1,6 @@
 """Tests for the event-level samplers and the renewal hazard."""
 
+import hashlib
 import math
 from unittest import mock
 
@@ -241,6 +242,72 @@ class TestConfigAndEstimate:
             )
 
 
+def reference_generative(sig, law, cfg, return_events=False):
+    """The generative sampler as one straightforward thinning loop.
+
+    Every round gathers the live components from full-size arrays and
+    rebuilds each draw's counter from its index; the package's sampler
+    must give the same bits.
+    """
+    mc_sim._validate_bound(sig, cfg)
+    t0, bw, n_bins = cfg.t_span[0], cfg.bin_width, cfg.n_bins
+    t_stop = t0 + n_bins * bw
+    lam_max = cfg.lambda_max
+    lam0 = float(sig.rate_left(t0))
+    a_eq = 1.0 / (1.0 + lam0 * law.mean())
+    sure_accept = sig.levels() == (lam_max,)
+    counts = np.zeros(n_bins, dtype=np.int64)
+    dead_diff = np.zeros(n_bins + 1, dtype=np.int64)
+    collect = [] if return_events else None
+    for c_lo in range(0, cfg.components, mc_sim._CHUNK):
+        comp = np.arange(c_lo, min(c_lo + mc_sim._CHUNK, cfg.components), dtype=np.int64)
+        keys = mc_sim._component_keys(cfg.seed, comp)
+        idx = np.zeros(comp.size, dtype=np.int64)
+        u_state = mc_sim._uniform(keys, idx)
+        idx += 1
+        u_len = mc_sim._uniform(keys, idx)
+        idx += 1
+        u_pos = mc_sim._uniform(keys, idx)
+        idx += 1
+        residual = (1.0 - u_pos) * law.length_biased_quantile(u_len)
+        blocked = u_state >= a_eq
+        t_cur = np.where(blocked, t0 + residual, t0)
+        mc_sim._mark_dead(dead_diff, t0, bw, n_bins, np.full(int(blocked.sum()), t0), t_cur[blocked])
+        alive = t_cur < t_stop
+        while np.any(alive):
+            sub = np.nonzero(alive)[0]
+            u_e = mc_sim._uniform(keys[sub], idx[sub])
+            idx[sub] += 1
+            t_prop = t_cur[sub] - np.log1p(-u_e) / lam_max
+            over = t_prop >= t_stop
+            alive[sub[over]] = False
+            sub, t_prop = sub[~over], t_prop[~over]
+            if sub.size == 0:
+                continue
+            t_cur[sub] = t_prop
+            if sure_accept:
+                acc = np.ones(sub.size, dtype=bool)
+            else:
+                u_a = mc_sim._uniform(keys[sub], idx[sub])
+                idx[sub] += 1
+                acc = u_a * lam_max < np.asarray(sig.rate(t_prop), dtype=float)
+            hit = sub[acc]
+            if hit.size:
+                t_ev = t_prop[acc]
+                b = np.minimum(((t_ev - t0) / bw).astype(np.int64), n_bins - 1)
+                counts += np.bincount(b, minlength=n_bins)
+                if collect is not None:
+                    collect.append((comp[hit], t_ev))
+                u_d = mc_sim._uniform(keys[hit], idx[hit])
+                idx[hit] += 1
+                x = law.quantile(u_d)
+                mc_sim._mark_dead(dead_diff, t0, bw, n_bins, t_ev, t_ev + x)
+                t_cur[hit] = t_ev + x
+                alive[hit] = t_cur[hit] < t_stop
+    active_hat = 1.0 - np.cumsum(dead_diff[:-1]) / cfg.components
+    return mc_sim._finish_estimate(cfg, counts, active_hat, active_hat * (1.0 - active_hat), collect)
+
+
 class TestGenerative:
     def test_equilibrium_rate_fixed_dead_time(self):
         lam, d = 8.0, 0.05
@@ -403,6 +470,41 @@ class TestGenerative:
         np.testing.assert_array_equal(ev1[1], ev3[1])
         np.testing.assert_array_equal(est1.event_count, est3.event_count)
         np.testing.assert_array_equal(est1.active_hat, est3.active_hat)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["constant", "up", "down", "cosine"]),
+        headroom=st.sampled_from([1.0, 1.3]),
+        gamma=st.booleans(),
+        chunk=st.sampled_from([mc_sim._CHUNK, 37]),
+        seed=st.integers(0, 2**40),
+    )
+    @example(kind="up", headroom=1.0, gamma=False, chunk=37, seed=3)
+    @example(kind="constant", headroom=1.0, gamma=True, chunk=37, seed=4)
+    @example(kind="down", headroom=1.0, gamma=True, chunk=mc_sim._CHUNK, seed=5)
+    @example(kind="cosine", headroom=1.3, gamma=False, chunk=37, seed=6)
+    def test_matches_the_reference_thinning_loop(self, kind, headroom, gamma, chunk, seed):
+        lo, hi = 6.0, 15.0
+        sig = {
+            "constant": Constant(hi),
+            "up": Step(lo, hi, 0.13),
+            "down": Step(hi, lo, 0.13),
+            "cosine": Cosine(0.5 * (lo + hi), 0.5 * (hi - lo), 4.0),
+        }[kind]
+        law = GammaDeadTime(3, 60.0) if gamma else FixedDeadTime(0.04)
+        cfg = SimConfig(components=150, seed=seed, t_span=(-0.01, 0.3), bin_width=0.01,
+                        lambda_max=headroom * hi)
+        with mock.patch.object(mc_sim, "_CHUNK", chunk):
+            est, ev = simulate_generative(sig, law, cfg, return_events=True)
+            ref, ev_ref = reference_generative(sig, law, cfg, return_events=True)
+            plain = simulate_generative(sig, law, cfg)
+        assert ev[0].size > 0
+        for got, want in ((ev[0], ev_ref[0]), (ev[1], ev_ref[1])):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        for e in (est, plain):
+            for name in ("rate_hat", "rate_se", "active_hat", "active_se", "event_count"):
+                np.testing.assert_array_equal(getattr(e, name), getattr(ref, name))
 
 
 class TestRejection:
@@ -935,6 +1037,60 @@ class TestSamplingInternals:
         # distinct components and draw indices decorrelate
         u_c = mc_sim._uniform(keys, np.ones(4, dtype=np.int64))
         assert not np.any(u_a == u_c)
+
+    def test_uniform_stream_values_are_pinned(self):
+        # (seed, component, draw) -> the exact variate
+        pinned = {
+            (0, 0, 0): "0x1.9ff45ea7ce2bcp-3",
+            (1234, 3, 0): "0x1.9b8b928f43dbep-2",
+            (1234, 3, 1): "0x1.dc530ee590711p-1",
+            (2**40 + 7, 1000003, 17): "0x1.82d17d4943c50p-2",
+            (42, 7, 123456): "0x1.8305a79d6a29cp-2",
+        }
+        for (seed, comp, draw), want in pinned.items():
+            keys = mc_sim._component_keys(seed, np.array([comp], dtype=np.int64))
+            u = mc_sim._uniform(keys, np.array([draw], dtype=np.int64))
+            assert float(u[0]).hex() == want
+
+    @pytest.mark.parametrize("sampler, events, want", [
+        (simulate_generative, 1254, "ed49a547d65c6f09ccfa39557ea747a6"),
+        (simulate_rejection, 1224, "46bcb7dcfb06dd247ef3b25cc7a1ec85"),
+    ])
+    def test_seeded_runs_are_pinned(self, sampler, events, want):
+        # a step whose upper level is the thinning bound
+        cfg = SimConfig(components=500, seed=2024, t_span=(0.0, 0.6), bin_width=0.02, lambda_max=9.0)
+        est, ev = sampler(Step(4.0, 9.0, 0.2), GammaDeadTime(3, 40.0), cfg, return_events=True)
+        h = hashlib.sha256()
+        for a in (est.rate_hat, est.active_hat, est.event_count, ev[0], ev[1]):
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert ev[0].size == events
+        assert h.hexdigest()[:32] == want
+
+    def test_event_just_below_the_end_falls_in_the_last_bin(self):
+        # 0.009 lies below the end 9 * 1e-3 of the span, but its quotient
+        # rounds up to 9, one past the last bin
+        t_stop = 9 * 1e-3
+        assert 0.009 < t_stop and int(0.009 / 1e-3) == 9
+        assert mc_sim._bin_index(np.array([0.009]), 0.0, 1e-3, 9).tolist() == [8]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        t0=st.floats(-10.0, 10.0),
+        bw=st.floats(1e-6, 1.0),
+        n_bins=st.integers(1, 10**6),
+        share=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_bins_cover_the_span(self, t0, bw, n_bins, share):
+        t_stop = t0 + n_bins * bw
+        last = np.nextafter(t_stop, -np.inf)
+        assume(t0 < last)
+        t = np.array([last, min(t0 + share * (t_stop - t0), last)])
+        b = mc_sim._bin_index(t, t0, bw, n_bins)
+        assert b[0] == n_bins - 1
+        assert 0 <= b[1] < n_bins
+        # an event well inside a bin keeps the bin it always had
+        inner = np.array([t0 + (k + 0.5) * bw for k in (0, n_bins // 2, n_bins - 1)])
+        assert mc_sim._bin_index(inner, t0, bw, n_bins).tolist() == ((inner - t0) / bw).astype(np.int64).tolist()
 
     def test_events_csv_round_trip(self, tmp_path):
         comp = np.array([0, 0, 2], dtype=np.int64)
