@@ -13,7 +13,11 @@ import contextlib
 import functools
 import itertools
 import math
+import os
+import stat
 import sys
+import tempfile
+import zipfile
 from dataclasses import dataclass
 from typing import Callable
 
@@ -214,10 +218,15 @@ def read_csv(path, schema: Schema) -> tuple[list[np.ndarray], float | None]:
         else:
             raise ValueError(f"{schema.kind} file has no rows")
     columns = [data[name] for name in names]
-    for name, kind, col in zip(names, schema.types, columns):
+    _check_columns(schema, columns)
+    return columns, value
+
+
+def _check_columns(schema: Schema, columns) -> None:
+    """Raise ``ValueError`` for a float value its column does not allow."""
+    for name, kind, col in zip(schema.header.split(","), schema.types, columns):
         if kind != "i" and not np.all(~np.isinf(col) if kind == "n" else np.isfinite(col)):
             raise ValueError(f"{schema.kind} column {name!r} must hold {_COLUMN_RULES[kind]}")
-    return columns, value
 
 
 # ---------------------------------------------------------------------------
@@ -1016,7 +1025,7 @@ class TabulatedDeadTime(DeadTimeLaw):
     Parameters
     ----------
     x : ndarray
-        Strictly increasing abscissae, ``x[0] >= 0``.  Grids may be
+        Finite, strictly increasing abscissae, ``x[0] >= 0``.  Grids may be
         non-uniform (log-spaced grids are common for heavy-tailed laws).
     pdf : ndarray
         Density samples, non-negative up to a ``-1e-12`` numerical slack.
@@ -1036,15 +1045,15 @@ class TabulatedDeadTime(DeadTimeLaw):
         pdf = np.asarray(self.pdf, dtype=float)
         if x.ndim != 1 or x.size < 2 or pdf.shape != x.shape:
             raise ValueError("need matching 1-d arrays with at least two nodes")
-        if x[0] < 0.0 or np.any(np.diff(x) <= 0.0):
-            raise ValueError("abscissae must be non-negative and strictly increasing")
+        if not np.all(np.isfinite(x)) or x[0] < 0.0 or np.any(np.diff(x) <= 0.0):
+            raise ValueError("abscissae must be finite, non-negative and strictly increasing")
         if np.any(pdf < -1e-12) or not np.all(np.isfinite(pdf)):
             raise ValueError("density samples must be non-negative")
         pdf = np.clip(pdf, 0.0, None)
         if not (0.0 <= self.atom_at_zero <= 1.0):
             raise ValueError("atom mass must lie in [0, 1]")
         mass = self.atom_at_zero + np.trapezoid(pdf, x)
-        if abs(mass - 1.0) > 1e-9:
+        if not abs(mass - 1.0) <= 1e-9:
             raise ValueError(f"law mass {mass!r} deviates from one by more than 1e-9")
         cdf = np.minimum(self.atom_at_zero + cumulative_trapezoid(pdf, x), 1.0)
         for name, arr in (("x", x), ("pdf", pdf), ("_cdf", cdf)):
@@ -1370,14 +1379,91 @@ def write_law_csv(law: DeadTimeLaw, path, n_nodes: int = 2048):
     """Serialize a law as ``x, rho`` rows under a header carrying the atom mass.
 
     Tabulated laws are written on their own grid; analytic laws are sampled
-    on a uniform grid covering their support window.
+    on a uniform grid covering their support window.  A law written to a
+    regular file also gets a binary twin beside it (:func:`_write_twin`).
     """
-    write_csv(path, LAW_CSV, law.density_table(n_nodes), law.atom0)
+    columns = [np.asarray(col, dtype=float) for col in law.density_table(n_nodes)]
+    write_csv(path, LAW_CSV, columns, law.atom0)
+    if path != "-":
+        _write_twin(path, columns, float(law.atom0))
 
 
 def read_law_csv(path) -> TabulatedDeadTime:
-    (x, pdf), atom = read_csv(path, LAW_CSV)
+    """The law in a law file, from its binary twin when the twin matches the file."""
+    (x, pdf), atom = _read_twin(path) or read_csv(path, LAW_CSV)
     return TabulatedDeadTime(x, pdf, atom)
 
 
 LAW_CSV = Schema("law", "x,rho", "ff", parameter="atom0")
+
+# A law file's binary twin, ``.<name>.deadtime.npz`` beside it, holds the
+# values its text reads back to, so that a reader need not parse the text.
+# It is trusted exactly when it carries this tag and the SHA-256 of the
+# file's bytes, as a hash-checked ``.pyc`` is (PEP 552); any other twin is
+# ignored.  Only the writer writes twins.
+_TWIN_TAG = "deadtime law twin 1"
+
+
+def _twin_path(path) -> str:
+    head, name = os.path.split(os.fspath(path))
+    return os.path.join(head, f".{name}.deadtime.npz")
+
+
+def _sha256(path) -> str:
+    import hashlib  # not at the top: importing the command line stays as lean as it was
+
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _write_twin(path, columns, atom: float) -> None:
+    """Write the twin of the law file just written at ``path``, atomically.
+
+    Only a regular file gets one.  A twin that cannot be written is left
+    out, which costs its readers only the time of parsing the text.
+    """
+    twin = _twin_path(path)
+    try:
+        mode = os.stat(path).st_mode
+        if not stat.S_ISREG(mode):
+            return
+        head, name = os.path.split(twin)
+        fd, tmp = tempfile.mkstemp(prefix=name.removesuffix("deadtime.npz"),
+                                   suffix=".deadtime.npz", dir=head or os.curdir)
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, tag=_TWIN_TAG, digest=_sha256(path), rows=columns[0].size,
+                     x=columns[0], rho=columns[1], atom0=atom)
+        os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, twin)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
+def _read_twin(path):
+    """``([x, rho], atom0)`` from the twin of the law file ``path``, or ``None``
+    unless the twin's tag, digest and row count all match."""
+    try:  # a twin that is missing, unreadable or not NumPy data is no twin
+        twin = np.load(_twin_path(path), allow_pickle=False)
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile):
+        return None
+    if not isinstance(twin, np.lib.npyio.NpzFile):
+        return None
+    with twin:
+        try:
+            if str(twin["tag"]) != _TWIN_TAG or str(twin["digest"]) != _sha256(path):
+                return None
+            rows, x, rho, atom = int(twin["rows"]), twin["x"], twin["rho"], float(twin["atom0"])
+        except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile):
+            return None
+    # the text of a file without rows raises its own error
+    if rows == 0 or any(col.dtype != float or col.shape != (rows,) for col in (x, rho)):
+        return None
+    _check_columns(LAW_CSV, (x, rho))
+    return [x, rho], atom

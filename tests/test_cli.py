@@ -800,6 +800,11 @@ def test_importing_the_cli_loads_no_scipy():
     assert _loaded_after("deadtime.cli", ["scipy"]) == "[]"
 
 
+def test_importing_the_cli_loads_no_hashlib():
+    # only reading or writing a law file needs a digest
+    assert _loaded_after("deadtime.cli", ["hashlib"]) == "[]"
+
+
 def test_importing_the_cli_loads_no_process_pool():
     probes = ["multiprocessing", "concurrent.futures.process"]
     assert _loaded_after("deadtime.cli", probes) == "[]"

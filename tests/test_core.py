@@ -231,6 +231,15 @@ class TestLaws:
         with pytest.raises(ValueError):
             TabulatedDeadTime(x, np.full_like(x, 0.7))
 
+    @pytest.mark.parametrize("x, pdf", [([0.0, np.nan, 1.0], [1.0, 1.0, 1.0]),
+                                        ([0.0, 1.0, np.inf], [1.0, 0.0, 0.0])],
+                             ids=["nan-node", "inf-node"])
+    def test_tabulated_rejects_non_finite_abscissae(self, x, pdf):
+        # each used to construct, with NaN for its mean, survivor and quantile
+        # (and for its mass, which passed the mass check)
+        with pytest.raises(ValueError, match="finite"):
+            TabulatedDeadTime(np.array(x), np.array(pdf))
+
     def test_tabulated_against_gamma(self):
         ref = GammaDeadTime(order=2, rate=30.0)
         x = np.linspace(0.0, ref.quantile(1 - 1e-13), 40001)
