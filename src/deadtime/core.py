@@ -159,6 +159,8 @@ def write_csv(path, schema: Schema, columns, value: float | None = None) -> None
 
     ``value`` is the header parameter of a schema that has one.  Rows are
     formatted a block at a time, so a long table never exists as text.
+    Columns that ``read_csv`` would reject raise ``ValueError`` before
+    ``path`` is opened, leaving any file there as it was.
     """
     columns = [
         np.asarray(col, dtype=np.int64 if kind == "i" else float)
@@ -166,6 +168,9 @@ def write_csv(path, schema: Schema, columns, value: float | None = None) -> None
     ]
     if len({col.shape for col in columns}) > 1:
         raise ValueError(f"{schema.kind} columns differ in length")
+    if not (columns[0].size or schema.empty_ok):
+        raise ValueError(f"{schema.kind} file has no rows")
+    _check_columns(schema, columns)
     # '%.17g' is the routine behind _fmt's format(v, '.17g'), byte for byte
     row = ",".join("%d" if kind == "i" else "%.17g" for kind in schema.types) + "\n"
     out = contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="ascii")

@@ -493,15 +493,15 @@ class SimConfig:
     lambda_max: float
 
     def __post_init__(self):
-        if self.components < 1:
-            raise ValueError("need at least one component")
-        if not (self.bin_width > 0.0):
-            raise ValueError("bin width must be positive")
+        if not isinstance(self.components, (int, np.integer)) or self.components < 1:
+            raise ValueError(f"need a whole number of components, at least one: {self.components!r}")
+        if not (0.0 < self.bin_width < math.inf):
+            raise ValueError("bin width must be positive and finite")
         t0, t1 = self.t_span
-        if not (t1 > t0):
-            raise ValueError("time span must have positive length")
-        if not (self.lambda_max > 0.0):
-            raise ValueError("thinning bound must be positive")
+        if not (0.0 < t1 - t0 < math.inf):
+            raise ValueError("time span must have positive, finite length")
+        if not (0.0 < self.lambda_max < math.inf):
+            raise ValueError("thinning bound must be positive and finite")
 
     @property
     def n_bins(self) -> int:
@@ -1018,6 +1018,10 @@ def simulate_rejection(
     (``_BirthSweep``, within 1e-8 of the exact values).  The thinning
     decides by squeeze (``_accept``), across an upward switch through the
     switch identity: the same events as with the exact hazard alone.
+
+    Each component draws its stationary age, then per proposal its
+    waiting time and, while the proposal is inside the span, its
+    acceptance uniform.
     """
     _validate_bound(sig, cfg)
     t0 = cfg.t_span[0]
@@ -1035,59 +1039,48 @@ def simulate_rejection(
 
     for c_lo in range(0, cfg.components, _CHUNK):
         comp = np.arange(c_lo, min(c_lo + _CHUNK, cfg.components), dtype=np.int64)
-        keys = _component_keys(cfg.seed, comp)
-
-        u_age = _uniform(keys, np.zeros(1, dtype=np.int64))
-        last_ev = t0 - _stationary_age_quantile(law, lam0, u_age)
-        t_cur = np.full(comp.size, t0)
-        # D of each component whose last event precedes the switch, once a
-        # proposal of it is past the switch; ``crossing`` while any proposal
+        # the counter word of each component's next draw
+        ctr = _component_keys(cfg.seed, comp)
+        last_ev = t0 - _stationary_age_quantile(law, lam0, _draw(ctr))
+        t = np.full(comp.size, t0)
+        # the last birth of each component, set as it leaves the span
+        final = np.empty(comp.size)
+        # D of each live component whose last event precedes the switch, once
+        # a proposal of it is past the switch; ``crossing`` while any proposal
         # is not
         excess = None if ts is None else np.full(comp.size, np.nan)
         crossing = True
 
-        # every live component has drawn as often as any other: its age,
-        # then two draws a proposal
-        draw = np.ones(1, dtype=np.int64)
-        alive = np.ones(comp.size, dtype=bool)
-        while np.any(alive):
-            sub = np.nonzero(alive)[0]
-            key = keys[sub]
-            u_e = _uniform(key, draw)
-            u_a = _uniform(key, draw + 1)
-            draw += 2
-            t_prop = t_cur[sub] - np.log1p(-u_e) / lam_max
-            over = t_prop >= t_stop
-            alive[sub[over]] = False
-            keep = ~over
-            sub = sub[keep]
-            t_prop = t_prop[keep]
-            if sub.size == 0:
-                continue
-            t_cur[sub] = t_prop
-            last = last_ev[sub]
-            held = None
-            if excess is not None:
-                if crossing:
-                    fresh = sub[(t_prop > ts) & (last < ts) & np.isnan(excess[sub])]
-                    if fresh.size:
-                        excess[fresh] = _switch_excess(sig, law, ts - last_ev[fresh])
-                    crossing = t_prop.min() <= ts
-                held = excess[sub]
-            acc = _accept(sig, law, tables, t_prop, t_prop - last, u_a[keep] * lam_max, lam_max, held)
-            hit = sub[acc]
+        # the live components, (comp, ctr, t, last_ev, excess), shrink as
+        # they leave the span; only a proposal inside it draws its acceptance
+        while comp.size:
+            t = t - np.log1p(-_draw(ctr)) / lam_max
+            inside = t < t_stop
+            if not inside.all():
+                final[comp[~inside] - c_lo] = last_ev[~inside]
+                comp, ctr, t, last_ev = comp[inside], ctr[inside], t[inside], last_ev[inside]
+                excess = None if excess is None else excess[inside]
+                if not comp.size:
+                    break
+            if excess is not None and crossing:
+                fresh = np.flatnonzero((t > ts) & (last_ev < ts) & np.isnan(excess))
+                if fresh.size:
+                    excess[fresh] = _switch_excess(sig, law, ts - last_ev.take(fresh))
+                crossing = t.min() <= ts
+            hit = np.flatnonzero(_accept(sig, law, tables, t, t - last_ev, _draw(ctr) * lam_max,
+                                         lam_max, excess))
             if hit.size:
-                t_ev = t_prop[acc]
+                t_ev = t.take(hit)
                 counts += np.bincount(_bin_index(t_ev, t0, bw, n_bins), minlength=n_bins)
                 if collect is not None:
-                    collect.append((comp[hit], t_ev))
+                    collect.append((comp.take(hit), t_ev))
                 # a segment ends at each event: from the component's previous birth
-                sweep.add(last_ev[hit], t_ev)
+                sweep.add(last_ev.take(hit), t_ev)
                 last_ev[hit] = t_ev
 
         # and one runs on from each component's last birth
-        sweep.add(last_ev, np.full(comp.size, np.inf))
-        sweep.flush(comp.size)
+        sweep.add(final, np.full(final.size, np.inf))
+        sweep.flush(final.size)
 
     active_hat = sweep.q_sum / cfg.components
     spread = sweep.q_sq / cfg.components - active_hat**2

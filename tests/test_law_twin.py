@@ -241,8 +241,11 @@ def test_malformed_text_raises_the_same_error_beside_a_stale_twin(tmp_path, text
 @pytest.mark.parametrize("x, rho", [([0.0, np.inf], [1.0, 1.0]), ([0.0, 1.0], [np.nan, 1.0])],
                          ids=["infinite-x", "nan-density"])
 def test_matching_twin_of_non_finite_values_raises_the_texts_error(tmp_path, x, rho):
+    # the writer refuses such a table, so the file and its twin are made by hand
     path = tmp_path / "law.csv"
-    write_law_csv(raw_law(np.array(x), np.array(rho), 0.0), path)
+    x, rho = np.array(x), np.array(rho)
+    path.write_text("x,rho,atom0=0\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(x, rho)))
+    core._write_twin(path, [x, rho], 0.0)
     assert twin_of(path).exists()
     with pytest.raises(ValueError) as twin:
         read_law_csv(path)
@@ -254,10 +257,27 @@ def test_matching_twin_of_non_finite_values_raises_the_texts_error(tmp_path, x, 
 
 def test_matching_twin_of_a_law_without_rows_raises_the_texts_error(tmp_path):
     path = tmp_path / "law.csv"
-    write_law_csv(raw_law(np.empty(0), np.empty(0), 0.0), path)
+    path.write_text("x,rho,atom0=0\n")
+    core._write_twin(path, [np.empty(0), np.empty(0)], 0.0)
     assert twin_of(path).exists()
     with pytest.raises(ValueError, match="law file has no rows"):
         read_law_csv(path)
+
+
+@pytest.mark.parametrize("x, rho, error", [
+    ([0.0, np.inf], [1.0, 1.0], "column 'x' must hold finite numbers"),
+    ([0.0, 1.0], [np.nan, 1.0], "column 'rho' must hold finite numbers"),
+    ([], [], "law file has no rows"),
+], ids=["infinite-x", "nan-density", "no-rows"])
+@pytest.mark.parametrize("existing", [False, True], ids=["new-path", "over-a-law"])
+def test_writer_refuses_what_the_reader_rejects(tmp_path, x, rho, error, existing):
+    path = tmp_path / "law.csv"
+    if existing:
+        write_law_csv(gamma_table(3, 101), path)
+    before = listing(tmp_path)
+    with pytest.raises(ValueError, match=error):
+        write_law_csv(raw_law(np.array(x, dtype=float), np.array(rho, dtype=float), 0.0), path)
+    assert listing(tmp_path) == before
 
 
 # ---------------------------------------------------------------------------

@@ -177,14 +177,24 @@ class TestConfigAndEstimate:
             components=10, seed=1, t_span=(0.0, 1.0), bin_width=0.1, lambda_max=5.0
         )
         SimConfig(**ok)
-        with pytest.raises(ValueError):
-            SimConfig(**{**ok, "components": 0})
-        with pytest.raises(ValueError):
-            SimConfig(**{**ok, "bin_width": 0.0})
-        with pytest.raises(ValueError):
-            SimConfig(**{**ok, "t_span": (1.0, 1.0)})
-        with pytest.raises(ValueError):
-            SimConfig(**{**ok, "lambda_max": 0.0})
+        SimConfig(**{**ok, "components": np.int64(10)})
+        for bad in [
+            {"components": 0},
+            {"components": 2.5},
+            {"components": 10.0},
+            {"bin_width": 0.0},
+            {"bin_width": math.inf},
+            {"bin_width": math.nan},
+            {"t_span": (1.0, 1.0)},
+            {"t_span": (0.0, math.inf)},
+            {"t_span": (-math.inf, 0.0)},
+            {"t_span": (0.0, math.nan)},
+            {"lambda_max": 0.0},
+            {"lambda_max": math.inf},
+            {"lambda_max": math.nan},
+        ]:
+            with pytest.raises(ValueError):
+                SimConfig(**{**ok, **bad})
 
     def test_bin_grid_centers(self):
         cfg = SimConfig(
@@ -507,6 +517,74 @@ class TestGenerative:
                 np.testing.assert_array_equal(getattr(e, name), getattr(ref, name))
 
 
+def reference_rejection(sig, law, cfg, return_events=False):
+    """The rejection sampler as one straightforward thinning loop.
+
+    Every round gathers the live components from full-size arrays,
+    rebuilds each draw's counter from its index and draws an acceptance
+    uniform for every proposal, inside the span or not; the package's
+    sampler must give the same bits.
+    """
+    mc_sim._validate_bound(sig, cfg)
+    t0, bw, n_bins = cfg.t_span[0], cfg.bin_width, cfg.n_bins
+    t_stop = t0 + n_bins * bw
+    lam_max = cfg.lambda_max
+    lam0 = float(sig.rate_left(t0))
+    tables = mc_sim._occupation_tables(sig, law, bw)
+    sweep = mc_sim._BirthSweep(sig, law, cfg, tables)
+    ts = sig.switch_time() if mc_sim._closed_switch(sig, tables) else None
+    counts = np.zeros(n_bins, dtype=np.int64)
+    collect = [] if return_events else None
+    for c_lo in range(0, cfg.components, mc_sim._CHUNK):
+        comp = np.arange(c_lo, min(c_lo + mc_sim._CHUNK, cfg.components), dtype=np.int64)
+        keys = mc_sim._component_keys(cfg.seed, comp)
+        u_age = mc_sim._uniform(keys, np.zeros(1, dtype=np.int64))
+        last_ev = t0 - mc_sim._stationary_age_quantile(law, lam0, u_age)
+        t_cur = np.full(comp.size, t0)
+        excess = None if ts is None else np.full(comp.size, np.nan)
+        crossing = True
+        # every live component has drawn its age, then two draws a proposal
+        draw = np.ones(1, dtype=np.int64)
+        alive = np.ones(comp.size, dtype=bool)
+        while np.any(alive):
+            sub = np.nonzero(alive)[0]
+            u_e = mc_sim._uniform(keys[sub], draw)
+            u_a = mc_sim._uniform(keys[sub], draw + 1)
+            draw += 2
+            t_prop = t_cur[sub] - np.log1p(-u_e) / lam_max
+            over = t_prop >= t_stop
+            alive[sub[over]] = False
+            sub, t_prop, u_a = sub[~over], t_prop[~over], u_a[~over]
+            if sub.size == 0:
+                continue
+            t_cur[sub] = t_prop
+            last = last_ev[sub]
+            held = None
+            if excess is not None:
+                if crossing:
+                    fresh = sub[(t_prop > ts) & (last < ts) & np.isnan(excess[sub])]
+                    if fresh.size:
+                        excess[fresh] = mc_sim._switch_excess(sig, law, ts - last_ev[fresh])
+                    crossing = t_prop.min() <= ts
+                held = excess[sub]
+            acc = mc_sim._accept(sig, law, tables, t_prop, t_prop - last, u_a * lam_max, lam_max,
+                                 held)
+            hit = sub[acc]
+            if hit.size:
+                t_ev = t_prop[acc]
+                b = np.minimum(((t_ev - t0) / bw).astype(np.int64), n_bins - 1)
+                counts += np.bincount(b, minlength=n_bins)
+                if collect is not None:
+                    collect.append((comp[hit], t_ev))
+                sweep.add(last_ev[hit], t_ev)
+                last_ev[hit] = t_ev
+        sweep.add(last_ev, np.full(comp.size, np.inf))
+        sweep.flush(comp.size)
+    active_hat = sweep.q_sum / cfg.components
+    spread = sweep.q_sq / cfg.components - active_hat**2
+    return mc_sim._finish_estimate(cfg, counts, active_hat, spread, collect)
+
+
 class TestRejection:
     def test_equilibrium_rate_gamma_law(self):
         lam = 5.0
@@ -612,6 +690,67 @@ class TestRejection:
         np.testing.assert_array_equal(ev1[1], ev2[1])
         np.testing.assert_array_equal(est1.event_count, est2.event_count)
         np.testing.assert_allclose(est1.active_hat, est2.active_hat, atol=1e-12)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["constant", "up", "down", "cosine"]),
+        headroom=st.sampled_from([1.0, 1.3]),
+        order=st.sampled_from([None, 0, 10, 50]),
+        chunk=st.sampled_from([mc_sim._CHUNK, 37]),
+        seed=st.integers(0, 2**40),
+    )
+    @example(kind="up", headroom=1.0, order=50, chunk=37, seed=3)
+    @example(kind="up", headroom=1.3, order=0, chunk=mc_sim._CHUNK, seed=4)
+    @example(kind="down", headroom=1.0, order=10, chunk=37, seed=5)
+    @example(kind="constant", headroom=1.0, order=None, chunk=37, seed=6)
+    @example(kind="cosine", headroom=1.3, order=50, chunk=37, seed=7)
+    def test_matches_the_reference_thinning_loop(self, kind, headroom, order, chunk, seed):
+        lo, hi = 6.0, 15.0
+        sig = {
+            "constant": Constant(hi),
+            "up": Step(lo, hi, 0.13),
+            "down": Step(hi, lo, 0.13),
+            "cosine": Cosine(0.5 * (lo + hi), 0.5 * (hi - lo), 4.0),
+        }[kind]
+        # dead times of mean 0.04 s
+        law = FixedDeadTime(0.04) if order is None else GammaDeadTime(order, (order + 1) / 0.04)
+        cfg = SimConfig(components=150, seed=seed, t_span=(-0.01, 0.3), bin_width=0.01,
+                        lambda_max=headroom * hi)
+        with mock.patch.object(mc_sim, "_CHUNK", chunk):
+            est, ev = simulate_rejection(sig, law, cfg, return_events=True)
+            ref, ev_ref = reference_rejection(sig, law, cfg, return_events=True)
+            plain = simulate_rejection(sig, law, cfg)
+        assert ev[0].size > 0
+        for got, want in ((ev[0], ev_ref[0]), (ev[1], ev_ref[1])):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        for e in (est, plain):
+            for name in ("rate_hat", "rate_se", "active_hat", "active_se", "event_count"):
+                np.testing.assert_array_equal(getattr(e, name), getattr(ref, name))
+
+    def test_hashes_its_age_exit_wait_and_two_words_a_proposal(self, monkeypatch):
+        law = GammaDeadTime(10, 137.5)
+        sig = Step(8.3, 50.0, 0.0)
+        n = 2003
+        cfg = SimConfig(components=n, seed=3, t_span=(-0.005, 0.3), bin_width=0.005,
+                        lambda_max=50.0)
+        words, proposals = [], []
+        unit, accept = mc_sim._unit, mc_sim._accept
+
+        def unit_spy(w):
+            words.append(w.size)
+            return unit(w)
+
+        def accept_spy(sig, law, tables, t, *args):
+            proposals.append(t.size)
+            return accept(sig, law, tables, t, *args)
+
+        monkeypatch.setattr(mc_sim, "_unit", unit_spy)
+        monkeypatch.setattr(mc_sim, "_accept", accept_spy)
+        simulate_rejection(sig, law, cfg)
+        # per component its age and the wait that leaves the span; per
+        # proposal inside it a wait and an acceptance uniform
+        assert sum(words) == 2 * n + 2 * sum(proposals)
 
 
 class TestOccupationTable:
