@@ -6,17 +6,18 @@ dead-time transients, ``hazard`` for the conditional intensity of a law,
 ``represent`` for the renewal mapping, ``infer-input`` for the inverse
 spectral problem, and ``validate`` for schema checks on produced files.
 
-Exit codes: 0 success, 2 usage or malformed input, 3 not representable,
-4 numerical failure.  Every command is deterministic given its flags; MC
-commands additionally take ``--seed``.  A ``--scenario FILE`` option reads
-``key = value`` defaults that explicit flags override.  ``periodic`` solves
-its frequencies in threads and ``pprd-step`` runs its trials in worker
-processes; their count comes from ``--threads`` or the DEADTIME_THREADS
-environment variable, and no output byte depends on it.  Each numeric flag
-has one declared domain, its argparse ``type``: a value outside it (NaN and
-infinities included) exits 2 naming the flag before anything is computed
-or written, as does a ``--dt`` or ``--bin-width`` that lays more than
-``_MAX_STEPS`` steps over ``--t-max``.
+Exit codes: 0 success, 2 usage, malformed input or a size past the
+memory, 3 not representable, 4 numerical failure.  Every command is
+deterministic given its flags; MC commands additionally take ``--seed``.
+A ``--scenario FILE`` option reads ``key = value`` defaults that explicit
+flags override.  ``periodic`` solves its frequencies in threads and
+``pprd-step`` runs its trials in worker processes; their count comes from
+``--threads`` or the DEADTIME_THREADS environment variable, and no output
+byte depends on it.  Each numeric flag has one declared domain, its
+argparse ``type``: a value outside it (NaN and infinities included) exits
+2 naming the flag before anything is computed or written, as does a
+``--dt`` or ``--bin-width`` that lays more than ``_MAX_STEPS`` steps over
+``--t-max``.
 """
 
 from __future__ import annotations
@@ -584,7 +585,9 @@ def build_parser() -> argparse.ArgumentParser:
     _number(p, "--mod-depth", _FRACTION, default=0.9)
     _number(p, "--f", _POSITIVE, help="drive frequency (Hz)")
     _number(p, "--f-sweep", _SWEEP, help="lo:hi:steps frequency sweep")
-    _number(p, "--harmonics", _at_least(4), default=16)
+    # the solver doubles its truncation up to 4096 and no further
+    _number(p, "--harmonics", _domain(int, lambda v: 4 <= v <= 4096, "an integer in 4..4096"),
+            default=16)
     _number(p, "--samples", _at_least(1), default=512, help="trace points per period")
     p.add_argument("--max-rate", action="store_true", help="append peak rate column")
     p.add_argument("--out-prefix", default="periodic")
@@ -644,6 +647,9 @@ def main(argv=None) -> int:
         return 4
     except (_OutOfDomain, ValueError, OSError) as err:
         _report(f"error: {err}")
+        return 2
+    except MemoryError as err:
+        _report(f"error: out of memory: {err}")
         return 2
 
 

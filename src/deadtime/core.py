@@ -588,6 +588,11 @@ class DeadTimeLaw:
     def atom0(self) -> float:
         return 0.0
 
+    @property
+    def fixed_duration(self) -> float | None:
+        """The one dead time that holds all the mass, or None where the law spreads it."""
+        return None
+
     def mean(self) -> float:
         raise NotImplementedError
 
@@ -655,6 +660,18 @@ class DeadTimeLaw:
         a, b, s = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b), np.atleast_1d(s))
         return self.integrate(lambda x: np.exp(c * x - s[:, None]), a, b)
 
+    def survivor_weights(self, h: float) -> np.ndarray:
+        """Weights of ``int g(x) S(x) dx`` on the nodes ``j*h`` of the memory window:
+        Simpson's times the survivor on ``ceil(window/h)`` cells, at least two."""
+        window = self.support_window()
+        if not (window > 0.0):
+            raise ValueError("dead-time law has no positive support window")
+        n_cells = int(np.ceil(window / h - 1e-12))
+        if n_cells < 2:
+            raise ValueError("trace step does not resolve the memory window")
+        x = h * np.arange(n_cells + 1)
+        return simpson_weights(n_cells, h) * np.asarray(self.survivor(x), dtype=float)
+
     def survivor_transform(self, omega: float, ks) -> np.ndarray:
         """``q_k = int S(y) exp(-i k omega y) dy`` for the harmonics ``ks``.
 
@@ -711,6 +728,10 @@ class FixedDeadTime(DeadTimeLaw):
         # a zero-length dead time is all point mass at the origin
         return 1.0 if self.duration == 0.0 else 0.0
 
+    @property
+    def fixed_duration(self):
+        return self.duration
+
     def mean(self):
         return self.duration
 
@@ -730,6 +751,17 @@ class FixedDeadTime(DeadTimeLaw):
 
     def length_biased_quantile(self, u):
         return np.full_like(u, self.duration)
+
+    def survivor_weights(self, h):
+        # sharp window: plain trapezoid on the d/h cells, which is exact across
+        # the node-aligned kinks that the fixed delay propagates into nu
+        d = self.duration
+        n_cells = int(round(d / h))
+        if n_cells < 2 or abs(n_cells * h - d) > 1e-9 * d:
+            raise ValueError(f"trace step {h} does not resolve the dead time {d}")
+        w = np.full(n_cells + 1, h)
+        w[0] = w[-1] = 0.5 * h
+        return w
 
     def integrate(self, fn, a, b):
         # the point mass, in (a, b]; at zero duration it is the atom

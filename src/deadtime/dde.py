@@ -26,7 +26,6 @@ import numpy as np
 
 from .core import (
     DeadTimeLaw,
-    FixedDeadTime,
     History,
     InputSignal,
     NumericalError,
@@ -162,14 +161,14 @@ def integrate_pprd(
     ``1 - 1e-12`` quantile, with the clipped mass folded into the last
     quadrature node; an atom at zero re-activates its mass fraction
     instantly and therefore acts through the local coefficient.  The step
-    must resolve the window: ``grid.dt <= window/256``.  A fixed dead time
-    delegates to :func:`integrate_ppd`, whose stricter grid rules then
-    apply.  ``history`` must meet the occupation balance within 1e-6, by
-    survivor-weighted Simpson on the buffered half steps; ``None`` selects
-    the equilibrium for the left-limit rate at ``t0``.
+    must resolve the window: ``grid.dt <= window/256``.  A law with a
+    ``fixed_duration`` delegates to :func:`integrate_ppd`, whose stricter
+    grid rules then apply.  ``history`` must meet the occupation balance
+    within 1e-6, by survivor-weighted Simpson on the buffered half steps;
+    ``None`` selects the equilibrium for the left-limit rate at ``t0``.
     """
-    if isinstance(law, FixedDeadTime):
-        return integrate_ppd(sig, law.duration, history, grid)
+    if law.fixed_duration is not None:
+        return integrate_ppd(sig, law.fixed_duration, history, grid)
 
     window = law.support_window()
     if not (window > 0.0):
@@ -260,10 +259,11 @@ def normalization_residual(
 ) -> ResidualSeries:
     """Audit A(t) + int nu(t') F(t - t') dt' - 1 along a finished trace.
 
-    The memory integral is evaluated on the trace grid: trapezoid over the
-    sharp window of a fixed dead time, Simpson weights against a smooth
-    survivor otherwise.  The residual can only be formed once the trace is
-    at least one memory window long.  The event rate is rebuilt from the
+    The memory integral is evaluated on the trace grid with the law's
+    ``survivor_weights``: trapezoid over the sharp window of a fixed dead
+    time, Simpson weights against a smooth survivor otherwise.  The
+    residual can only be formed once the trace is at least one memory
+    window long.  The event rate is rebuilt from the
     input signal and the traced active fraction rather than read back,
     making the audit independent of the stored rate column.
     """
@@ -271,29 +271,8 @@ def normalization_residual(
     times = trace.grid.times()
     nu = np.asarray(sig.rate(times), dtype=float) * trace.active
 
-    if isinstance(law, FixedDeadTime):
-        d = law.duration
-        n_cells = int(round(d / h))
-        if n_cells < 2 or abs(n_cells * h - d) > 1e-9 * d:
-            raise ValueError(
-                f"trace step {h} does not resolve the dead time {d}"
-            )
-        # sharp window: plain trapezoid, which is exact across the
-        # node-aligned kinks that the fixed delay propagates into nu
-        kernel = np.full(n_cells + 1, h)
-        kernel[0] = kernel[-1] = 0.5 * h
-    else:
-        window = law.support_window()
-        if not (window > 0.0):
-            raise ValueError("dead-time law has no positive support window")
-        n_cells = int(np.ceil(window / h - 1e-12))
-        if n_cells < 2:
-            raise ValueError("trace step does not resolve the memory window")
-        x = h * np.arange(n_cells + 1)
-        kernel = simpson_weights(n_cells, h) * np.asarray(
-            law.survivor(x), dtype=float
-        )
-
+    kernel = law.survivor_weights(h)
+    n_cells = kernel.size - 1
     if trace.grid.n <= n_cells:
         raise ValueError(
             f"trace too short to audit: need more than {n_cells} samples, "

@@ -52,7 +52,7 @@ _CHUNK = 1 << 18
 # largest occupation table (nodes); a table capped there evaluates older ages
 # exactly
 _TABLE_MAX_NODES = 1 << 16
-# largest error of an occupation table, checked at its half-nodes as it grows
+# largest error of an occupation table, checked at its half-nodes when it is built
 _TABLE_BOUND = 1e-8
 # bound on 1 - q that makes an age saturated: a tenth of the table bound
 _SATURATION = 1e-9
@@ -286,11 +286,9 @@ class _OccupationTable:
     with the four-point Lagrange cubic, evaluated in Newton's form.  The
     step ``h`` defaults to ``_table_step``, which keeps the error below
     ``_TABLE_BOUND`` (1e-8) for gamma laws of any order and rate; a finer
-    step only lowers it.  Nodes are computed on demand and each ``k``
-    always gets the same value, so the result does not depend on how the
-    components are chunked.  Every half-node the new nodes complete is
-    checked against the exact value as the table grows; a miss raises
-    ``NumericalError``.
+    step only lowers it.  The table is built whole when it is made, and
+    every half-node ``k + 1/2`` is checked once against the exact value
+    then; a miss raises ``NumericalError``.
 
     Nodes from ``saturation`` (``_saturation_node``) on read exactly 1.0,
     so the table holds at most ``saturation + 3`` nodes and every older age
@@ -304,11 +302,25 @@ class _OccupationTable:
         self.h = _table_step(law, lam) if h is None else h
         self.saturation = _saturation_node(law, lam, self.h)
         self.saturates = self.saturation is not None and self.saturation + 3 <= _TABLE_MAX_NODES
-        # most nodes the table grows to
-        self.nodes = self.saturation + 3 if self.saturates else _TABLE_MAX_NODES
-        self.values = np.empty(0)
+        n = self.nodes = self.saturation + 3 if self.saturates else _TABLE_MAX_NODES
+        cut = n if self.saturation is None else min(self.saturation, n)
+        v = self.values = np.ones(n)
+        v[:cut] = _occupation(self.sig, law, 0.0, np.arange(cut) * self.h)
         # Newton coefficients of the cubic on each stencil of four nodes
-        self.newton = np.empty((4, 0))
+        d1 = np.diff(v)
+        d2 = np.diff(d1) / 2.0
+        d3 = np.diff(d2) / 3.0
+        self.newton = np.stack([v[:-3], d1[:-2], d2[:-1], d3])
+        # the half-node k + 1/2 reads nodes up to k + 2
+        x = np.arange(n - 2) + 0.5
+        exact = _occupation(self.sig, law, 0.0, x * self.h)
+        miss = np.abs(self._interpolate(x, np.maximum(np.floor(x) - 1.0, 0.0)) - exact)
+        worst = int(np.argmax(miss))
+        if not miss[worst] <= _TABLE_BOUND:
+            raise NumericalError(
+                f"occupation table at rate {self.sig.level} misses the exact value by "
+                f"{miss[worst]:.3g} at age {x[worst] * self.h:.6g}, over its {_TABLE_BOUND:g} bound"
+            )
 
     def __call__(self, tau: np.ndarray) -> np.ndarray:
         x = tau / self.h
@@ -319,19 +331,8 @@ class _OccupationTable:
             far = ~inside
             out[far] = 1.0 if self.saturates else _occupation(self.sig, self.law, 0.0, tau[far])
             x, j0 = x[inside], j0[inside]
-        if x.size:
-            need = int(j0.max()) + 4
-            if need > self.values.size:
-                self._grow(min(max(need, 2 * self.values.size), self.nodes))
-            out[inside] = self._interpolate(x, j0)
+        out[inside] = self._interpolate(x, j0)
         return out
-
-    def node_values(self, n: int) -> np.ndarray:
-        """The values at nodes ``0..n-1``, 1.0 past a saturated table's last node."""
-        if self.values.size < min(n, self.nodes):
-            self._grow(min(n, self.nodes))
-        head = self.values[:n]
-        return np.concatenate([head, np.ones(n - head.size)])
 
     def _interpolate(self, x: np.ndarray, j0: np.ndarray) -> np.ndarray:
         # the cubic through nodes j0..j0+3 in Newton's form, nested in place
@@ -345,29 +346,6 @@ class _OccupationTable:
         q *= u
         q += c[0]
         return np.clip(q, 0.0, 1.0, out=q)
-
-    def _grow(self, n: int) -> None:
-        old = self.values.size
-        cut = n if self.saturation is None else min(max(self.saturation, old), n)
-        fresh = [self.values]
-        if cut > old:
-            fresh.append(_occupation(self.sig, self.law, 0.0, np.arange(old, cut) * self.h))
-        v = self.values = np.concatenate([*fresh, np.ones(n - max(cut, old))])
-        d1 = np.diff(v)
-        d2 = np.diff(d1) / 2.0
-        d3 = np.diff(d2) / 3.0
-        self.newton = np.stack([v[:-3], d1[:-2], d2[:-1], d3])
-        # the half-node k + 1/2 reads nodes up to k + 2
-        x = np.arange(max(old - 2, 0), n - 2) + 0.5
-        if x.size:
-            exact = _occupation(self.sig, self.law, 0.0, x * self.h)
-            miss = np.abs(self._interpolate(x, np.maximum(np.floor(x) - 1.0, 0.0)) - exact)
-            worst = int(np.argmax(miss))
-            if not miss[worst] <= _TABLE_BOUND:
-                raise NumericalError(
-                    f"occupation table at rate {self.sig.level} misses the exact value by "
-                    f"{miss[worst]:.3g} at age {x[worst] * self.h:.6g}, over its {_TABLE_BOUND:g} bound"
-                )
 
 
 def _occupation_tables(sig, law, width: float | None = None) -> dict:
@@ -707,7 +685,8 @@ class _BirthSweep:
         k = self.k = max(t.nodes for t in tables.values())
 
         def rows(lam):
-            v = tables[lam].node_values(k) if lam in tables else np.zeros(k)
+            v = tables[lam].values if lam in tables else np.zeros(k)
+            v = np.concatenate([v, np.ones(k - v.size)])  # 1.0 past a shorter table's end
             return np.stack([v, v * v])
 
         def sat(lam, exact):

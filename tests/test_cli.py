@@ -620,7 +620,7 @@ _DOMAINS = {
                   "--dt": _RATE, "--trials": _COUNT, "--mc": _COUNT, "--seed": ("1.5",),
                   "--bin-width": _RATE, "--threads": _THREADS},
     "periodic": {"--d": _DEAD, "--nu0": _RATE, "--lambda0": _RATE,
-                 "--mod-depth": ("-0.1", "1.5"), "--f": _RATE, "--harmonics": ("3",),
+                 "--mod-depth": ("-0.1", "1.5"), "--f": _RATE, "--harmonics": ("3", "4097"),
                  "--samples": ("0",), "--threads": _THREADS},
     "hazard": {"--lambda0": _RATE, "--tau-max": _RATE, "--points": ("1",)},
     "represent": {"--lambda": _RATE},
@@ -694,6 +694,23 @@ def test_entry_point_rejects_without_traceback(tmp_path, flag, argv):
     done = _entry_point(argv, tmp_path)
     assert done.returncode == 2
     assert flag in done.stderr and "Traceback" not in done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+_SIZE = "100000000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ["periodic", "--d", "0.08", "--nu0", "10", "--f", "5", "--samples", _SIZE],
+    ["periodic", "--d", "0.08", "--nu0", "10", "--f-sweep", f"1:2:{_SIZE}"],
+    ["hazard", "--law", "gamma:2,20", "--lambda0", "5", "--tau-max", "1", "--points", _SIZE,
+     "--out", "h.csv"],
+], ids=["periodic-samples", "periodic-f-sweep", "hazard-points"])
+def test_size_past_the_memory_exits_two_without_traceback(tmp_path, argv):
+    # each asks for one array of 1e11 floats (745 GiB) before writing anything
+    done = _entry_point(argv, tmp_path)
+    assert done.returncode == 2
+    assert "error: out of memory" in done.stderr and "Traceback" not in done.stderr
     assert list(tmp_path.iterdir()) == []
 
 

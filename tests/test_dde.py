@@ -6,16 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from deadtime import analytic_ppd, gamma_chain
+from deadtime import analytic_ppd, dde, gamma_chain
 from deadtime.core import (
     Constant,
     Cosine,
+    DeadTimeLaw,
     FixedDeadTime,
     GammaDeadTime,
     History,
     Step,
     TabulatedDeadTime,
     TimeGrid,
+    Trace,
     angular_frequency,
     equilibrium_history,
     signal_spectrum,
@@ -37,6 +39,36 @@ LAM1 = 1.0 / (0.1 - D)
 def step_grid(m, t_end=0.6):
     h = D / m
     return TimeGrid(0.0, h, int(round(t_end / h)) + 1)
+
+
+class PointMass(DeadTimeLaw):
+    """A dead time of ``d``: the required methods and ``fixed_duration`` alone."""
+
+    def __init__(self, d):
+        self.d = d
+
+    @property
+    def fixed_duration(self):
+        return self.d
+
+    def mean(self):
+        return self.d
+
+    def survivor(self, x):
+        return np.where(np.asarray(x, dtype=float) < self.d, 1.0, 0.0)
+
+    def density(self, x):
+        return np.zeros(np.shape(x))
+
+    def quantile(self, q):
+        return np.full(np.shape(q), self.d)
+
+
+def test_dde_names_no_law_class():
+    # what differs between laws is asked of the law, never keyed on its class
+    named = [name for name, v in vars(dde).items()
+             if isinstance(v, type) and issubclass(v, DeadTimeLaw) and v is not DeadTimeLaw]
+    assert named == []
 
 
 class TestFixedDelay:
@@ -198,6 +230,14 @@ class TestDistributedDelay:
         assert np.array_equal(a.active, b.active)
         assert np.array_equal(a.rate, b.rate)
 
+    def test_any_law_naming_its_one_duration_delegates(self):
+        sig = Step(LAM0, LAM1)
+        grid = step_grid(128, t_end=0.3)
+        a = integrate_pprd(sig, PointMass(D), None, grid)
+        b = integrate_ppd(sig, D, None, grid)
+        assert np.array_equal(a.active, b.active)
+        assert np.array_equal(a.rate, b.rate)
+
     def test_constant_input_holds_equilibrium(self):
         law = GammaDeadTime(order=3, rate=50.0)
         lam = 5.0
@@ -305,3 +345,26 @@ class TestNormalizationResidual:
         tr = integrate_ppd(Constant(lam), d, None, grid)
         with pytest.raises(ValueError, match="short"):
             normalization_residual(tr, Constant(lam), FixedDeadTime(d))
+
+    def test_fixed_window_must_hold_whole_steps(self):
+        lam, d = 30.0, 0.04
+        tr = integrate_ppd(Constant(lam), d, None, TimeGrid(0.0, d / 64, 200))
+        # off the step grid, or one cell long
+        for law in (FixedDeadTime(d * (1.0 + 1e-6)), FixedDeadTime(d / 64)):
+            with pytest.raises(ValueError, match="does not resolve the dead time"):
+                normalization_residual(tr, Constant(lam), law)
+
+    def test_spread_window_must_hold_two_steps(self):
+        lam, law = 5.0, GammaDeadTime(order=3, rate=50.0)
+        h = 1.5 * law.support_window()
+        tr = Trace(TimeGrid(0.0, h, 10), np.full(10, 0.5), np.full(10, 2.5))
+        with pytest.raises(ValueError, match="does not resolve the memory window"):
+            normalization_residual(tr, Constant(lam), law)
+        with pytest.raises(ValueError, match="no positive support window"):
+            normalization_residual(tr, Constant(lam), PointMass(0.0))
+
+    def test_fixed_weights_are_the_sharp_trapezoid(self):
+        h = D / 64
+        w = FixedDeadTime(D).survivor_weights(h)
+        assert w.size == 65 and w[0] == w[-1] == 0.5 * h
+        assert np.all(w[1:-1] == h)

@@ -180,8 +180,8 @@ GAMMAS = [GammaDeadTime(0, 40.0), GammaDeadTime(3, 50.0), GammaDeadTime(10, 137.
 class TestOverridesMatchTheGenericBodies:
     """Each closed form or own grid against the base class's quadrature.
 
-    A fixed dead time has no density, so of its overrides only ``q_k`` has a
-    generic counterpart.
+    A fixed dead time has no density, so of its overrides only ``q_k`` and
+    the survivor weights have a generic counterpart.
     """
 
     @pytest.mark.parametrize(
@@ -194,6 +194,15 @@ class TestOverridesMatchTheGenericBodies:
         got = law.survivor_transform(omega, range(17))
         want = Generic(law).survivor_transform(omega, range(17))
         assert np.max(np.abs(got - want)) <= tol * law.mean()
+
+    def test_fixed_survivor_weights(self):
+        # both integrate the survivor to the mean: the trapezoid exactly, Simpson
+        # within one step, as the survivor drops to 0 at the window's last node
+        law, h = FixedDeadTime(0.02), 0.02 / 64
+        got, want = law.survivor_weights(h), Generic(law).survivor_weights(h)
+        assert got.size == want.size == 65
+        assert got.sum() == pytest.approx(law.mean(), rel=1e-12)
+        assert want.sum() == pytest.approx(law.mean(), abs=h)
 
     def test_table_density(self):
         law = _table()

@@ -872,33 +872,53 @@ class TestSqueeze:
     def test_table_missing_its_bound_raises(self, monkeypatch):
         monkeypatch.setattr(mc_sim, "_TABLE_BOUND", 1e-30)
         law = GammaDeadTime(10, 137.5)
-        table = mc_sim._occupation_tables(Constant(30.0), law)[30.0]
+        # the table checks itself as it is built
         with pytest.raises(NumericalError, match="occupation table"):
-            table(np.array([0.05]))
+            mc_sim._occupation_tables(Constant(30.0), law)
         cfg = SimConfig(components=50, seed=1, t_span=(0.0, 0.1), bin_width=0.01,
                         lambda_max=30.0)
         with pytest.raises(NumericalError, match="occupation table"):
             simulate_rejection(Constant(30.0), law, cfg)
 
-    def test_growth_checks_every_half_node_once(self, monkeypatch):
+    def test_build_evaluates_every_node_and_half_node_once(self, monkeypatch):
         law = GammaDeadTime(3, 50.0)
-        table = mc_sim._OccupationTable(law, 20.0)
+        h = mc_sim._table_step(law, 20.0)
         checked = []
         occupation = mc_sim._occupation
 
         def spy(sig, law, t, tau):
-            checked.append(np.asarray(tau) / table.h)
+            checked.append(np.asarray(tau) / h)
             return occupation(sig, law, t, tau)
 
         monkeypatch.setattr(mc_sim, "_occupation", spy)
-        for age in (0.01, 0.05, 0.3):
-            table(np.array([age]))
-        # each growth evaluates its new nodes, then the half-nodes they complete:
-        # k + 1/2 for every k whose stencil, nodes max(k-1, 0) to k+2, is tabulated
-        assert len(checked) == 6
-        np.testing.assert_allclose(np.concatenate(checked[::2]), np.arange(table.values.size))
-        np.testing.assert_allclose(np.concatenate(checked[1::2]),
-                                   np.arange(table.values.size - 2) + 0.5)
+        table = mc_sim._OccupationTable(law, 20.0)
+        assert table.saturates
+        # one call for the nodes below saturation, one for every half-node k + 1/2
+        # whose stencil, nodes max(k-1, 0) to k+2, is tabulated
+        assert len(checked) == 2
+        np.testing.assert_allclose(checked[0], np.arange(table.saturation))
+        np.testing.assert_allclose(checked[1], np.arange(table.nodes - 2) + 0.5)
+        table(np.linspace(0.0, 2.0 * table.nodes * h, 1001))
+        assert len(checked) == 2
+        exact = occupation(Constant(20.0), law, 0.0, np.arange(table.saturation) * h)
+        np.testing.assert_array_equal(table.values[: table.saturation], exact)
+        np.testing.assert_array_equal(table.values[table.saturation:], 1.0)
+        assert table.values.size == table.nodes
+
+    @pytest.mark.parametrize("sig", [Constant(30.0), Step(8.0, 50.0, 0.1)], ids=["constant", "step"])
+    def test_sweep_rows_are_the_table_values_padded_with_ones(self, sig):
+        law = GammaDeadTime(10, 137.5)
+        cfg = SimConfig(components=10, seed=1, t_span=(0.0, 0.4), bin_width=0.01, lambda_max=50.0)
+        tables = mc_sim._occupation_tables(sig, law, cfg.bin_width)
+        sweep = mc_sim._BirthSweep(sig, law, cfg, tables)
+        assert sweep.k == max(t.nodes for t in tables.values())
+        # the step's lower level saturates sooner, so its row is padded
+        assert len(tables) == 1 or min(t.nodes for t in tables.values()) < sweep.k
+        rows = [sweep.pre] if sig.switch_time() is None else [sweep.pre, sweep.post]
+        for lam, got in zip(sig.levels(), rows):
+            v = tables[lam].values
+            want = np.concatenate([v, np.ones(sweep.k - v.size)])
+            np.testing.assert_array_equal(got, np.stack([want, want * want]))
 
 
 def _switch_case(order, share0, share1, since, age):
