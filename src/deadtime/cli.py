@@ -13,17 +13,19 @@ A ``--scenario FILE`` option reads ``key = value`` defaults that explicit
 flags override.  ``periodic`` solves its frequencies in threads and
 ``pprd-step`` runs its trials in worker processes; their count comes from
 ``--threads`` or the DEADTIME_THREADS environment variable, and no output
-byte depends on it.  Each numeric flag has one declared domain, its
-argparse ``type``: a value outside it (NaN and infinities included) exits
-2 naming the flag before anything is computed or written, as does a
-``--dt`` or ``--bin-width`` that lays more than ``_MAX_STEPS`` steps over
-``--t-max``.
+byte depends on it.  Each numeric flag and ``kind:fields`` spec has one
+declared domain, its argparse ``type``: a value outside it (NaN and
+infinities included) exits 2 naming the flag before anything is computed
+or written, as do a ``--dt`` or ``--bin-width`` that lays more than
+``_MAX_STEPS`` steps over ``--t-max`` and an output that is an input file.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
+import itertools
 import math
 import os
 import sys
@@ -40,6 +42,7 @@ from .core import (
     FixedDeadTime,
     GammaDeadTime,
     LAW_CSV,
+    LAW_KINDS,
     NotRepresentableError,
     NumericalError,
     SPECTRUM_CSV,
@@ -88,7 +91,7 @@ from .spectral import (
 
 __all__ = ["main"]
 
-# files only the command line writes; the library declares the others
+# formats only the command line uses (INTERVAL_CSV it only reads); the library declares the rest
 COMBINED_HEADER = "t,A,nu,nu_hat,nu_se,A_hat,A_se,count"
 COMBINED_CSV = Schema("combined", COMBINED_HEADER, "ffffnnni")
 HAZARD_CSV = Schema("hazard", "tau,h,rho", "fff")
@@ -134,13 +137,24 @@ def _sweep_bounds(text):
     return float(lo), float(hi), int(steps)
 
 
-def _process_fields(text):
+def _kind_fields(kinds, text):
+    """``(kind, fields, text)`` of a ``kind:fields`` spec, each field in its kind's type;
+    a kind of one field takes all the text after the colon, a file name."""
     kind, _, rest = text.partition(":")
-    types = {"gamma": (int, float), "lognormal": (float,) * 3, "table": (str,)}.get(kind, ())
-    fields = [rest] if kind == "table" else rest.split(",")
-    if not rest or len(fields) != len(types):
+    types = kinds[kind][1] if kind in kinds else ()
+    fields = [rest] if len(types) == 1 else rest.split(",")
+    if len(fields) != len(types) or not all(fields):
         raise ValueError(text)
-    return kind, [convert(field) for convert, field in zip(types, fields)]
+    return kind, [convert(field) for convert, field in zip(types, fields)], text
+
+
+def _built(flag, kinds, spec):
+    """The builder of ``spec``'s kind on its fields; a failure names ``flag`` and the spec."""
+    kind, fields, text = spec
+    try:
+        return kinds[kind][2](*fields)
+    except (ValueError, OSError) as err:
+        raise ValueError(f"{flag} {text!r}: {err}") from err
 
 
 _POSITIVE = _domain(float, lambda v: 0.0 < v < math.inf, "positive and finite")
@@ -150,8 +164,6 @@ _INTEGER = _domain(int, lambda v: True, "an integer")
 _THREADS = _at_least(1)
 _SWEEP = _domain(_sweep_bounds, lambda b: 0.0 < b[0] < b[1] < math.inf and b[2] >= 2,
                  "lo:hi:steps with 0 < lo < hi finite and steps >= 2")
-_PROCESS_FORM = "gamma:r,beta | lognormal:mu,sigma,delta | table:FILE"
-_PROCESS = _domain(_process_fields, lambda spec: True, _PROCESS_FORM)
 
 
 def _thread_count(args) -> int:
@@ -161,29 +173,26 @@ def _thread_count(args) -> int:
     return _THREADS("DEADTIME_THREADS", text) if text else min(8, os.cpu_count() or 1)
 
 
-def _parse_law(text: str):
-    """Dead-time law from ``fixed:D``, ``gamma:n,beta``, or ``table:FILE``."""
-    kind, _, rest = text.partition(":")
-    try:
-        if kind == "fixed":
-            return FixedDeadTime(float(rest))
-        if kind == "gamma":
-            n_str, beta_str = rest.split(",")
-            return GammaDeadTime(int(n_str), float(beta_str))
-        if kind == "table":
-            return read_law_csv(rest)
-    except (ValueError, OSError) as err:
-        raise ValueError(f"bad law spec {text!r}: {err}") from err
-    raise ValueError(f"unknown law kind {kind!r} (use fixed:, gamma:, table:)")
-
-
 def _law(args):
     """Dead-time law of ``--law``, else the fixed dead time ``--d``."""
     if args.law is not None:
-        return _parse_law(args.law)
+        return _built("--law", LAW_KINDS, args.law)
     if args.d is None:
         raise ValueError("need --d or --law")
     return FixedDeadTime(args.d)
+
+
+def _refuse_overwrite(args, flag, outputs):
+    """Refuse, before anything is written, an output of ``flag`` that is a file the
+    command reads: ``--beta-csv`` or the file of a ``--law`` or ``--process`` spec."""
+    inputs = [("--beta-csv", args.beta_csv)] if getattr(args, "beta_csv", None) else []
+    for spec_flag in ("--law", "--process"):
+        spec = getattr(args, spec_flag[2:], None)
+        inputs += [(spec_flag, field) for field in spec[1] if isinstance(field, str)] if spec else []
+    for (in_flag, source), out in itertools.product(inputs, outputs):
+        with contextlib.suppress(OSError):  # a file that is not there is not read
+            if out != "-" and os.path.samefile(out, source):
+                raise ValueError(f"{flag} {out!r} is the file {in_flag} reads; it would be replaced")
 
 
 def _load_scenario(path: str) -> list[str]:
@@ -331,6 +340,9 @@ def cmd_periodic(args) -> int:
             f"frequencies {same} would all write files tagged f{clash}; "
             "use a coarser --f-sweep"
         )
+    paths = [(f"{args.out_prefix}-trace-f{t}.csv", f"{args.out_prefix}-beta-f{t}.csv") for t in tags]
+    sweep = f"{args.out_prefix}-sweep.csv"
+    _refuse_overwrite(args, "--out-prefix", [*itertools.chain(*paths), sweep])
 
     def work(f):
         return _solve_one_frequency(law, lam0, eps, f, args.harmonics, args.samples)
@@ -339,15 +351,15 @@ def cmd_periodic(args) -> int:
         results = list(pool.map(work, freqs))
 
     rows = []
-    for f, tag, (beta, trace) in zip(freqs, tags, results):
-        trace.to_csv(f"{args.out_prefix}-trace-f{tag}.csv")
-        beta.to_csv(f"{args.out_prefix}-beta-f{tag}.csv")
+    for f, (trace_path, beta_path), (beta, trace) in zip(freqs, paths, results):
+        trace.to_csv(trace_path)
+        beta.to_csv(beta_path)
         peak = (float(np.max(trace.rate)),) if args.max_rate else ()
         for k in range(-args.harmonics, args.harmonics + 1):
             c = beta.coefficient(k)
             rows.append((f, k, abs(c), cmath.phase(c), *peak))
     schema = SWEEP_MAX_CSV if args.max_rate else SWEEP_CSV
-    write_csv(f"{args.out_prefix}-sweep.csv", schema, zip(*rows))
+    write_csv(sweep, schema, zip(*rows))
     return 0
 
 
@@ -357,7 +369,8 @@ def cmd_periodic(args) -> int:
 
 
 def _rejection_trial(sig, law, cfg):
-    """One ``pprd-step`` trial; module-level, so worker processes can unpickle it."""
+    """One ``pprd-step`` trial through this module's binding, which a forked worker
+    finds by name: a binding replaced before the fork runs there unpickled."""
     return simulate_rejection(sig, law, cfg)
 
 
@@ -414,7 +427,7 @@ def cmd_pprd_step(args) -> int:
 
 
 def cmd_hazard(args) -> int:
-    law = _parse_law(args.law)
+    law = _law(args)
     tau = np.linspace(0.0, args.tau_max, args.points)
     h = hazard_pprd(Constant(args.lambda0), law, np.zeros_like(tau), tau)
     rho = np.asarray(law.density(tau), dtype=float)
@@ -429,28 +442,32 @@ def cmd_hazard(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_represent(args) -> int:
-    kind, params = args.process
-    if kind == "gamma":
-        if params[0] < 1:
-            raise ValueError("gamma interval index must be at least 1")
-        spec = RenewalSpec.from_gamma(*params)
-    elif kind == "lognormal":
-        spec = RenewalSpec.from_lognormal(*params)
-    else:
-        spec = RenewalSpec.from_sampled(*read_csv(params[0], INTERVAL_CSV)[0])
+def _gamma_interval(index, rate):
+    if index < 1:
+        raise ValueError("gamma interval index must be at least 1")
+    return RenewalSpec.from_gamma(index, rate)
 
+
+#: ``represent --process`` kinds: kind -> (form, field types, interval spec,
+#: representation at the default rate from the spec, its minimal rate and fields)
+_PROCESSES = {
+    "gamma": ("r,beta", (int, float), _gamma_interval,
+              lambda spec, low, r, beta: construct_gamma(r, beta)),
+    "lognormal": ("mu,sigma,delta", (float,) * 3, RenewalSpec.from_lognormal,
+                  lambda spec, low, *p: dead_time_from_interval(spec, lognormal_minimal_rate(*p))),
+    "table": ("FILE", (str,), lambda path: RenewalSpec.from_sampled(*read_csv(path, INTERVAL_CSV)[0]),
+              lambda spec, low, path: dead_time_from_interval(spec, low)),
+}
+
+
+def cmd_represent(args) -> int:
+    kind, params, _ = args.process
+    spec = _built("--process", _PROCESSES, args.process)
     lam_min = minimal_lambda(spec)
     # an explicit rate takes the generic route, which reports the violation
     # location when the rate is too small instead of rejecting it up front
-    if args.lam is not None:
-        rep = dead_time_from_interval(spec, args.lam)
-    elif kind == "gamma":
-        rep = construct_gamma(*params)
-    elif kind == "lognormal":
-        rep = dead_time_from_interval(spec, lognormal_minimal_rate(*params))
-    else:
-        rep = dead_time_from_interval(spec, lam_min)
+    rep = (dead_time_from_interval(spec, args.lam) if args.lam is not None
+           else _PROCESSES[kind][3](spec, lam_min, *params))
     verdict = check_hazard_condition(spec, rep.input_rate)
     residual = convolution_residual(rep, spec)
     write_law_csv(rep.law, args.out)
@@ -549,6 +566,13 @@ def _number(p, flag, domain, **kwargs):
     p.add_argument(flag, type=partial(domain, flag), **kwargs)
 
 
+def _spec(p, flag, kinds, **kwargs):
+    """A ``kind:fields`` flag over the table ``kinds`` (kind -> form, field types, builder)."""
+    forms = " | ".join(f"{kind}:{entry[0]}" for kind, entry in kinds.items())
+    finite = lambda spec: all(math.isfinite(v) for v in spec[1] if not isinstance(v, str))
+    _number(p, flag, _domain(partial(_kind_fields, kinds), finite, forms), help=forms, **kwargs)
+
+
 def _step_flags(t_max: float) -> argparse.ArgumentParser:
     """The flags ``step`` and ``pprd-step`` share; only the ``--t-max`` default differs."""
     p = argparse.ArgumentParser(add_help=False)
@@ -573,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     law_flags = argparse.ArgumentParser(add_help=False)
     _number(law_flags, "--d", _NON_NEGATIVE, help="fixed dead time in seconds")
-    law_flags.add_argument("--law", help="dead-time law: fixed:D | gamma:n,beta | table:FILE")
+    _spec(law_flags, "--law", LAW_KINDS)
 
     p = sub.add_parser("step", parents=[_step_flags(0.5)], help="transient after a rate step")
     _number(p, "--d", _NON_NEGATIVE, help="fixed dead time in seconds")
@@ -602,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pprd_step)
 
     p = sub.add_parser("hazard", help="conditional intensity and law density")
-    p.add_argument("--law", required=True)
+    _spec(p, "--law", LAW_KINDS, required=True)
     _number(p, "--lambda0", _POSITIVE, required=True)
     _number(p, "--tau-max", _POSITIVE, required=True)
     _number(p, "--points", _at_least(2), default=513)
@@ -610,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hazard)
 
     p = sub.add_parser("represent", help="map a renewal interval to rate + dead time")
-    _number(p, "--process", _PROCESS, required=True, help=_PROCESS_FORM)
+    _spec(p, "--process", _PROCESSES, required=True)
     _number(p, "--lambda", _POSITIVE, dest="lam")
     _add_common_out(p, default="law.csv")
     p.set_defaults(func=cmd_represent)
@@ -637,6 +661,7 @@ def main(argv=None) -> int:
         return 2
     try:
         args = build_parser().parse_args(argv)
+        _refuse_overwrite(args, "--out", [getattr(args, "out", "-")])
         return args.func(args)
     except NotRepresentableError as err:
         loc = f" at x = {err.x:.6g}" if err.x is not None else ""

@@ -1433,6 +1433,14 @@ def read_law_csv(path) -> TabulatedDeadTime:
 
 LAW_CSV = Schema("law", "x,rho", "ff", parameter="atom0")
 
+#: The laws the command line spells ``kind:fields``: kind -> (form, field types,
+#: builder); a str field names a file, read by name so a wrapped reader sees it.
+LAW_KINDS = {
+    "fixed": ("D", (float,), FixedDeadTime),
+    "gamma": ("n,beta", (int, float), GammaDeadTime),
+    "table": ("FILE", (str,), lambda path: read_law_csv(path)),
+}
+
 # A law file's binary twin, ``.<name>.deadtime.npz`` beside it, holds the
 # values its text reads back to, so that a reader need not parse the text.
 # It is trusted exactly when it carries this tag and the SHA-256 of the

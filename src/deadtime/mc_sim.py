@@ -1096,8 +1096,9 @@ def estimate_from_events(
         raise ValueError("component count below the largest component id")
     bw = grid.dt
     t_lo = grid.t0 - 0.5 * bw
-    edges = t_lo + bw * np.arange(grid.n + 1)
-    counts = np.histogram(times, bins=edges)[0].astype(np.int64)
+    # binned as the samplers bin; events outside [t_lo, t_lo + n*bw] are dropped
+    inside = times[(times >= t_lo) & (times <= t_lo + bw * grid.n)]
+    counts = np.bincount(_bin_index(inside, t_lo, bw, grid.n), minlength=grid.n)
     # without dead durations the active-fraction columns, and their errors, are NaN
     active_hat = np.full(grid.n, np.nan)
     if dead_durations is not None:

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import argparse
+import hashlib
 import math
 import multiprocessing
 import os
@@ -611,6 +612,10 @@ _VALID = {
                     "--out", "OUT/x.csv"],
 }
 _RATE, _DEAD, _COUNT, _THREADS = ("-1", "0"), ("-0.01",), ("-1",), ("0",)
+# off the kind:fields grammar: an unknown kind, too few or too many fields, a
+# non-integer order, an empty field, and fields that are not finite
+_LAW = ("weird:1", "fixed", "fixed:", "gamma:3", "fixed:1,2", "gamma:3,25,1", "gamma:3.5,25",
+        "gamma:,25", "table:", "fixed:nan", "gamma:3,inf", "fixed:-inf")
 _DOMAINS = {
     "step": {"--d": _DEAD, "--nu0": _RATE, "--nu1": _RATE, "--lambda0": _RATE,
              "--lambda1": _RATE, "--t-max": _RATE, "--dt": _RATE, "--mc": _COUNT,
@@ -619,12 +624,12 @@ _DOMAINS = {
                   "--lambda0": _RATE, "--lambda1": _RATE, "--t-max": _RATE,
                   "--dt": _RATE, "--trials": _COUNT, "--mc": _COUNT, "--seed": ("1.5",),
                   "--bin-width": _RATE, "--threads": _THREADS},
-    "periodic": {"--d": _DEAD, "--nu0": _RATE, "--lambda0": _RATE,
+    "periodic": {"--d": _DEAD, "--law": _LAW, "--nu0": _RATE, "--lambda0": _RATE,
                  "--mod-depth": ("-0.1", "1.5"), "--f": _RATE, "--harmonics": ("3", "4097"),
                  "--samples": ("0",), "--threads": _THREADS},
-    "hazard": {"--lambda0": _RATE, "--tau-max": _RATE, "--points": ("1",)},
+    "hazard": {"--law": _LAW, "--lambda0": _RATE, "--tau-max": _RATE, "--points": ("1",)},
     "represent": {"--lambda": _RATE},
-    "infer-input": {"--d": _DEAD, "--f": _RATE},
+    "infer-input": {"--d": _DEAD, "--law": _LAW, "--f": _RATE},
 }
 _OUT_OF_DOMAIN = [
     (command, flag, value)
@@ -650,6 +655,63 @@ def test_out_of_domain_value_names_the_flag(tmp_path, capsys, command, flag, val
     err = capsys.readouterr().err
     assert f"{flag} must be" in err and repr(value) in err
     assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["periodic", "hazard", "infer-input"])
+@pytest.mark.parametrize("law", ["fixed:-1", "gamma:3,-5", "table:MISSING", "table:BAD"])
+def test_law_whose_builder_fails_names_the_flag(tmp_path, capsys, command, law):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x,density\n0,1\n1,1\n")
+    law = law.replace("MISSING", str(tmp_path / "missing.csv")).replace("BAD", str(bad))
+    assert run([*_valid_argv(tmp_path, command), "--law", law]) == 2
+    err = capsys.readouterr().err
+    assert f"error: --law {law!r}: " in err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, read", [
+    (["hazard", "--law", "table:IN", "--lambda0", 10, "--tau-max", 0.1, "--out", "OUT"], "--law"),
+    (["periodic", "--law", "table:IN", "--nu0", 5, "--f", 5, "--harmonics", 4,
+      "--out-prefix", "PREFIX"], "--law"),
+    (["infer-input", "--law", "table:IN", "--beta-csv", "BETA", "--f", 1, "--out", "OUT"],
+     "--law"),
+    (["infer-input", "--beta-csv", "IN", "--d", 0.05, "--f", 1, "--out", "OUT"], "--beta-csv"),
+    (["represent", "--process", "table:IN", "--out", "OUT"], "--process"),
+    (["represent", "--process", "table:IN"], "--process"),
+], ids=["hazard", "periodic", "infer-input-law", "infer-input-beta", "represent",
+        "represent-default-out"])
+def test_no_command_writes_over_its_input(tmp_path, monkeypatch, capsys, argv, read):
+    # the output is the input under another name: a symlink, an absolute --out-prefix,
+    # or represent's default --out law.csv
+    monkeypatch.chdir(tmp_path)
+    assert run(["represent", "--process", "gamma:2,30", "--out", "law.csv"]) == 0
+    x = np.linspace(0.0, 1.2, 801)
+    np.savetxt("interval.csv", np.column_stack([x, GammaDeadTime(3, 40.0).density(x)]),
+               delimiter=",")
+    (tmp_path / "beta.csv").write_text("0,5,0\n")
+    source = {"--law": "law.csv", "--process": "interval.csv", "--beta-csv": "beta.csv"}[read]
+    if argv[0] == "periodic":  # the input has the name of the sweep file
+        os.replace(source, "p-sweep.csv")
+        source = "p-sweep.csv"
+    if argv[0] == "represent" and "--out" not in argv:  # the default --out law.csv
+        os.replace(source, "law.csv")
+        source = "law.csv"
+    os.symlink(source, "link.csv")
+    before = hashlib.sha256((tmp_path / source).read_bytes()).hexdigest()
+    names = {"IN": source, "OUT": "link.csv", "PREFIX": str(tmp_path / "p"), "BETA": "beta.csv"}
+    argv = [str(a).replace("table:IN", f"table:{source}") for a in argv]
+    assert run([names.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert read in err and ("--out-prefix" if argv[0] == "periodic" else "--out") in err
+    assert hashlib.sha256((tmp_path / source).read_bytes()).hexdigest() == before
+
+
+def test_out_dash_is_stdout_even_beside_an_input_named_dash(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-").write_text("0,5,0\n")
+    assert run(["infer-input", "--beta-csv", "-", "--d", 0.05, "--f", 1, "--out", "-"]) == 0
+    assert capsys.readouterr().out.startswith("0,")
+    assert (tmp_path / "-").read_text() == "0,5,0\n"
 
 
 @pytest.mark.parametrize("command, flag, value", [

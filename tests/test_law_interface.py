@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from deadtime import dde
+from deadtime import cli, core, dde
 from deadtime.core import (
     Constant,
     DeadTimeLaw,
@@ -141,6 +141,20 @@ class TestLawDefinedOutsideThePackage:
         np.testing.assert_array_equal(back.x, x)
         np.testing.assert_array_equal(back.pdf, pdf)
         assert back.mean() == pytest.approx(law.mean(), rel=1e-8)
+
+    def test_one_table_entry_offers_it_on_the_command_line(self, tmp_path, monkeypatch, capsys):
+        entry = ("s,n,beta", (float, int, float), ShiftedGamma)
+        monkeypatch.setitem(core.LAW_KINDS, "shifted", entry)
+        out = tmp_path / "hazard.csv"
+        flags = ["--lambda0", "20", "--tau-max", "0.1", "--points", "21", "--out", str(out)]
+        assert cli.main(["hazard", "--law", "shifted:0.01,3,300", *flags]) == 0
+        tau, h, _ = np.loadtxt(out, delimiter=",", skiprows=1, unpack=True)
+        law = ShiftedGamma(0.01, 3, 300.0)
+        want = hazard_pprd(Constant(20.0), law, np.zeros_like(tau), tau) / 20.0
+        np.testing.assert_allclose(h, want, rtol=1e-15, atol=0.0)
+        # the grammar knows the new kind's form too
+        assert cli.main(["hazard", "--law", "shifted:0.01,3", *flags]) == 2
+        assert "| shifted:s,n,beta, got 'shifted:0.01,3'" in capsys.readouterr().err
 
 
 class Generic(DeadTimeLaw):

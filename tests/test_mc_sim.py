@@ -1148,6 +1148,33 @@ class TestEstimateFromEvents:
         )
         np.testing.assert_allclose(est.active_hat, [1.0, 0.5, 0.5, 1.0])
 
+    def test_events_beside_edges_fall_where_the_samplers_put_them(self):
+        # every interior edge and one ulp either side, over 5 widths x 4 origins
+        n = 200
+        got, want = [], []
+        for width in (1e-3, 5e-3, 0.01, 0.1, 0.3):
+            for origin in (-0.1, 0.0, 0.37, 12.5):
+                grid = TimeGrid(origin + 0.5 * width, width, n)
+                t_lo = grid.t0 - 0.5 * width
+                edges = t_lo + width * np.arange(1, n)
+                times = np.sort(np.concatenate(
+                    [np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)]
+                ))
+                est = estimate_from_events((np.zeros(times.size, dtype=int), times), grid)
+                assert est.event_count.sum() == times.size
+                got.append(est.event_count)
+                want.append(np.bincount(mc_sim._bin_index(times, t_lo, width, n), minlength=n))
+        np.testing.assert_array_equal(np.concatenate(got), np.concatenate(want))
+
+    def test_events_outside_the_span_are_dropped(self):
+        grid = TimeGrid(0.05, 0.1, 4)
+        ends = np.array([0.0, 0.4])
+        times = np.concatenate([np.nextafter(ends, -np.inf), ends, np.nextafter(ends, np.inf)])
+        order = np.argsort(times)
+        est = estimate_from_events((np.zeros(6, dtype=int), times[order]), grid)
+        # the lower end and the ulp above it open the first bin; the upper end closes the last
+        np.testing.assert_array_equal(est.event_count, [2, 0, 0, 2])
+
     def test_round_trip_from_simulator(self):
         lam = 9.0
         law = FixedDeadTime(0.03)
