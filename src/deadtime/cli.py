@@ -82,6 +82,7 @@ from .renewal_map import (
     minimal_lambda,
 )
 from .spectral import (
+    MAX_TRUNCATION,
     HarmonicSystem,
     infer_input_spectrum,
     output_spectrum,
@@ -92,8 +93,7 @@ from .spectral import (
 __all__ = ["main"]
 
 # formats only the command line uses (INTERVAL_CSV it only reads); the library declares the rest
-COMBINED_HEADER = "t,A,nu,nu_hat,nu_se,A_hat,A_se,count"
-COMBINED_CSV = Schema("combined", COMBINED_HEADER, "ffffnnni")
+COMBINED_CSV = Schema("combined", "t,A,nu,nu_hat,nu_se,A_hat,A_se,count", "ffffnnni")
 HAZARD_CSV = Schema("hazard", "tau,h,rho", "fff")
 SWEEP_CSV = Schema("sweep", "f,k,abs,phase", "fiff")
 SWEEP_MAX_CSV = Schema("sweep", SWEEP_CSV.header + ",max_nu", "fifff")
@@ -307,7 +307,7 @@ def cmd_step(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _solve_one_frequency(law, lam0, eps, f, harmonics, samples):
+def _solve_one_frequency(law, lam0, eps, harmonics, samples, f):
     omega = angular_frequency(f)
     drive = signal_spectrum(Cosine(lam0, eps, f), omega, harmonics)
     system = HarmonicSystem(omega, harmonics, law, drive)
@@ -344,11 +344,9 @@ def cmd_periodic(args) -> int:
     sweep = f"{args.out_prefix}-sweep.csv"
     _refuse_overwrite(args, "--out-prefix", [*itertools.chain(*paths), sweep])
 
-    def work(f):
-        return _solve_one_frequency(law, lam0, eps, f, args.harmonics, args.samples)
-
+    solve = partial(_solve_one_frequency, law, lam0, eps, args.harmonics, args.samples)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(work, freqs))
+        results = list(pool.map(solve, freqs))
 
     rows = []
     for f, (trace_path, beta_path), (beta, trace) in zip(freqs, paths, results):
@@ -366,12 +364,6 @@ def cmd_periodic(args) -> int:
 # ---------------------------------------------------------------------------
 # pprd-step
 # ---------------------------------------------------------------------------
-
-
-def _rejection_trial(sig, law, cfg):
-    """One ``pprd-step`` trial through this module's binding, which a forked worker
-    finds by name: a binding replaced before the fork runs there unpickled."""
-    return simulate_rejection(sig, law, cfg)
 
 
 def cmd_pprd_step(args) -> int:
@@ -393,17 +385,17 @@ def cmd_pprd_step(args) -> int:
         raise ValueError("--trials needs --mc for the per-trial component count")
     sig, cfg, centers = _mc_bins(args, lam0, lam1)
     configs = [replace(cfg, seed=args.seed + t) for t in range(args.trials)]
+    trial = partial(simulate_rejection, sig, law)
     workers = min(threads, args.trials)
     if workers == 1:
-        trials = [simulate_rejection(sig, law, c) for c in configs]
+        trials = list(map(trial, configs))
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
         with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            n = args.trials
-            trials = list(pool.map(_rejection_trial, [sig] * n, [law] * n, configs))
+            trials = list(pool.map(trial, configs))
 
     def trial_se(values):
         if args.trials < 2:
@@ -609,9 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
     _number(p, "--mod-depth", _FRACTION, default=0.9)
     _number(p, "--f", _POSITIVE, help="drive frequency (Hz)")
     _number(p, "--f-sweep", _SWEEP, help="lo:hi:steps frequency sweep")
-    # the solver doubles its truncation up to 4096 and no further
-    _number(p, "--harmonics", _domain(int, lambda v: 4 <= v <= 4096, "an integer in 4..4096"),
-            default=16)
+    _number(p, "--harmonics", _domain(int, lambda v: 4 <= v <= MAX_TRUNCATION,
+                                      f"an integer in 4..{MAX_TRUNCATION}"), default=16)
     _number(p, "--samples", _at_least(1), default=512, help="trace points per period")
     p.add_argument("--max-rate", action="store_true", help="append peak rate column")
     p.add_argument("--out-prefix", default="periodic")

@@ -353,9 +353,12 @@ def _occupation_tables(sig, law, width: float | None = None) -> dict:
 
     Each table takes its own ``_table_step`` unless a bin ``width`` is
     given: then all share ``width/m``, with ``m`` the fewest nodes per bin
-    that make the step no longer than any of theirs.
+    that make the step no longer than any of theirs.  A level whose own
+    step would lay more than ``_TABLE_MAX_NODES`` nodes in one bin then
+    takes no table, so birth coordinates in nodes stay exact integers.
     """
-    levels = [lam for lam in dict.fromkeys(sig.levels()) if law.tilted_closed_form(lam)]
+    levels = [lam for lam in dict.fromkeys(sig.levels()) if law.tilted_closed_form(lam)
+              and (width is None or width / _table_step(law, lam) <= _TABLE_MAX_NODES)]
     h = None
     if width is not None and levels:
         h = width / math.ceil(width / min(_table_step(law, lam) for lam in levels))

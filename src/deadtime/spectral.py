@@ -40,6 +40,8 @@ __all__ = [
 #: (resonant harmonics where the refractory window spans whole drive
 #: periods).
 Q_ZERO = 1e-12
+#: Largest truncation order the dense solve doubles up to.
+MAX_TRUNCATION = 4096
 #: Condition number above which input inference refuses to invert.
 _COND_LIMIT = 1e12
 #: Relative settling of the continued fraction's bottom ratio, and the
@@ -174,9 +176,9 @@ def solve_active_spectrum(sys: HarmonicSystem) -> Spectrum:
         tail = np.abs(alpha[np.abs(np.arange(-current.K, current.K + 1)) > current.K // 2])
         if tail.size == 0 or float(np.max(tail)) < 1e-12:
             return Spectrum(sys.omega, alpha, tol=1e-8)
-        if current.K >= 4096:
+        if current.K >= MAX_TRUNCATION:
             raise NumericalError(
-                "active-fraction spectrum did not decay within truncation 4096"
+                f"active-fraction spectrum did not decay within truncation {MAX_TRUNCATION}"
             )
         current = current.with_truncation(2 * current.K)
 
@@ -194,18 +196,23 @@ def output_spectrum(sys: HarmonicSystem, alpha: Spectrum) -> Spectrum:
     out_order = ka + kl
     beta = np.convolve(lam.coeffs, alpha.coeffs)
     assert beta.size == 2 * out_order + 1
-    # cross-check against the direct form inside the solved band
-    for k in range(-min(ka, 2 * sys.K), min(ka, 2 * sys.K) + 1):
-        qk = complex(sys.q[k + 2 * sys.K])
-        if abs(qk) <= Q_ZERO:
-            continue
-        direct = ((1.0 if k == 0 else 0.0) - alpha.coefficient(k)) / qk
-        got = beta[k + out_order]
-        if abs(direct - got) > 1e-10 * max(1.0, abs(got)):
-            raise NumericalError(
-                f"output harmonic {k} disagrees between convolution and "
-                f"coupling forms by {abs(direct - got):.3e}"
-            )
+    # cross-check against the direct form inside the solved band, as the
+    # residual of alpha_k + q_k beta_k = delta_k: a short dead time's
+    # cancellation in delta - alpha_k is not divided by q_k; the bound is
+    # 1e-10 relative to beta_k, times |q_k|, floored at the residual's rounding
+    band = min(ka, 2 * sys.K)
+    k = np.arange(-band, band + 1)
+    q, a, b = sys.q[k + 2 * sys.K], alpha.coeffs[k + ka], beta[k + out_order]
+    residual = np.abs(np.where(k == 0, 1.0, 0.0) - a - q * b)
+    bound = np.maximum(1e-10 * np.maximum(1.0, np.abs(b)) * np.abs(q),
+                       4.0 * np.finfo(float).eps * (1.0 + np.abs(a) + np.abs(q * b)))
+    bad = np.flatnonzero((np.abs(q) > Q_ZERO) & (residual > bound))
+    if bad.size:
+        i = bad[0]
+        raise NumericalError(
+            f"output harmonic {k[i]} disagrees between convolution and "
+            f"coupling forms: residual {residual[i]:.3e} above {bound[i]:.3e}"
+        )
     return Spectrum(sys.omega, beta, tol=1e-8)
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import itertools
 import math
 import multiprocessing
 import os
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deadtime import cli
+from deadtime import analytic_ppd, cli
 from deadtime.core import (
     GammaDeadTime,
     NumericalError,
@@ -25,10 +26,15 @@ from deadtime.core import (
     read_law_csv,
     write_law_csv,
 )
+from deadtime.spectral import MAX_TRUNCATION
 
 
 def run(argv):
     return cli.main([str(a) for a in argv])
+
+
+def _failing_trial(sig, law, cfg):
+    raise NumericalError(f"trial with seed {cfg.seed} failed")
 
 
 class TestStep:
@@ -79,7 +85,7 @@ class TestStep:
         data = np.loadtxt(out1, delimiter=",", skiprows=1)
         assert data.shape[1] == 8
         with open(out1) as fh:
-            assert fh.readline().strip() == cli.COMBINED_HEADER
+            assert fh.readline().strip() == cli.COMBINED_CSV.header
         # MC close to analytic: pooled z within a generous band
         ref, nu_hat, nu_se = data[:, 2], data[:, 3], data[:, 4]
         z = (nu_hat - ref) / nu_se
@@ -281,11 +287,8 @@ class TestPprdStep:
         assert multiprocessing.active_children() == []
 
     def test_failing_trial_leaves_no_worker_behind(self, tmp_path, capsys, monkeypatch):
-        def fail(sig, law, cfg):
-            raise NumericalError(f"trial with seed {cfg.seed} failed")
-
-        # forked workers inherit the patched module
-        monkeypatch.setattr(cli, "simulate_rejection", fail)
+        # a module-level stub: the pool pickles the trial call by reference
+        monkeypatch.setattr(cli, "simulate_rejection", _failing_trial)
         for threads in (1, 2):
             out = tmp_path / f"t{threads}.csv"
             assert run([*_PPRD_TRIALS, "--threads", threads, "--out", out]) == 4
@@ -788,6 +791,65 @@ def test_grid_past_the_step_cap_names_the_flag(tmp_path, capsys, argv, flag):
     assert run([*argv, "--nu0", 5, "--nu1", 10, "--out", tmp_path / "x.csv"]) == 2
     err = capsys.readouterr().err
     assert f"error: {flag}" in err and f"more than {cli._MAX_STEPS} steps" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _step_limit(out):
+    """Distances of the active fractions from 1 and of the rates after the
+    switch from 10 Hz: the d -> 0 limit is Poisson at the input rate."""
+    data = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    active = data[:, [1, 5]] if data.shape[1] == 8 else data[:, 1]
+    return np.concatenate((np.ravel(active) - 1.0, data[data[:, 0] > 0.0, 2] / 10.0 - 1.0))
+
+
+def _periodic_limit(prefix):
+    """Relative distances of the output harmonics from the input's: the d -> 0 limit."""
+    lam0 = 1.0 / (1.0 / 5.0 - 1e-7)
+    beta = Spectrum.from_csv(f"{prefix}-beta-f3.csv", omega=2.0 * math.pi * 3.0)
+    want = {0: lam0, -1: 0.45 * lam0, 1: 0.45 * lam0}  # mod depth 0.9
+    return [abs(beta.coefficient(k) - want.get(k, 0.0)) / lam0 for k in range(-8, 9)]
+
+
+# tolerances fixed before the run: the limit is off by O(lam*d), 5e-7 at a
+# 1e-7 s dead time, and by rounding below 1e-13 s
+_SHORT_DEAD = {
+    "step": (["step", "--d", 1e-7, "--nu0", 5, "--nu1", 10], _step_limit, 1e-5),
+    "periodic": (["periodic", "--d", 1e-7, "--nu0", 5, "--f", 3, "--harmonics", 4,
+                  "--samples", 8], _periodic_limit, 1e-5),
+    "sampler": (["pprd-step", "--mean", 1e-20, "--shape", 1, "--nu0", 5, "--nu1", 10,
+                 "--t-max", 0.05, "--dt", 0.005, "--trials", 1, "--mc", 20, "--seed", 1],
+                _step_limit, 1e-12),
+    "chain": (["pprd-step", "--mean", 1e-15, "--shape", 1, "--nu0", 5, "--nu1", 10,
+               "--dt", 0.005], _step_limit, 1e-12),
+}
+
+
+@pytest.mark.parametrize("argv, limit, tol", _SHORT_DEAD.values(), ids=_SHORT_DEAD)
+def test_short_dead_times_reach_the_poisson_limit(tmp_path, monkeypatch, argv, limit, tol):
+    calls = itertools.count()
+    kfold = analytic_ppd.kfold_interval_density
+
+    def counted(*args):
+        # a renewal sum over all t/d terms would make millions of calls
+        if next(calls) >= 1000:
+            raise AssertionError("renewal density past 1,000 k-fold terms")
+        return kfold(*args)
+
+    monkeypatch.setattr(analytic_ppd, "kfold_interval_density", counted)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*argv, "--out-prefix" if argv[0] == "periodic" else "--out", out]) == 0
+    assert np.max(np.abs(limit(out))) <= tol
+
+
+def test_harmonics_domain_is_the_solver_cap(tmp_path, capsys):
+    argv = ["periodic", *_PERIODIC, "--out-prefix", tmp_path / "p"]
+    args = cli.build_parser().parse_args([str(a) for a in argv]
+                                         + ["--harmonics", str(MAX_TRUNCATION)])
+    assert args.harmonics == MAX_TRUNCATION
+    assert run([*argv, "--harmonics", MAX_TRUNCATION + 1]) == 2
+    assert f"--harmonics must be an integer in 4..{MAX_TRUNCATION}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
