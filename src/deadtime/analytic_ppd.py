@@ -85,11 +85,11 @@ def renewal_density(p: PpdParams, t):
 
     Sum of all k-fold interval densities; the sum is finite because terms
     with ``k > t/d`` have no support yet.  Past the mode ``k > lam*t + 1``
-    the terms fall with ``k`` at every lag, so the sum stops at the first
-    term below half an ulp of every partial sum: no later term changes a
-    bit, and a dead time far below ``1/lam`` costs a few dozen terms rather
-    than ``t/d``.  For ``d == 0`` the process is plain Poisson and the value
-    is ``lam`` at every positive lag.
+    the terms fall with ``k`` at every lag (or are zero, below ``k*d``), so
+    the sum stops at the first term that changes the partial sum at no lag:
+    no later term changes a bit, and a dead time far below ``1/lam`` costs
+    a few dozen terms rather than ``t/d``.  For ``d == 0`` the process is
+    plain Poisson and the value is ``lam`` at every positive lag.
     """
     arr = np.asarray(t, dtype=float)
     if np.any(arr <= 0.0):
@@ -98,12 +98,13 @@ def renewal_density(p: PpdParams, t):
         return _wrap_scalar(t, np.full_like(arr, p.lam))
     if p.lam == 0.0:
         return _wrap_scalar(t, np.zeros_like(arr))
-    kmax = int(np.floor(float(np.max(arr)) / p.d + 1e-12))
-    mode = p.lam * float(np.max(arr)) + 1.0
+    t_max = float(np.max(arr))
+    kmax = int(np.floor(t_max / p.d + 1e-12))
+    mode = p.lam * t_max + 1.0
     out = np.zeros_like(arr)
     for k in range(1, kmax + 1):
         term = kfold_interval_density(p, k, arr)
-        if k > mode and np.all(term < 0.5 * np.spacing(out)):
+        if k > mode and np.all(out + term == out):
             break
         out += term
     return _wrap_scalar(t, out)

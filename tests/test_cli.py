@@ -21,11 +21,13 @@ from deadtime.core import (
     GammaDeadTime,
     NumericalError,
     Spectrum,
+    Step,
     TabulatedDeadTime,
     Trace,
     read_law_csv,
     write_law_csv,
 )
+from deadtime.mc_sim import SimConfig, simulate_rejection
 from deadtime.spectral import MAX_TRUNCATION
 
 
@@ -628,7 +630,8 @@ _DOMAINS = {
                   "--dt": _RATE, "--trials": _COUNT, "--mc": _COUNT, "--seed": ("1.5",),
                   "--bin-width": _RATE, "--threads": _THREADS},
     "periodic": {"--d": _DEAD, "--law": _LAW, "--nu0": _RATE, "--lambda0": _RATE,
-                 "--mod-depth": ("-0.1", "1.5"), "--f": _RATE, "--harmonics": ("3", "4097"),
+                 "--mod-depth": ("-0.1", "1.5"), "--f": _RATE,
+                 "--harmonics": ("3", str(MAX_TRUNCATION + 1)),
                  "--samples": ("0",), "--threads": _THREADS},
     "hazard": {"--law": _LAW, "--lambda0": _RATE, "--tau-max": _RATE, "--points": ("1",)},
     "represent": {"--lambda": _RATE},
@@ -794,38 +797,58 @@ def test_grid_past_the_step_cap_names_the_flag(tmp_path, capsys, argv, flag):
     assert list(tmp_path.iterdir()) == []
 
 
-def _step_limit(out):
-    """Distances of the active fractions from 1 and of the rates after the
+def _step_case(tmp_path, capsys):
+    """Distances of the active fraction from 1 and of the rate after the
     switch from 10 Hz: the d -> 0 limit is Poisson at the input rate."""
-    data = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
-    active = data[:, [1, 5]] if data.shape[1] == 8 else data[:, 1]
-    return np.concatenate((np.ravel(active) - 1.0, data[data[:, 0] > 0.0, 2] / 10.0 - 1.0))
+    out = tmp_path / "step.csv"
+    assert run(["step", "--d", 1e-7, "--nu0", 5, "--nu1", 10, "--out", out]) == 0
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    return np.concatenate((data[:, 1] - 1.0, data[data[:, 0] > 0.0, 2] / 10.0 - 1.0))
 
 
-def _periodic_limit(prefix):
+def _renewal_case(tmp_path, capsys):
+    # one lag inside the dead time, where every k-fold term is zero
+    lam, d = 10.0, 1e-7
+    got = analytic_ppd.renewal_density(analytic_ppd.PpdParams(lam, d), np.array([0.5 * d, 0.5]))
+    return np.array([got[0] / lam, got[1] / lam - 1.0])
+
+
+def _periodic_case(tmp_path, capsys):
     """Relative distances of the output harmonics from the input's: the d -> 0 limit."""
+    prefix = tmp_path / "p"
+    assert run(["periodic", "--d", 1e-7, "--nu0", 5, "--f", 3, "--harmonics", 4,
+                "--samples", 8, "--out-prefix", prefix]) == 0
     lam0 = 1.0 / (1.0 / 5.0 - 1e-7)
     beta = Spectrum.from_csv(f"{prefix}-beta-f3.csv", omega=2.0 * math.pi * 3.0)
     want = {0: lam0, -1: 0.45 * lam0, 1: 0.45 * lam0}  # mod depth 0.9
     return [abs(beta.coefficient(k) - want.get(k, 0.0)) / lam0 for k in range(-8, 9)]
 
 
-# tolerances fixed before the run: the limit is off by O(lam*d), 5e-7 at a
-# 1e-7 s dead time, and by rounding below 1e-13 s
-_SHORT_DEAD = {
-    "step": (["step", "--d", 1e-7, "--nu0", 5, "--nu1", 10], _step_limit, 1e-5),
-    "periodic": (["periodic", "--d", 1e-7, "--nu0", 5, "--f", 3, "--harmonics", 4,
-                  "--samples", 8], _periodic_limit, 1e-5),
-    "sampler": (["pprd-step", "--mean", 1e-20, "--shape", 1, "--nu0", 5, "--nu1", 10,
-                 "--t-max", 0.05, "--dt", 0.005, "--trials", 1, "--mc", 20, "--seed", 1],
-                _step_limit, 1e-12),
-    "chain": (["pprd-step", "--mean", 1e-15, "--shape", 1, "--nu0", 5, "--nu1", 10,
-               "--dt", 0.005], _step_limit, 1e-12),
-}
+def _sampler_case(tmp_path, capsys):
+    law, cfg = GammaDeadTime(1, 2.0 / 1e-20), SimConfig(2000, 1, (-0.005, 0.05), 0.005, 10.0)
+    return simulate_rejection(Step(5.0, 10.0, 0.0), law, cfg).active_hat - 1.0
 
 
-@pytest.mark.parametrize("argv, limit, tol", _SHORT_DEAD.values(), ids=_SHORT_DEAD)
-def test_short_dead_times_reach_the_poisson_limit(tmp_path, monkeypatch, argv, limit, tol):
+def _chain_case(tmp_path, capsys):
+    # ||M dt||_1 is 1e14 here: the chain refuses the step instead of drifting
+    out = tmp_path / "chain.csv"
+    assert run(["pprd-step", "--mean", 1e-15, "--shape", 1, "--nu0", 5, "--nu1", 10,
+                "--dt", 0.005, "--out", out]) == 4
+    assert "numerical failure: gamma chain too stiff for its step" in capsys.readouterr().err
+    assert not out.exists()
+    return np.zeros(0)
+
+
+# tolerances fixed before the run: the limit is off by O(lam*d), 1e-6 at a
+# 1e-7 s dead time, and by rounding at 1e-20 s
+_SHORT_DEAD = {"step": (_step_case, 1e-5), "renewal": (_renewal_case, 1e-5),
+               "periodic": (_periodic_case, 1e-5), "sampler": (_sampler_case, 1e-12),
+               "chain": (_chain_case, 0.0)}
+
+
+@pytest.mark.parametrize("case, tol", _SHORT_DEAD.values(), ids=_SHORT_DEAD)
+def test_short_dead_times_meet_the_poisson_limit(tmp_path, capsys, monkeypatch, case, tol):
+    """Each route meets the d -> 0 limit, or (the gamma chain) refuses with exit 4."""
     calls = itertools.count()
     kfold = analytic_ppd.kfold_interval_density
 
@@ -836,21 +859,15 @@ def test_short_dead_times_reach_the_poisson_limit(tmp_path, monkeypatch, argv, l
         return kfold(*args)
 
     monkeypatch.setattr(analytic_ppd, "kfold_interval_density", counted)
-    out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run([*argv, "--out-prefix" if argv[0] == "periodic" else "--out", out]) == 0
-    assert np.max(np.abs(limit(out))) <= tol
+        distance = np.abs(case(tmp_path, capsys))
+    assert np.all(distance <= tol)
 
 
-def test_harmonics_domain_is_the_solver_cap(tmp_path, capsys):
-    argv = ["periodic", *_PERIODIC, "--out-prefix", tmp_path / "p"]
-    args = cli.build_parser().parse_args([str(a) for a in argv]
-                                         + ["--harmonics", str(MAX_TRUNCATION)])
-    assert args.harmonics == MAX_TRUNCATION
-    assert run([*argv, "--harmonics", MAX_TRUNCATION + 1]) == 2
-    assert f"--harmonics must be an integer in 4..{MAX_TRUNCATION}" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+def test_harmonics_domain_reaches_the_solver_cap(tmp_path):
+    argv = ["periodic", *_PERIODIC, "--out-prefix", tmp_path / "p", "--harmonics", MAX_TRUNCATION]
+    assert cli.build_parser().parse_args([str(a) for a in argv]).harmonics == MAX_TRUNCATION
 
 
 def test_step_count_at_the_cap():

@@ -3,8 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm as scipy_expm
 
-from deadtime.core import Constant, Cosine, Sampled, Step, TimeGrid
+from deadtime.core import Constant, Cosine, NumericalError, Sampled, Step, TimeGrid
 from deadtime.gamma_chain import (
+    MAX_STEP_NORM,
     ChainState,
     build_generator,
     conserved_functional,
@@ -134,6 +135,21 @@ class TestStepResponse:
             tr = step_response(n, beta_for(n), LAM0, LAM1, grid)
             dist[n] = np.sqrt(np.mean((tr.rate - ref.rate) ** 2))
         assert dist[50] < dist[10]
+
+    @pytest.mark.parametrize("n, mean, stiff_mean", [(1, 3e-5, 2e-5), (10, 2e-4, 1e-4)])
+    def test_stiff_step_meets_the_closed_form_or_raises(self, n, mean, stiff_mean):
+        # output 5 -> 10 Hz; after the transient the active fraction is 1 - 10*mean
+        grid = TimeGrid(0.0, 0.005, 401)
+        for m, stiff in ((mean, False), (stiff_mean, True)):
+            beta, lam0, lam1 = (n + 1) / m, 1.0 / (0.2 - m), 1.0 / (0.1 - m)
+            norm = np.linalg.norm(build_generator(n, beta, lam1), 1) * grid.dt
+            assert (norm > MAX_STEP_NORM) == stiff
+            if stiff:
+                with pytest.raises(NumericalError, match="too stiff"):
+                    step_response(n, beta, lam0, lam1, grid)
+            else:
+                tr = step_response(n, beta, lam0, lam1, grid)
+                assert tr.active[-1] == pytest.approx(1.0 - 10.0 * m, abs=1e-9)
 
 
 class TestIntegrate:
