@@ -217,16 +217,16 @@ def _load_scenario(path: str) -> list[str]:
 
 def _expand_scenario(argv: list[str]) -> list[str]:
     """Splice scenario-file tokens in front of explicit flags (which win)."""
-    if "--scenario" not in argv:
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    pre.add_argument("--scenario", action="append", default=[])
+    paths, rest = pre.parse_known_args(argv)
+    if not paths.scenario:
         return argv
-    idx = argv.index("--scenario")
-    if idx + 1 >= len(argv):
-        raise ValueError("--scenario needs a file path")
-    path = argv[idx + 1]
-    rest = argv[:idx] + argv[idx + 2 :]
+    if len(paths.scenario) > 1:
+        raise ValueError("--scenario given more than once")
     if not rest:
         raise ValueError("--scenario requires a command")
-    return [rest[0]] + _load_scenario(path) + rest[1:]
+    return [rest[0]] + _load_scenario(paths.scenario[0]) + rest[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +540,10 @@ def _validate_file(path: str) -> str:
 
 def cmd_validate(args) -> int:
     for path in args.files:
-        kind = _validate_file(path)
+        try:
+            kind = _validate_file(path)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from err
         print(f"ok {path} ({kind})")
     return 0
 
@@ -647,7 +650,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _expand_scenario(argv)
-    except (ValueError, OSError) as err:
+    except (argparse.ArgumentError, ValueError, OSError) as err:
         _report(f"error: {err}")
         return 2
     try:

@@ -582,6 +582,15 @@ class TestValidateCmd:
         )
         assert run(["validate", bad]) == 2
 
+    def test_bad_file_among_good_ones_is_named(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("t,A,nu\n0,0.5,10\n0.1,0.5,10\n")
+        bad.write_text("t,A,nu\n0,0.5,10\n0.1,1.7,10\n")
+        assert run(["validate", good, bad, good]) == 2
+        out, err = capsys.readouterr()
+        assert out == f"ok {good} (trace)\n"
+        assert f"error: {bad}: " in err
+
 
 @pytest.mark.parametrize("argv", [
     ["step", "--d", 0.05, "--nu0", 5, "--nu1", 10],
@@ -830,25 +839,35 @@ def _sampler_case(tmp_path, capsys):
 
 
 def _chain_case(tmp_path, capsys):
-    # ||M dt||_1 is 1e14 here: the chain refuses the step instead of drifting
-    out = tmp_path / "chain.csv"
-    assert run(["pprd-step", "--mean", 1e-15, "--shape", 1, "--nu0", 5, "--nu1", 10,
-                "--dt", 0.005, "--out", out]) == 4
-    assert "numerical failure: gamma chain too stiff for its step" in capsys.readouterr().err
-    assert not out.exists()
-    return np.zeros(0)
+    """Distance of the active fraction from 1 - nu1*mean once the chain's
+    transient has passed; ||M dt||_1 is 1e14 here."""
+    out, mean = tmp_path / "chain.csv", 1e-15
+    assert run(["pprd-step", "--mean", mean, "--shape", 1, "--nu0", 5, "--nu1", 10,
+                "--dt", 0.005, "--out", out]) == 0
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    return data[data[:, 0] > 0.0, 1] - (1.0 - 10.0 * mean)
+
+
+def test_overflowing_chain_generator_exits_4(tmp_path):
+    # beta * lambda1 is 2e308 at a 1e-307 s mean, past double precision
+    done = _entry_point(["pprd-step", "--mean", "1e-307", "--shape", "1", "--nu0", "5",
+                         "--nu1", "10", "--out", "x.csv"], tmp_path)
+    assert done.returncode == 4
+    assert "numerical failure: gamma chain generator overflows" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 # tolerances fixed before the run: the limit is off by O(lam*d), 1e-6 at a
-# 1e-7 s dead time, and by rounding at 1e-20 s
+# 1e-7 s dead time, and by rounding at 1e-15 and 1e-20 s
 _SHORT_DEAD = {"step": (_step_case, 1e-5), "renewal": (_renewal_case, 1e-5),
                "periodic": (_periodic_case, 1e-5), "sampler": (_sampler_case, 1e-12),
-               "chain": (_chain_case, 0.0)}
+               "chain": (_chain_case, 1e-12)}
 
 
 @pytest.mark.parametrize("case, tol", _SHORT_DEAD.values(), ids=_SHORT_DEAD)
 def test_short_dead_times_meet_the_poisson_limit(tmp_path, capsys, monkeypatch, case, tol):
-    """Each route meets the d -> 0 limit, or (the gamma chain) refuses with exit 4."""
+    """Each route meets the d -> 0 limit."""
     calls = itertools.count()
     kfold = analytic_ppd.kfold_interval_density
 
@@ -930,6 +949,17 @@ class TestScenario:
         assert run(["periodic", "--scenario", scen, "--out-prefix", prefix]) == 0
         with open(f"{prefix}-sweep.csv") as fh:
             assert fh.readline().strip().endswith(",max_nu")
+
+
+def test_scenario_flag_takes_its_path_after_an_equals_sign(tmp_path, capsys):
+    scen = tmp_path / "scen.txt"
+    scen.write_text("d = 0.05\nnu0 = 5\nnu1 = 10\nt-max = 0.1\ndt = 0.01\n")
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(["step", f"--scenario={scen}", "--out", out1]) == 0
+    assert run(["step", "--scenario", scen, "--out", out2]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    assert run(["step", "--scenario", scen, f"--scenario={scen}", "--out", out1]) == 2
+    assert "--scenario given more than once" in capsys.readouterr().err
 
 
 def _fresh_env():

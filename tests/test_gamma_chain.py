@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm as scipy_expm
 
 from deadtime.core import Constant, Cosine, NumericalError, Sampled, Step, TimeGrid
 from deadtime.gamma_chain import (
-    MAX_STEP_NORM,
     ChainState,
     build_generator,
     conserved_functional,
@@ -137,19 +138,57 @@ class TestStepResponse:
         assert dist[50] < dist[10]
 
     @pytest.mark.parametrize("n, mean, stiff_mean", [(1, 3e-5, 2e-5), (10, 2e-4, 1e-4)])
-    def test_stiff_step_meets_the_closed_form_or_raises(self, n, mean, stiff_mean):
-        # output 5 -> 10 Hz; after the transient the active fraction is 1 - 10*mean
+    def test_stiff_step_meets_the_closed_form(self, n, mean, stiff_mean):
+        # output 5 -> 10 Hz; after the transient the active fraction is 1 - 10*mean,
+        # on both sides of ||M dt||_1 = 4096, where the chain once refused the step
         grid = TimeGrid(0.0, 0.005, 401)
-        for m, stiff in ((mean, False), (stiff_mean, True)):
+        for m in (mean, stiff_mean):
             beta, lam0, lam1 = (n + 1) / m, 1.0 / (0.2 - m), 1.0 / (0.1 - m)
-            norm = np.linalg.norm(build_generator(n, beta, lam1), 1) * grid.dt
-            assert (norm > MAX_STEP_NORM) == stiff
-            if stiff:
-                with pytest.raises(NumericalError, match="too stiff"):
-                    step_response(n, beta, lam0, lam1, grid)
-            else:
-                tr = step_response(n, beta, lam0, lam1, grid)
-                assert tr.active[-1] == pytest.approx(1.0 - 10.0 * m, abs=1e-9)
+            tr = step_response(n, beta, lam0, lam1, grid)
+            assert tr.active[-1] == pytest.approx(1.0 - 10.0 * m, abs=1e-12)
+
+    @pytest.mark.parametrize("t0, mean", [(1000.0, 1e-6), (10.0, 1e-4)])
+    def test_long_lead_in_meets_the_closed_form(self, t0, mean):
+        # input 5 -> 10 Hz; squaring one exponential over the whole lead-in once
+        # missed the settled active fraction by 9.4e-7 (t0 = 1000 s)
+        n, lam1 = 1, 10.0
+        tr = step_response(n, (n + 1) / mean, 5.0, lam1, TimeGrid(t0, 1e-6, 3))
+        nu1 = 1.0 / (1.0 / lam1 + mean)
+        assert np.max(np.abs(tr.active - (1.0 - nu1 * mean))) <= 1e-12
+
+    def test_overflowing_generator_raises(self):
+        # beta * lam1 = 2e308 is past double precision
+        with pytest.raises(NumericalError, match="generator overflows"):
+            step_response(1, 2.0 / 1e-307, 5.0, 10.0, TimeGrid(0.0, 0.005, 3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    n=st.integers(0, 200),
+    log_mean=st.floats(-16.0, 0.0),
+    dt=st.floats(1e-4, 0.05),
+    t0=st.one_of(st.just(0.0), st.floats(0.0, 1000.0)),
+)
+def test_chain_keeps_its_occupation_sum_and_settles_to_the_closed_form(n, log_mean, dt, t0):
+    """Output nu0 -> nu1 = min(10 Hz, 0.5/mean) at every mean dead time down to 1e-16 s."""
+    mean = 10.0**log_mean
+    nu1 = min(10.0, 0.5 / mean)
+    lam0, lam1 = (1.0 / (1.0 / nu - mean) for nu in (0.5 * nu1, nu1))
+    beta = (n + 1) / mean
+    m = build_generator(n, beta, lam1)
+    b0 = equilibrium_state(n, beta, lam0).values
+    after = ChainState(matrix_exponential(m * dt) @ b0)
+    assert abs(conserved_functional(after, beta) - 1.0) <= 1e-12
+    grid = TimeGrid(t0, dt, 20)
+    tr = step_response(n, beta, lam0, lam1, grid)
+    # settled: the slowest transient mode has decayed by e^-40
+    slowest = -np.sort(np.linalg.eigvals(m).real)[-2]
+    settled = grid.times() >= 40.0 / slowest
+    assert np.all(np.abs(tr.active[settled] - (1.0 - nu1 * mean)) <= 1e-12)
+    norm = np.linalg.norm(m * dt, 1)
+    if norm <= 1e4:  # past this SciPy's squarings of exp(M dt) drift more than ours
+        ref = scipy_expm(m * dt)
+        assert np.max(np.abs(matrix_exponential(m * dt) - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
 
 
 class TestIntegrate:
