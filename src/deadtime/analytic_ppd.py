@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (GammaDeadTime, History, NumericalError, TimeGrid, Trace, _wrap_scalar,
-                   check_balance, simpson_weights)
+                   check_balance, simpson_weights, stationary_active_fraction)
 
 __all__ = [
     "PpdParams",
@@ -130,7 +130,7 @@ def equilibrium_active_fraction(lam: float, d: float) -> float:
     """Stationary fraction of components outside their dead time."""
     if lam < 0.0 or d < 0.0:
         raise ValueError("rate and dead time must be non-negative")
-    return 1.0 / (1.0 + lam * d)
+    return stationary_active_fraction(lam, d)
 
 
 def equilibrium_rate(lam: float, d: float) -> float:

@@ -17,7 +17,9 @@ byte depends on it.  Each numeric flag and ``kind:fields`` spec has one
 declared domain, its argparse ``type``: a value outside it (NaN and
 infinities included) exits 2 naming the flag before anything is computed
 or written, as do a ``--dt`` or ``--bin-width`` that lays more than
-``_MAX_STEPS`` steps over ``--t-max`` and an output that is an input file.
+``_MAX_STEPS`` steps over ``--t-max``, a Monte Carlo input rate that
+expects more thinning rounds than that over the run, and an output that
+is an input file.
 """
 
 from __future__ import annotations
@@ -246,7 +248,8 @@ def _target_or_override(override, nu, mean_dead, label):
     return 1.0 / slack
 
 
-# most steps of --dt or --bin-width a command lays over --t-max
+# most steps of --dt or --bin-width a command lays over --t-max, and most
+# thinning rounds a Monte Carlo component expects over its run
 _MAX_STEPS = 1 << 26
 
 
@@ -269,12 +272,16 @@ def _mc_bins(args, lam0: float, lam1: float):
     n = _steps(args.t_max, bw, flag)
     if n < 1:
         raise ValueError("--t-max shorter than one bin")
+    lam_max = max(lam0, lam1)
+    if not lam_max * (n + 1) * bw <= _MAX_STEPS:
+        raise ValueError(f"input rate {lam_max!r} Hz needs more than {_MAX_STEPS} thinning rounds "
+                         f"per component over --t-max {args.t_max!r}")
     cfg = SimConfig(
         components=args.mc,
         seed=args.seed,
         t_span=(-bw, n * bw),
         bin_width=bw,
-        lambda_max=max(lam0, lam1),
+        lambda_max=lam_max,
     )
     return Step(lam0, lam1, 0.0), cfg, TimeGrid(bw / 2.0, bw, n)
 

@@ -578,15 +578,15 @@ class DeadTimeLaw:
     described by ``density``.  ``survivor(x)`` is the probability that the
     dead time exceeds ``x``, so ``survivor(0) == 1 - atom0``.
 
-    A new law implements ``survivor``, ``density``, ``mean`` and an
-    elementwise ``quantile`` (and ``atom0`` if it has an atom).  Every other
-    method has a generic body built from those; a shipped law overrides one
-    only where it has a closed form or, as a table, nodes of its own.
+    A new law implements ``survivor``, ``density`` and an elementwise
+    ``quantile``.  Every other method has a generic body built from those; a
+    shipped law overrides one only where it has a closed form or, as a
+    table, nodes of its own.
     """
 
     @property
     def atom0(self) -> float:
-        return 0.0
+        return 1.0 - float(self.survivor(0.0))
 
     @property
     def fixed_duration(self) -> float | None:
@@ -594,7 +594,8 @@ class DeadTimeLaw:
         return None
 
     def mean(self) -> float:
-        raise NotImplementedError
+        """``q_0 = int S``, which does not depend on the frequency."""
+        return float(self.survivor_transform(1.0, [0])[0].real)
 
     def survivor(self, x):
         raise NotImplementedError
@@ -722,11 +723,6 @@ class FixedDeadTime(DeadTimeLaw):
     def __post_init__(self):
         if not (self.duration >= 0.0) or not math.isfinite(self.duration):
             raise ValueError(f"dead time must be finite and non-negative, got {self.duration}")
-
-    @property
-    def atom0(self):
-        # a zero-length dead time is all point mass at the origin
-        return 1.0 if self.duration == 0.0 else 0.0
 
     @property
     def fixed_duration(self):
@@ -1102,9 +1098,6 @@ class TabulatedDeadTime(DeadTimeLaw):
     def atom0(self):
         return self.atom_at_zero
 
-    def mean(self):
-        return float(np.trapezoid(self.x * self.pdf, self.x))
-
     def survivor(self, x):
         arr = _abscissae(x)
         cdf = np.interp(arr, self.x, self._cdf, left=self.atom_at_zero, right=1.0)
@@ -1130,12 +1123,12 @@ class TabulatedDeadTime(DeadTimeLaw):
         By parts, ``q_k`` is one exponential per node weighted by the survivor's
         slope jumps; that sum cancels as ``(k omega x[-1])**-2``, so below
         ``|k omega x[-1]| = 1`` the power series in the survivor's moments is
-        summed instead.  ``q_0 = int S`` differs from :meth:`mean` (trapezoid of
-        ``x * pdf``) by the tabulation error; :meth:`density` stays the
-        interpolant of the samples, not this survivor's derivative.
+        summed instead.  ``q_0 = int S`` is the law's mean; :meth:`density`
+        stays the interpolant of the samples, not this survivor's derivative.
         """
-        z = self.x if self.x[0] == 0.0 else np.concatenate(([0.0], self.x))
-        s = self.survivor(z)
+        z, s = self.x, 1.0 - self._cdf
+        if z[0] > 0.0:  # the survivor holds 1 - atom0 from 0 up to the first node
+            z, s = np.concatenate(([0.0], z)), np.concatenate(([1.0 - self.atom_at_zero], s))
         jumps = np.diff(np.diff(s) / np.diff(z), prepend=0.0, append=0.0)
         end, s_end = float(z[-1]), float(s[-1])
         series = any(0 < abs(k * omega) * end < 1.0 for k in ks)
@@ -1386,16 +1379,21 @@ def check_balance(balance: float, limit: float) -> None:
                          f"{abs(balance - 1.0):.3e} (limit {limit:g})")
 
 
+def stationary_active_fraction(rate: float, mean_dead_time: float) -> float:
+    """Stationary fraction ``1/(1 + rate*mean)`` of components outside their dead time."""
+    return 1.0 / (1.0 + rate * mean_dead_time)
+
+
 def equilibrium_history(input_rate: float, mean_dead_time: float) -> History:
     """Constant-history equilibrium for a given input rate and mean dead time.
 
-    The stationary active fraction is ``1/(1 + rate*mean)`` and the event
-    rate is the input rate times that fraction; the pair satisfies the
-    occupation balance exactly.
+    The active fraction is :func:`stationary_active_fraction` and the event
+    rate is the input rate times it; the pair satisfies the occupation
+    balance exactly.
     """
     if not (input_rate >= 0.0) or not (mean_dead_time >= 0.0):
         raise ValueError("rate and mean dead time must be non-negative")
-    a = 1.0 / (1.0 + input_rate * mean_dead_time)
+    a = stationary_active_fraction(input_rate, mean_dead_time)
     nu = input_rate * a
 
     def _const(c):

@@ -29,6 +29,7 @@ from .core import (
     Schema,
     TimeGrid,
     read_csv,
+    stationary_active_fraction,
     tabulated_quantile,
     whole_steps,
     write_csv,
@@ -97,11 +98,6 @@ def _component_keys(seed: int, comp: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         base = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN)
         return _mix64(base + comp.astype(np.uint64) * _GOLDEN)
-
-
-def _uniform(keys: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Uniform variate in [0, 1) for draw ``idx`` of each keyed substream."""
-    return _unit(keys + idx.astype(np.uint64) * _GOLDEN)
 
 
 def _draw(ctr: np.ndarray) -> np.ndarray:
@@ -222,9 +218,11 @@ def _occupation(sig, law, t, tau):
 def hazard_pprd(sig: InputSignal, law: DeadTimeLaw, t, tau):
     """Event rate at time ``t`` given the last event happened ``tau`` ago.
 
-    Always between 0 and the input rate at ``t``, approaching the input
-    rate once ``tau`` outgrows the dead-time support.  A fixed dead time
-    reduces to the sharp threshold ``rate(t) * (tau >= duration)``.
+    Always between 0 and the input rate at ``t``.  At old ages it reaches
+    the input rate once ``tau`` outgrows a bounded support; a gamma law's
+    hazard under a constant rate ``c`` tends to ``min(c, rate)``, since
+    above its rate the dead time's own tail is the slower one.  A fixed
+    dead time reduces to the sharp threshold ``rate(t) * (tau >= duration)``.
     Scalars broadcast against arrays in either argument.
     """
     tau_arr = np.asarray(tau, dtype=float)
@@ -933,7 +931,7 @@ def simulate_generative(
     t_stop = t0 + n_bins * bw
     lam_max = cfg.lambda_max
     lam0 = float(sig.rate_left(t0))
-    a_eq = 1.0 / (1.0 + lam0 * law.mean())
+    a_eq = stationary_active_fraction(lam0, law.mean())
     # a constant rate equal to the bound accepts every proposal, so the
     # acceptance draw can be skipped without changing the law of the output
     sure_accept = sig.levels() == (lam_max,)

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DeadTimeLaw, NumericalError, Spectrum, TimeGrid, Trace, hermitian
+from .core import (DeadTimeLaw, NumericalError, Spectrum, TimeGrid, Trace, hermitian,
+                   stationary_active_fraction)
 
 __all__ = [
     "HarmonicSystem",
@@ -56,8 +57,8 @@ def qk_law(law: DeadTimeLaw, omega: float, k: int) -> complex:
     This is the Fourier-Laplace transform of the survivor function at
     ``i*k*omega`` (:meth:`DeadTimeLaw.survivor_transform`): a closed form
     for fixed and gamma laws, exact on a table's own nodes, and Simpson's
-    rule for any other law.  At ``k = 0`` it is ``int S``, the mean dead
-    time up to a table's tabulation error.
+    rule for any other law.  At ``k = 0`` it is ``int S``, the law's mean
+    dead time.
     """
     if not (omega > 0.0):
         raise ValueError("angular frequency must be positive")
@@ -260,7 +261,7 @@ def cosine_continued_fraction(
     q0 = qk_law(law, omega, 0).real
     if eps == 0.0:
         coeffs = np.zeros(2 * 1 + 1, dtype=complex)
-        coeffs[1] = 1.0 / (1.0 + lam0 * q0)
+        coeffs[1] = stationary_active_fraction(lam0, q0)
         return Spectrum(omega, coeffs)
 
     def backward_ratios(start: int) -> np.ndarray:

@@ -806,6 +806,24 @@ def test_grid_past_the_step_cap_names_the_flag(tmp_path, capsys, argv, flag):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, rate", [
+    (["step", "--d", 0, "--lambda0", 1e300, "--lambda1", 1e300, "--mc", 2], "1e+300"),
+    (["pprd-step", "--mean", 0.08, "--shape", 10, "--lambda0", 1e300, "--lambda1", 1e300,
+      "--mc", 3, "--trials", 1], "1e+300"),
+    (["pprd-step", "--mean", 0.08, "--shape", 10, "--nu0", 5, "--nu1", 12.4999999999,
+      "--mc", 3, "--trials", 1], "1562495262873.299"),
+], ids=["step", "pprd-step", "pprd-step-nu1"])
+def test_monte_carlo_rate_past_the_round_cap_exits_before_sampling(tmp_path, argv, rate):
+    # each component would expect rate * 15 ms thinning rounds, far past the cap,
+    # and never finish: the timeout fails a run that starts sampling
+    argv = [*argv, "--t-max", 0.01, "--dt", 0.005, "--out", "x.csv"]
+    done = _entry_point([str(a) for a in argv], tmp_path, timeout=30)
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    assert f"error: input rate {rate} Hz needs more than {cli._MAX_STEPS} thinning rounds" \
+        in done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def _step_case(tmp_path, capsys):
     """Distances of the active fraction from 1 and of the rate after the
     switch from 10 Hz: the d -> 0 limit is Poisson at the input rate."""
@@ -968,10 +986,10 @@ def _fresh_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
-def _entry_point(argv, cwd):
+def _entry_point(argv, cwd, timeout=120):
     """``python -m deadtime.cli argv`` in a fresh interpreter."""
     return subprocess.run([sys.executable, "-m", "deadtime.cli", *argv], env=_fresh_env(),
-                          cwd=cwd, capture_output=True, text=True, timeout=120)
+                          cwd=cwd, capture_output=True, text=True, timeout=timeout)
 
 
 def _loaded_after(modules, probes, argv=None, cwd=None):

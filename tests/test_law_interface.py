@@ -2,14 +2,16 @@
 
 A law defined only in this file runs through every route of the package,
 and every closed form or own grid of a shipped law agrees with the generic
-body the base class builds from ``survivor``, ``density``, ``mean`` and
-``quantile`` alone.
+body the base class builds from ``survivor``, ``density`` and ``quantile``
+alone.  Every law's mean is its ``q_0``, bit for bit.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from deadtime import cli, core, dde
@@ -21,12 +23,15 @@ from deadtime.core import (
     Step,
     TabulatedDeadTime,
     TimeGrid,
+    angular_frequency,
     equilibrium_history,
     read_law_csv,
+    signal_spectrum,
     write_law_csv,
 )
 from deadtime.mc_sim import SimConfig, hazard_pprd, simulate_generative, simulate_rejection
-from deadtime.spectral import qk_array
+from deadtime.renewal_map import RenewalSpec, dead_time_from_interval, lognormal_minimal_rate
+from deadtime.spectral import HarmonicSystem, qk_array, solve_active_spectrum
 
 
 class ShiftedGamma(DeadTimeLaw):
@@ -37,9 +42,6 @@ class ShiftedGamma(DeadTimeLaw):
 
     def __init__(self, shift, order, rate):
         self.shift, self.order, self.rate = shift, order, rate
-
-    def mean(self):
-        return self.shift + (self.order + 1) / self.rate
 
     def survivor(self, x):
         z = np.maximum(np.asarray(x, dtype=float) - self.shift, 0.0)
@@ -58,7 +60,7 @@ class ShiftedGamma(DeadTimeLaw):
 
     def q_exact(self, omega, k):
         if k == 0:
-            return complex(self.mean())
+            return complex(self.shift + (self.order + 1) / self.rate)
         s = 1j * k * omega
         laplace = np.exp(-s * self.shift) * (self.rate / (self.rate + s)) ** (self.order + 1)
         return (1.0 - laplace) / s
@@ -163,13 +165,6 @@ class Generic(DeadTimeLaw):
     def __init__(self, law):
         self.law = law
 
-    @property
-    def atom0(self):
-        return self.law.atom0
-
-    def mean(self):
-        return self.law.mean()
-
     def survivor(self, x):
         return self.law.survivor(x)
 
@@ -241,3 +236,53 @@ class TestOverridesMatchTheGenericBodies:
                 want = generic.tilted_integral(c, a, b, c * b)
                 assert np.max(np.abs(got - want)) <= 5e-5
         assert not law.tilted_closed_form(law.rate)
+
+
+@st.composite
+def _tables(draw):
+    """Tables on non-uniform nodes, from zero or from a first node past it, with
+    or without an atom at zero."""
+    n = draw(st.integers(2, 40))
+    gaps = draw(st.lists(st.floats(1e-4, 1.0), min_size=n - 1, max_size=n - 1))
+    start = draw(st.sampled_from([0.0, 1e-3, 0.5]))
+    x = start + np.concatenate(([0.0], np.cumsum(gaps)))
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    mass = np.trapezoid(raw, x)
+    if not mass > 1e-3:
+        raw, mass = np.ones(n), x[-1] - x[0]
+    atom = draw(st.sampled_from([0.0, 0.25]) | st.floats(0.0, 0.99))
+    return TabulatedDeadTime(x, raw * ((1.0 - atom) / mass), atom_at_zero=atom)
+
+
+_LAWS = st.one_of(
+    _tables(),
+    st.builds(FixedDeadTime, st.just(0.0) | st.floats(0.0, 10.0)),
+    st.builds(GammaDeadTime, st.integers(0, 200), st.floats(1e-3, 1e4)),
+)
+
+
+class TestOneMean:
+    """``mean()`` is ``q_0``, and ``atom0`` is ``1 - S(0)``, for every law."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(law=_LAWS, omega=st.floats(1e-3, 1e4))
+    @example(law=FixedDeadTime(0.0), omega=1.0)
+    @example(law=GammaDeadTime(200, 1e-3), omega=1.0)
+    def test_mean_is_q0_bit_for_bit(self, law, omega):
+        assert law.mean() == law.survivor_transform(omega, [0])[0].real
+        if isinstance(law, TabulatedDeadTime):
+            return  # a table keeps the atom it was given, not 1 - (1 - atom)
+        assert law.atom0 == 1.0 - law.survivor(0.0)
+        assert law.atom0 == (1.0 if law.fixed_duration == 0.0 else 0.0)
+
+    def test_table_equilibria_agree_on_the_long_lognormal_law(self):
+        # the 524,289-node law of `represent --process lognormal:0,0.8,0.1`: the
+        # delay integrator's equilibrium and the harmonic alpha_0 read one mean
+        spec = RenewalSpec.from_lognormal(0.0, 0.8, 0.1)
+        law = dead_time_from_interval(spec, lognormal_minimal_rate(0.0, 0.8, 0.1)).law
+        assert law.x.size == 524_289
+        lam = 1.0 / (1.0 / 5.0 - law.mean())
+        omega = angular_frequency(50.0)
+        system = HarmonicSystem(omega, 4, law, signal_spectrum(Constant(lam), omega, 4))
+        alpha_0 = solve_active_spectrum(system).coefficient(0)
+        assert equilibrium_history(lam, law.mean()).active(0.0) == alpha_0.real

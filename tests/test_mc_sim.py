@@ -35,6 +35,11 @@ from deadtime.mc_sim import (
 )
 
 
+def _uniform(keys: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Uniform variate in [0, 1) for draw ``idx`` of each keyed substream."""
+    return mc_sim._unit(keys + idx.astype(np.uint64) * mc_sim._GOLDEN)
+
+
 def tabulated_gamma(order: int, rate: float, n: int = 4001) -> TabulatedDeadTime:
     ref = GammaDeadTime(order, rate)
     x = np.linspace(0.0, ref.quantile(1.0 - 1e-13), n)
@@ -273,11 +278,11 @@ def reference_generative(sig, law, cfg, return_events=False):
         comp = np.arange(c_lo, min(c_lo + mc_sim._CHUNK, cfg.components), dtype=np.int64)
         keys = mc_sim._component_keys(cfg.seed, comp)
         idx = np.zeros(comp.size, dtype=np.int64)
-        u_state = mc_sim._uniform(keys, idx)
+        u_state = _uniform(keys, idx)
         idx += 1
-        u_len = mc_sim._uniform(keys, idx)
+        u_len = _uniform(keys, idx)
         idx += 1
-        u_pos = mc_sim._uniform(keys, idx)
+        u_pos = _uniform(keys, idx)
         idx += 1
         residual = (1.0 - u_pos) * law.length_biased_quantile(u_len)
         blocked = u_state >= a_eq
@@ -286,7 +291,7 @@ def reference_generative(sig, law, cfg, return_events=False):
         alive = t_cur < t_stop
         while np.any(alive):
             sub = np.nonzero(alive)[0]
-            u_e = mc_sim._uniform(keys[sub], idx[sub])
+            u_e = _uniform(keys[sub], idx[sub])
             idx[sub] += 1
             t_prop = t_cur[sub] - np.log1p(-u_e) / lam_max
             over = t_prop >= t_stop
@@ -298,7 +303,7 @@ def reference_generative(sig, law, cfg, return_events=False):
             if sure_accept:
                 acc = np.ones(sub.size, dtype=bool)
             else:
-                u_a = mc_sim._uniform(keys[sub], idx[sub])
+                u_a = _uniform(keys[sub], idx[sub])
                 idx[sub] += 1
                 acc = u_a * lam_max < np.asarray(sig.rate(t_prop), dtype=float)
             hit = sub[acc]
@@ -308,7 +313,7 @@ def reference_generative(sig, law, cfg, return_events=False):
                 counts += np.bincount(b, minlength=n_bins)
                 if collect is not None:
                     collect.append((comp[hit], t_ev))
-                u_d = mc_sim._uniform(keys[hit], idx[hit])
+                u_d = _uniform(keys[hit], idx[hit])
                 idx[hit] += 1
                 x = law.quantile(u_d)
                 mc_sim._mark_dead(dead_diff, t0, bw, n_bins, t_ev, t_ev + x)
@@ -538,7 +543,7 @@ def reference_rejection(sig, law, cfg, return_events=False):
     for c_lo in range(0, cfg.components, mc_sim._CHUNK):
         comp = np.arange(c_lo, min(c_lo + mc_sim._CHUNK, cfg.components), dtype=np.int64)
         keys = mc_sim._component_keys(cfg.seed, comp)
-        u_age = mc_sim._uniform(keys, np.zeros(1, dtype=np.int64))
+        u_age = _uniform(keys, np.zeros(1, dtype=np.int64))
         last_ev = t0 - mc_sim._stationary_age_quantile(law, lam0, u_age)
         t_cur = np.full(comp.size, t0)
         excess = None if ts is None else np.full(comp.size, np.nan)
@@ -548,8 +553,8 @@ def reference_rejection(sig, law, cfg, return_events=False):
         alive = np.ones(comp.size, dtype=bool)
         while np.any(alive):
             sub = np.nonzero(alive)[0]
-            u_e = mc_sim._uniform(keys[sub], draw)
-            u_a = mc_sim._uniform(keys[sub], draw + 1)
+            u_e = _uniform(keys[sub], draw)
+            u_a = _uniform(keys[sub], draw + 1)
             draw += 2
             t_prop = t_cur[sub] - np.log1p(-u_e) / lam_max
             over = t_prop >= t_stop
@@ -1215,13 +1220,13 @@ class TestSamplingInternals:
 
     def test_uniform_stream_is_stable(self):
         keys = mc_sim._component_keys(1234, np.arange(4, dtype=np.int64))
-        u_a = mc_sim._uniform(keys, np.zeros(4, dtype=np.int64))
-        u_b = mc_sim._uniform(keys, np.zeros(4, dtype=np.int64))
+        u_a = _uniform(keys, np.zeros(4, dtype=np.int64))
+        u_b = _uniform(keys, np.zeros(4, dtype=np.int64))
         np.testing.assert_array_equal(u_a, u_b)
         assert np.all(u_a >= 0.0)
         assert np.all(u_a < 1.0)
         # distinct components and draw indices decorrelate
-        u_c = mc_sim._uniform(keys, np.ones(4, dtype=np.int64))
+        u_c = _uniform(keys, np.ones(4, dtype=np.int64))
         assert not np.any(u_a == u_c)
 
     def test_uniform_stream_values_are_pinned(self):
@@ -1235,7 +1240,7 @@ class TestSamplingInternals:
         }
         for (seed, comp, draw), want in pinned.items():
             keys = mc_sim._component_keys(seed, np.array([comp], dtype=np.int64))
-            u = mc_sim._uniform(keys, np.array([draw], dtype=np.int64))
+            u = _uniform(keys, np.array([draw], dtype=np.int64))
             assert float(u[0]).hex() == want
 
     @pytest.mark.parametrize("sampler, events, want", [
