@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (GammaDeadTime, History, NumericalError, TimeGrid, Trace, _wrap_scalar,
-                   check_balance, simpson_weights, stationary_active_fraction)
+                   check_balance, simpson_weights, sorted_distinct,
+                   stationary_active_fraction)
 
 __all__ = [
     "PpdParams",
@@ -215,7 +216,7 @@ def solve_with_history(
                 s_star = ti - k * d
                 if 1e-15 < s_star < hi - 1e-15:
                     cuts.append(s_star)
-            cuts = np.unique(np.asarray(cuts))
+            cuts = sorted_distinct(cuts)
             for a, b in zip(cuts[:-1], cuts[1:]):
                 m = max(int(np.ceil((b - a) / h_target)), 2)
                 m += m % 2

@@ -13,7 +13,8 @@ A ``--scenario FILE`` option reads ``key = value`` defaults that explicit
 flags override.  ``periodic`` solves its frequencies in threads and
 ``pprd-step`` runs its trials in worker processes; their count comes from
 ``--threads`` or the DEADTIME_THREADS environment variable, and no output
-byte depends on it.  Each numeric flag and ``kind:fields`` spec has one
+byte depends on it.  NumPy's BLAS runs one thread, pinned before NumPy
+loads, and each command imports only the route modules it runs.  Each numeric flag and ``kind:fields`` spec has one
 declared domain, its argparse ``type``: a value outside it (NaN and
 infinities included) exits 2 naming the flag before anything is computed
 or written, as do a ``--dt`` or ``--bin-width`` that lays more than
@@ -35,16 +36,28 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
 
-import numpy as np
+# One BLAS thread: no kernel here gains from more (the largest BLAS calls are
+# 129-row solves), an idle BLAS worker spins a core, and a threaded solve
+# rounds differently, so bytes would depend on the thread count.  The BLAS
+# reads these once, when NumPy loads; a process that already holds NumPy
+# keeps its own.  Forked pprd-step workers inherit the pin.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules:
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
 
-from . import analytic_ppd, gamma_chain
-from .core import (
+import numpy as np  # noqa: E402
+
+# each command imports the route modules it runs
+from .core import (  # noqa: E402
     Constant,
     Cosine,
+    ESTIMATE_CSV,
+    EVENTS_CSV,
     FixedDeadTime,
     GammaDeadTime,
     LAW_CSV,
     LAW_KINDS,
+    MAX_TRUNCATION,
     NotRepresentableError,
     NumericalError,
     SPECTRUM_CSV,
@@ -62,34 +75,6 @@ from .core import (
     write_csv,
     whole_steps,
     write_law_csv,
-)
-from .mc_sim import (
-    ESTIMATE_CSV,
-    EVENTS_CSV,
-    EnsembleEstimate,
-    SimConfig,
-    hazard_pprd,
-    read_estimate_csv,
-    read_events_csv,
-    simulate_generative,
-    simulate_rejection,
-)
-from .renewal_map import (
-    RenewalSpec,
-    check_hazard_condition,
-    construct_gamma,
-    convolution_residual,
-    dead_time_from_interval,
-    lognormal_minimal_rate,
-    minimal_lambda,
-)
-from .spectral import (
-    MAX_TRUNCATION,
-    HarmonicSystem,
-    infer_input_spectrum,
-    output_spectrum,
-    periodic_rate,
-    solve_active_spectrum,
 )
 
 __all__ = ["main"]
@@ -150,11 +135,12 @@ def _kind_fields(kinds, text):
     return kind, [convert(field) for convert, field in zip(types, fields)], text
 
 
-def _built(flag, kinds, spec):
-    """The builder of ``spec``'s kind on its fields; a failure names ``flag`` and the spec."""
+def _built(flag, kinds, spec, *lead):
+    """The builder of ``spec``'s kind on ``lead`` and its fields; a failure names
+    ``flag`` and the spec."""
     kind, fields, text = spec
     try:
-        return kinds[kind][2](*fields)
+        return kinds[kind][2](*lead, *fields)
     except (ValueError, OSError) as err:
         raise ValueError(f"{flag} {text!r}: {err}") from err
 
@@ -268,6 +254,8 @@ def _mc_bins(args, lam0: float, lam1: float):
     The run starts one bin before the switch, so its first bin is dropped
     and ``centers`` holds the ``--t-max`` worth of bins after it.
     """
+    from .mc_sim import SimConfig
+
     flag, bw = ("--bin-width", args.bin_width) if args.bin_width is not None else ("--dt", args.dt)
     n = _steps(args.t_max, bw, flag)
     if n < 1:
@@ -287,6 +275,8 @@ def _mc_bins(args, lam0: float, lam1: float):
 
 
 def cmd_step(args) -> int:
+    from . import analytic_ppd
+
     d = args.d
     if d is None:
         raise ValueError("--d is required")
@@ -298,6 +288,8 @@ def cmd_step(args) -> int:
         trace = analytic_ppd.step_response(lam0, lam1, d, TimeGrid(0.0, args.dt, n))
         trace.to_csv(args.out)
         return 0
+
+    from .mc_sim import simulate_generative
 
     sig, cfg, centers = _mc_bins(args, lam0, lam1)
     est = simulate_generative(sig, FixedDeadTime(d), cfg)
@@ -315,6 +307,8 @@ def cmd_step(args) -> int:
 
 
 def _solve_one_frequency(law, lam0, eps, harmonics, samples, f):
+    from .spectral import HarmonicSystem, output_spectrum, periodic_rate, solve_active_spectrum
+
     omega = angular_frequency(f)
     drive = signal_spectrum(Cosine(lam0, eps, f), omega, harmonics)
     system = HarmonicSystem(omega, harmonics, law, drive)
@@ -374,6 +368,9 @@ def cmd_periodic(args) -> int:
 
 
 def cmd_pprd_step(args) -> int:
+    from . import gamma_chain
+    from .mc_sim import simulate_rejection
+
     threads = _thread_count(args)
     if args.mean is None or args.shape is None:
         raise ValueError("--mean and --shape are required")
@@ -426,6 +423,8 @@ def cmd_pprd_step(args) -> int:
 
 
 def cmd_hazard(args) -> int:
+    from .mc_sim import hazard_pprd
+
     law = _law(args)
     tau = np.linspace(0.0, args.tau_max, args.points)
     h = hazard_pprd(Constant(args.lambda0), law, np.zeros_like(tau), tau)
@@ -441,34 +440,41 @@ def cmd_hazard(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _gamma_interval(index, rate):
+def _gamma_interval(rm, index, rate):
     if index < 1:
         raise ValueError("gamma interval index must be at least 1")
-    return RenewalSpec.from_gamma(index, rate)
+    return rm.RenewalSpec.from_gamma(index, rate)
 
 
 #: ``represent --process`` kinds: kind -> (form, field types, interval spec,
-#: representation at the default rate from the spec, its minimal rate and fields)
+#: representation at the default rate from the spec, its minimal rate and
+#: fields); both builders take the renewal_map module first, so only
+#: ``represent`` loads it
 _PROCESSES = {
     "gamma": ("r,beta", (int, float), _gamma_interval,
-              lambda spec, low, r, beta: construct_gamma(r, beta)),
-    "lognormal": ("mu,sigma,delta", (float,) * 3, RenewalSpec.from_lognormal,
-                  lambda spec, low, *p: dead_time_from_interval(spec, lognormal_minimal_rate(*p))),
-    "table": ("FILE", (str,), lambda path: RenewalSpec.from_sampled(*read_csv(path, INTERVAL_CSV)[0]),
-              lambda spec, low, path: dead_time_from_interval(spec, low)),
+              lambda rm, spec, low, r, beta: rm.construct_gamma(r, beta)),
+    "lognormal": ("mu,sigma,delta", (float,) * 3,
+                  lambda rm, *p: rm.RenewalSpec.from_lognormal(*p),
+                  lambda rm, spec, low, *p: rm.dead_time_from_interval(
+                      spec, rm.lognormal_minimal_rate(*p))),
+    "table": ("FILE", (str,),
+              lambda rm, path: rm.RenewalSpec.from_sampled(*read_csv(path, INTERVAL_CSV)[0]),
+              lambda rm, spec, low, path: rm.dead_time_from_interval(spec, low)),
 }
 
 
 def cmd_represent(args) -> int:
+    from . import renewal_map as rm
+
     kind, params, _ = args.process
-    spec = _built("--process", _PROCESSES, args.process)
-    lam_min = minimal_lambda(spec)
+    spec = _built("--process", _PROCESSES, args.process, rm)
+    lam_min = rm.minimal_lambda(spec)
     # an explicit rate takes the generic route, which reports the violation
     # location when the rate is too small instead of rejecting it up front
-    rep = (dead_time_from_interval(spec, args.lam) if args.lam is not None
-           else _PROCESSES[kind][3](spec, lam_min, *params))
-    verdict = check_hazard_condition(spec, rep.input_rate)
-    residual = convolution_residual(rep, spec)
+    rep = (rm.dead_time_from_interval(spec, args.lam) if args.lam is not None
+           else _PROCESSES[kind][3](rm, spec, lam_min, *params))
+    verdict = rm.check_hazard_condition(spec, rep.input_rate)
+    residual = rm.convolution_residual(rep, spec)
     write_law_csv(rep.law, args.out)
     _report(f"input_rate = {_fmt(rep.input_rate)}")
     _report(f"minimal_rate = {_fmt(lam_min)}")
@@ -483,6 +489,8 @@ def cmd_represent(args) -> int:
 
 
 def cmd_infer_input(args) -> int:
+    from .spectral import infer_input_spectrum
+
     law = _law(args)
     beta = Spectrum.from_csv(args.beta_csv, omega=angular_frequency(args.f))
     lam_spec, cond = infer_input_spectrum(beta, law)
@@ -501,7 +509,21 @@ def _check(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
+def _check_estimate(path: str) -> None:
+    from .mc_sim import read_estimate_csv
+
+    read_estimate_csv(path)
+
+
+def _check_events(path: str) -> None:
+    from .mc_sim import read_events_csv
+
+    read_events_csv(path)
+
+
 def _check_combined(path: str) -> None:
+    from .mc_sim import EnsembleEstimate
+
     t, _, _, *estimate = read_csv(path, COMBINED_CSV)[0]
     EnsembleEstimate(TimeGrid.from_times(t), *estimate)
 
@@ -522,12 +544,12 @@ def _validate_file(path: str) -> str:
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
     # combined, hazard and sweep files have no library reader; the checks
-    # above hold their column rules
+    # above hold their column rules.  Only Monte Carlo files load mc_sim.
     checks = {
         TRACE_CSV: Trace.from_csv,
         LAW_CSV: read_law_csv,
-        ESTIMATE_CSV: read_estimate_csv,
-        EVENTS_CSV: read_events_csv,
+        ESTIMATE_CSV: _check_estimate,
+        EVENTS_CSV: _check_events,
         COMBINED_CSV: _check_combined,
         HAZARD_CSV: _check_hazard,
         SWEEP_CSV: lambda p: _check_sweep(p, SWEEP_CSV),

@@ -109,6 +109,13 @@ def tabulated_quantile(x, pdf, u):
     return np.interp(u, cdf, x)
 
 
+def sorted_distinct(values) -> np.ndarray:
+    """The distinct values in ascending order, as ``np.unique`` gives them
+    without the ``numpy.ma`` import it costs every command."""
+    v = np.sort(np.asarray(values), axis=None)
+    return v[np.concatenate(([True], v[1:] != v[:-1]))] if v.size else v
+
+
 def hermitian(pos) -> np.ndarray:
     """Coefficients ``c_-K .. c_K`` of a real signal from its ``c_0 .. c_K``."""
     pos = np.asarray(pos, dtype=complex)
@@ -1259,7 +1266,7 @@ class Spectrum:
         file can ask for.
         """
         (k, re, im), _ = read_csv(path, SPECTRUM_CSV)
-        if np.unique(k).size < k.size:
+        if sorted_distinct(k).size < k.size:
             raise ValueError("spectrum repeats a harmonic index")
         order = max(-int(k.min()), int(k.max()))
         if order > k.size:
@@ -1271,6 +1278,8 @@ class Spectrum:
 
 
 SPECTRUM_CSV = Schema("spectrum", "k,re,im", "iff", headerless=True)
+#: Largest truncation order the dense harmonic solve doubles up to.
+MAX_TRUNCATION = 4096
 
 
 def signal_spectrum(sig: InputSignal, omega: float, order: int) -> Spectrum:
@@ -1328,6 +1337,9 @@ class Trace:
 
 
 TRACE_CSV = Schema("trace", "t,A,nu", "fff")
+# the Monte Carlo formats; their readers are in mc_sim
+ESTIMATE_CSV = Schema("estimate", "t,nu_hat,nu_se,A_hat,A_se,count", "ffnnni")
+EVENTS_CSV = Schema("events", "component,event_time", "if", empty_ok=True)
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    ESTIMATE_CSV,
+    EVENTS_CSV,
     Constant,
     DeadTimeLaw,
     InputSignal,
     NumericalError,
-    Schema,
     TimeGrid,
     read_csv,
+    sorted_distinct,
     stationary_active_fraction,
     tabulated_quantile,
     whole_steps,
@@ -269,7 +271,7 @@ def _saturation_node(law: DeadTimeLaw, lam: float, h: float) -> int | None:
         return None
     lo, hi = (int(powers[hit[0] - 1]) if hit[0] else 0), int(powers[hit[0]])
     while hi - lo > 1:
-        k = np.unique(np.linspace(lo, hi, 66).astype(np.int64))[1:-1]
+        k = sorted_distinct(np.linspace(lo, hi, 66).astype(np.int64))[1:-1]
         ok = saturated(k.astype(float))
         i = int(np.argmax(ok)) if np.any(ok) else k.size
         lo, hi = (int(k[i - 1]) if i else lo), (int(k[i]) if i < k.size else hi)
@@ -525,10 +527,6 @@ class EnsembleEstimate:
             raise ValueError("event counts must be non-negative")
         if np.any(self.rate_se < 0.0) or np.any(self.active_se < 0.0):
             raise ValueError("standard errors must be non-negative or NaN")
-
-
-ESTIMATE_CSV = Schema("estimate", "t,nu_hat,nu_se,A_hat,A_se,count", "ffnnni")
-EVENTS_CSV = Schema("events", "component,event_time", "if", empty_ok=True)
 
 
 def write_estimate_csv(est: EnsembleEstimate, path) -> None:

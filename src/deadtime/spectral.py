@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DeadTimeLaw, NumericalError, Spectrum, TimeGrid, Trace, hermitian,
-                   stationary_active_fraction)
+from .core import (MAX_TRUNCATION, DeadTimeLaw, NumericalError, Spectrum, TimeGrid, Trace,
+                   hermitian, stationary_active_fraction)
 
 __all__ = [
     "HarmonicSystem",
@@ -41,8 +41,6 @@ __all__ = [
 #: (resonant harmonics where the refractory window spans whole drive
 #: periods).
 Q_ZERO = 1e-12
-#: Largest truncation order the dense solve doubles up to.
-MAX_TRUNCATION = 4096
 #: Condition number above which input inference refuses to invert.
 _COND_LIMIT = 1e12
 #: Relative settling of the continued fraction's bottom ratio, and the

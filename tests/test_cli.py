@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deadtime import analytic_ppd, cli
+from deadtime import analytic_ppd, cli, mc_sim
 from deadtime.core import (
     GammaDeadTime,
     NumericalError,
@@ -290,7 +290,7 @@ class TestPprdStep:
 
     def test_failing_trial_leaves_no_worker_behind(self, tmp_path, capsys, monkeypatch):
         # a module-level stub: the pool pickles the trial call by reference
-        monkeypatch.setattr(cli, "simulate_rejection", _failing_trial)
+        monkeypatch.setattr(mc_sim, "simulate_rejection", _failing_trial)
         for threads in (1, 2):
             out = tmp_path / f"t{threads}.csv"
             assert run([*_PPRD_TRIALS, "--threads", threads, "--out", out]) == 4
@@ -1002,8 +1002,18 @@ def _loaded_after(modules, probes, argv=None, cwd=None):
     return done.stdout.strip().splitlines()[-1]
 
 
+# np.unique imports numpy.ma, about 16 ms per process; no command needs it
+_LEAN = ["scipy", "numpy.ma"]
+_ROUTES = [f"deadtime.{m}" for m in ("analytic_ppd", "dde", "gamma_chain", "mc_sim",
+                                      "renewal_map", "spectral")]
+
+
 def test_importing_the_cli_loads_no_scipy():
-    assert _loaded_after("deadtime.cli", ["scipy"]) == "[]"
+    assert _loaded_after("deadtime.cli", _LEAN) == "[]"
+
+
+def test_importing_the_package_loads_no_numpy():
+    assert _loaded_after("deadtime", ["numpy", "deadtime.core"]) == "[]"
 
 
 def test_importing_the_cli_loads_no_hashlib():
@@ -1018,7 +1028,8 @@ def test_importing_the_cli_loads_no_process_pool():
 
 @pytest.fixture(scope="module")
 def sweep_dir(tmp_path_factory):
-    """A periodic run's files and a tabulated gamma law, made in this process."""
+    """A periodic run's files, a tabulated gamma law and its hazard table, made
+    in this process."""
     where = tmp_path_factory.mktemp("sweep")
     assert run(["periodic", "--d", 0.08, "--nu0", 10, "--f", 4, "--harmonics", 4,
                 "--samples", 8, "--out-prefix", where / "p"]) == 0
@@ -1026,6 +1037,8 @@ def sweep_dir(tmp_path_factory):
     x = np.linspace(0.0, ref.quantile(1 - 1e-13), 401)
     pdf = ref.density(x)
     write_law_csv(TabulatedDeadTime(x, pdf / np.trapezoid(pdf, x)), where / "law.csv")
+    assert run(["hazard", "--law", f"table:{where / 'law.csv'}", "--lambda0", 10,
+                "--tau-max", 0.1, "--out", where / "h.csv"]) == 0
     return where
 
 
@@ -1042,7 +1055,7 @@ _SMALL_SWEEP = ["--nu0", 5, "--f", 3, "--harmonics", 4, "--samples", 8, "--out-p
 ], ids=["validate", "infer-input", "periodic-d", "periodic-gamma", "periodic-table",
         "hazard-table"])
 def test_commands_without_gamma_evaluations_load_no_scipy(sweep_dir, argv):
-    assert _loaded_after("deadtime.cli", ["scipy"], argv, cwd=sweep_dir) == "[]"
+    assert _loaded_after("deadtime.cli", _LEAN, argv, cwd=sweep_dir) == "[]"
 
 
 _PPRD_TRIALS = ["pprd-step", "--mean", 0.08, "--shape", 10, "--nu0", 5, "--nu1", 10,
@@ -1062,14 +1075,32 @@ _STEP = ["step", "--d", 0.02, "--nu0", 5, "--nu1", 10, "--t-max", 0.1, "--dt", 0
 ], ids=["step", "step-mc", "pprd-step", "pprd-step-trials", "hazard-gamma"])
 def test_sampling_commands_load_no_scipy(tmp_path, argv):
     # the trials run in this process at one thread, so the probe sees them
-    assert _loaded_after("deadtime.cli", ["scipy"], argv, cwd=tmp_path) == "[]"
+    assert _loaded_after("deadtime.cli", _LEAN, argv, cwd=tmp_path) == "[]"
 
 
 @pytest.mark.parametrize("process", ["lognormal:0,0.8,0.1", "gamma:3,25"],
                          ids=["lognormal", "gamma"])
 def test_represent_leaves_scipy_out(tmp_path, process):
     argv = ["represent", "--process", process, "--out", "law.csv"]
-    assert _loaded_after("deadtime.cli", ["scipy"], argv, cwd=tmp_path) == "[]"
+    assert _loaded_after("deadtime.cli", _LEAN, argv, cwd=tmp_path) == "[]"
+
+
+@pytest.mark.parametrize("argv, routes", [
+    (None, []),
+    (["validate", "p-trace-f4.csv", "p-beta-f4.csv", "p-sweep.csv", "law.csv", "h.csv"], []),
+    (["periodic", "--law", "table:law.csv", *_SMALL_SWEEP], ["spectral"]),
+    (["infer-input", "--beta-csv", "p-beta-f4.csv", "--d", 0.08, "--f", 4, "--out", "in.csv"],
+     ["spectral"]),
+    (["hazard", "--law", "gamma:10,137.5", "--lambda0", 10, "--tau-max", 0.1, "--out", "h2.csv"],
+     ["mc_sim"]),
+    ([*_STEP, "--out", "st.csv"], ["analytic_ppd"]),
+    ([*_PPRD_TRIALS, "--threads", 1, "--out", "pp.csv"], ["gamma_chain", "mc_sim"]),
+    (["represent", "--process", "gamma:3,25", "--out", "law2.csv"], ["renewal_map"]),
+], ids=["import", "validate", "periodic", "infer-input", "hazard", "step", "pprd-step",
+        "represent"])
+def test_each_command_loads_only_its_route_modules(sweep_dir, argv, routes):
+    loaded = _loaded_after("deadtime.cli", _ROUTES, argv, cwd=sweep_dir)
+    assert loaded == repr([f"deadtime.{m}" for m in routes])
 
 
 # A child's ru_maxrss starts from the resident size of the process it was
@@ -1113,7 +1144,8 @@ def test_first_scipy_import_in_worker_threads_keeps_bytes(tmp_path):
 
 def test_periodic_bytes_at_each_blas_thread_count(tmp_path):
     # at 1.20967 Hz the harmonic solve reaches K 64, where a threaded BLAS
-    # rounds differently: bytes hold at one thread count, not across them
+    # rounds differently; the command line pins one BLAS thread, so no
+    # setting of the environment moves a byte
     argv = ["periodic", "--law", "gamma:10,137.5", "--nu0", "10", "--mod-depth", "0.9",
             "--f", "1.20967"]
     names = ["trace-f1.20967.csv", "beta-f1.20967.csv", "sweep.csv"]
@@ -1128,12 +1160,26 @@ def test_periodic_bytes_at_each_blas_thread_count(tmp_path):
             )
             assert done.returncode == 0, done.stderr
             out[blas, rep] = [(tmp_path / f"{prefix}-{name}").read_bytes() for name in names]
-    for blas in ("1", "2"):
-        assert out[blas, 0] == out[blas, 1]
-    omega = 2.0 * math.pi * 1.20967
-    one, two = (Spectrum.from_csv(tmp_path / f"blas{b}-0-beta-f1.20967.csv", omega).coeffs
-                for b in ("1", "2"))
-    assert np.max(np.abs(one - two)) <= 1e-14 * np.max(np.abs(one))
+    assert all(files == out["1", 0] for files in out.values())
+
+
+def _blas_after(imports):
+    """``OPENBLAS_NUM_THREADS`` and the thread count of a fresh interpreter,
+    started with the variable at 4, after ``imports``."""
+    probe = f"import os; {imports}; print(os.environ['OPENBLAS_NUM_THREADS'], " \
+            "len(os.listdir('/proc/self/task')))"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(_fresh_env(), OPENBLAS_NUM_THREADS="4"), check=True, timeout=120)
+    blas, threads = done.stdout.split()
+    return blas, int(threads)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="threads counted in /proc")
+def test_cli_pins_one_blas_thread_before_numpy_loads():
+    # pinned, the process runs no BLAS worker thread; a process that loaded
+    # NumPy first keeps its own setting
+    assert _blas_after("import deadtime.cli") == ("1", 1)
+    assert _blas_after("import numpy, deadtime.cli")[0] == "4"
 
 
 def test_importing_every_module_loads_no_scipy():
