@@ -13,12 +13,13 @@ A ``--scenario FILE`` option reads ``key = value`` defaults that explicit
 flags override.  ``periodic`` solves its frequencies in threads and
 ``pprd-step`` runs its trials in worker processes; their count comes from
 ``--threads`` or the DEADTIME_THREADS environment variable, and no output
-byte depends on it.  NumPy's BLAS runs one thread, pinned before NumPy
-loads, and each command imports only the route modules it runs.  Each numeric flag and ``kind:fields`` spec has one
-declared domain, its argparse ``type``: a value outside it (NaN and
-infinities included) exits 2 naming the flag before anything is computed
-or written, as do a ``--dt`` or ``--bin-width`` that lays more than
-``_MAX_STEPS`` steps over ``--t-max``, a Monte Carlo input rate that
+byte depends on it.  Every command runs NumPy's OpenBLAS at the thread
+count OPENBLAS_NUM_THREADS names, one by default, and each imports only
+the route modules it runs.  Each numeric flag and ``kind:fields`` spec
+has one declared domain, its argparse ``type``: a value outside it (NaN
+and infinities included) exits 2 naming the flag before anything is
+computed or written, as do a ``--dt`` or ``--bin-width`` that lays more
+than ``_MAX_STEPS`` steps over ``--t-max``, a Monte Carlo input rate that
 expects more thinning rounds than that over the run, and an output that
 is an input file.
 """
@@ -34,16 +35,13 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 
-# One BLAS thread: no kernel here gains from more (the largest BLAS calls are
-# 129-row solves), an idle BLAS worker spins a core, and a threaded solve
-# rounds differently, so bytes would depend on the thread count.  The BLAS
-# reads these once, when NumPy loads; a process that already holds NumPy
-# keeps its own.  Forked pprd-step workers inherit the pin.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-if "numpy" not in sys.modules:
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+if __name__ == "__main__":
+    # run as ``python -m deadtime.cli``, before NumPy loads: unless the
+    # user names a count, OpenBLAS starts at the one thread ``main`` runs
+    # (see ``_command_blas_threads``) and makes no idle worker to spin
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
@@ -135,12 +133,11 @@ def _kind_fields(kinds, text):
     return kind, [convert(field) for convert, field in zip(types, fields)], text
 
 
-def _built(flag, kinds, spec, *lead):
-    """The builder of ``spec``'s kind on ``lead`` and its fields; a failure names
-    ``flag`` and the spec."""
+def _built(flag, kinds, spec):
+    """The builder of ``spec``'s kind on its fields; a failure names ``flag`` and the spec."""
     kind, fields, text = spec
     try:
-        return kinds[kind][2](*lead, *fields)
+        return kinds[kind][2](*fields)
     except (ValueError, OSError) as err:
         raise ValueError(f"{flag} {text!r}: {err}") from err
 
@@ -440,39 +437,42 @@ def cmd_hazard(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _gamma_interval(rm, index, rate):
+def _rm():
+    """:mod:`deadtime.renewal_map`, which only ``represent`` loads."""
+    from . import renewal_map
+
+    return renewal_map
+
+
+def _gamma_interval(index, rate):
     if index < 1:
         raise ValueError("gamma interval index must be at least 1")
-    return rm.RenewalSpec.from_gamma(index, rate)
+    return _rm().RenewalSpec.from_gamma(index, rate)
 
 
 #: ``represent --process`` kinds: kind -> (form, field types, interval spec,
-#: representation at the default rate from the spec, its minimal rate and
-#: fields); both builders take the renewal_map module first, so only
-#: ``represent`` loads it
+#: representation at the default rate from the spec, its minimal rate and fields)
 _PROCESSES = {
     "gamma": ("r,beta", (int, float), _gamma_interval,
-              lambda rm, spec, low, r, beta: rm.construct_gamma(r, beta)),
-    "lognormal": ("mu,sigma,delta", (float,) * 3,
-                  lambda rm, *p: rm.RenewalSpec.from_lognormal(*p),
-                  lambda rm, spec, low, *p: rm.dead_time_from_interval(
-                      spec, rm.lognormal_minimal_rate(*p))),
+              lambda spec, low, r, beta: _rm().construct_gamma(r, beta)),
+    "lognormal": ("mu,sigma,delta", (float,) * 3, lambda *p: _rm().RenewalSpec.from_lognormal(*p),
+                  lambda spec, low, *p: _rm().dead_time_from_interval(
+                      spec, _rm().lognormal_minimal_rate(*p))),
     "table": ("FILE", (str,),
-              lambda rm, path: rm.RenewalSpec.from_sampled(*read_csv(path, INTERVAL_CSV)[0]),
-              lambda rm, spec, low, path: rm.dead_time_from_interval(spec, low)),
+              lambda path: _rm().RenewalSpec.from_sampled(*read_csv(path, INTERVAL_CSV)[0]),
+              lambda spec, low, path: _rm().dead_time_from_interval(spec, low)),
 }
 
 
 def cmd_represent(args) -> int:
-    from . import renewal_map as rm
-
+    rm = _rm()
     kind, params, _ = args.process
-    spec = _built("--process", _PROCESSES, args.process, rm)
+    spec = _built("--process", _PROCESSES, args.process)
     lam_min = rm.minimal_lambda(spec)
     # an explicit rate takes the generic route, which reports the violation
     # location when the rate is too small instead of rejecting it up front
     rep = (rm.dead_time_from_interval(spec, args.lam) if args.lam is not None
-           else _PROCESSES[kind][3](rm, spec, lam_min, *params))
+           else _PROCESSES[kind][3](spec, lam_min, *params))
     verdict = rm.check_hazard_condition(spec, rep.input_rate)
     residual = rm.convolution_residual(rep, spec)
     write_law_csv(rep.law, args.out)
@@ -509,23 +509,9 @@ def _check(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
-def _check_estimate(path: str) -> None:
-    from .mc_sim import read_estimate_csv
-
-    read_estimate_csv(path)
-
-
-def _check_events(path: str) -> None:
-    from .mc_sim import read_events_csv
-
-    read_events_csv(path)
-
-
-def _check_combined(path: str) -> None:
-    from .mc_sim import EnsembleEstimate
-
-    t, _, _, *estimate = read_csv(path, COMBINED_CSV)[0]
-    EnsembleEstimate(TimeGrid.from_times(t), *estimate)
+def _check_combined(estimate, path: str) -> None:
+    t, _, _, *columns = read_csv(path, COMBINED_CSV)[0]
+    estimate(TimeGrid.from_times(t), *columns)
 
 
 def _check_hazard(path: str) -> None:
@@ -543,18 +529,20 @@ def _validate_file(path: str) -> str:
     """Kind of the file at ``path``, once it has been read back as that kind."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
-    # combined, hazard and sweep files have no library reader; the checks
-    # above hold their column rules.  Only Monte Carlo files load mc_sim.
+    # hazard and sweep files have no library reader; the checks above hold
+    # their column rules
     checks = {
         TRACE_CSV: Trace.from_csv,
         LAW_CSV: read_law_csv,
-        ESTIMATE_CSV: _check_estimate,
-        EVENTS_CSV: _check_events,
-        COMBINED_CSV: _check_combined,
         HAZARD_CSV: _check_hazard,
         SWEEP_CSV: lambda p: _check_sweep(p, SWEEP_CSV),
         SWEEP_MAX_CSV: lambda p: _check_sweep(p, SWEEP_MAX_CSV),
     }
+    if any(mc.matches(header) for mc in (ESTIMATE_CSV, EVENTS_CSV, COMBINED_CSV)):
+        from . import mc_sim  # only a Monte Carlo file loads it
+
+        checks = {ESTIMATE_CSV: mc_sim.read_estimate_csv, EVENTS_CSV: mc_sim.read_events_csv,
+                  COMBINED_CSV: partial(_check_combined, mc_sim.EnsembleEstimate)}
     for schema, check in checks.items():
         if schema.matches(header):
             check(path)
@@ -675,6 +663,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _openblas_threads():
+    """The get and set thread-count calls of the OpenBLAS bundled with NumPy,
+    or None when NumPy runs another BLAS."""
+    import ctypes
+    import glob
+
+    root = os.path.dirname(np.__file__)
+    for path in (glob.glob(os.path.join(root, os.pardir, "numpy.libs", "*openblas*"))
+                 + glob.glob(os.path.join(root, ".dylibs", "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+            if get and put:
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _command_blas_threads():
+    """Run the block at one OpenBLAS thread unless OPENBLAS_NUM_THREADS is
+    set, then give the caller back its count.
+
+    A threaded solve or long dot product rounds its last bit differently,
+    so a command's bytes follow this count.  A fresh command process starts
+    OpenBLAS at it (see the top of this module), and a caller that loaded
+    NumPy at its own count, such as a test, runs the command at it here.
+    Where the variable is set, OpenBLAS started at the count it names,
+    capped at the usable cores, in either process.  One thread is the
+    default: on two cores a one-frequency ``periodic`` ran faster at one
+    thread than at two up to ``--harmonics 512`` (0.5 s against 0.7 to
+    1.1 s), and slower from 1024 on (2.4 s against 1.5 s, and 14.3 s
+    against 8.0 s at 2048).  Another BLAS keeps its own count.
+    """
+    calls = _openblas_threads()
+    before = calls[0]() if calls and "OPENBLAS_NUM_THREADS" not in os.environ else 1
+    if before != 1:
+        calls[1](1)
+    try:
+        yield
+    finally:
+        if before != 1:
+            calls[1](before)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
@@ -685,7 +719,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _refuse_overwrite(args, "--out", [getattr(args, "out", "-")])
-        return args.func(args)
+        with _command_blas_threads():
+            return args.func(args)
     except NotRepresentableError as err:
         loc = f" at x = {err.x:.6g}" if err.x is not None else ""
         _report(f"not representable{loc}: {err}")

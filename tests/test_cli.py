@@ -1142,44 +1142,92 @@ def test_first_scipy_import_in_worker_threads_keeps_bytes(tmp_path):
     assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
 
 
-def test_periodic_bytes_at_each_blas_thread_count(tmp_path):
+_BLAS_PERIODIC = ["periodic", "--law", "gamma:10,137.5", "--nu0", "10", "--mod-depth", "0.9",
+                  "--f", "1.20967"]
+
+
+def _blas_env(blas):
+    """``_fresh_env`` with OPENBLAS_NUM_THREADS at ``blas``, or unset for None."""
+    env = _fresh_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    return env if blas is None else dict(env, OPENBLAS_NUM_THREADS=blas)
+
+
+def test_periodic_bytes_follow_only_the_blas_setting(tmp_path):
     # at 1.20967 Hz the harmonic solve reaches K 64, where a threaded BLAS
-    # rounds differently; the command line pins one BLAS thread, so no
-    # setting of the environment moves a byte
-    argv = ["periodic", "--law", "gamma:10,137.5", "--nu0", "10", "--mod-depth", "0.9",
-            "--f", "1.20967"]
+    # rounds differently; a command runs the count OPENBLAS_NUM_THREADS
+    # names, one when unset, in a fresh process and in a caller that loaded
+    # NumPy at its own count alike
+    in_process = ["-c", "import sys, numpy; from deadtime import cli; sys.exit(cli.main(sys.argv[1:]))"]
     names = ["trace-f1.20967.csv", "beta-f1.20967.csv", "sweep.csv"]
     out = {}
-    for blas in ("1", "2"):
-        for rep in (0, 1):
-            prefix = f"blas{blas}-{rep}"
+    for how, entry in [("entry", ["-m", "deadtime.cli"]), ("caller", in_process)]:
+        for blas in (None, "1", "2"):
+            prefix = f"{how}{blas}"
             done = subprocess.run(
-                [sys.executable, "-m", "deadtime.cli", *argv, "--out-prefix", prefix],
-                env=dict(_fresh_env(), OPENBLAS_NUM_THREADS=blas), cwd=tmp_path,
-                capture_output=True, text=True, timeout=120,
+                [sys.executable, *entry, *_BLAS_PERIODIC, "--out-prefix", prefix],
+                env=_blas_env(blas), cwd=tmp_path, capture_output=True, text=True, timeout=120,
             )
             assert done.returncode == 0, done.stderr
-            out[blas, rep] = [(tmp_path / f"{prefix}-{name}").read_bytes() for name in names]
-    assert all(files == out["1", 0] for files in out.values())
+            out[prefix] = [(tmp_path / f"{prefix}-{name}").read_bytes() for name in names]
+    assert out["entryNone"] == out["entry1"] == out["callerNone"] == out["caller1"]
+    assert out["entry2"] == out["caller2"]
 
 
-def _blas_after(imports):
-    """``OPENBLAS_NUM_THREADS`` and the thread count of a fresh interpreter,
-    started with the variable at 4, after ``imports``."""
-    probe = f"import os; {imports}; print(os.environ['OPENBLAS_NUM_THREADS'], " \
+_THREADED_SOLVE = """
+from deadtime import Cosine, GammaDeadTime, angular_frequency, signal_spectrum
+from deadtime.spectral import HarmonicSystem, solve_active_spectrum
+law, f = GammaDeadTime(10, 137.5), 1.20967
+lam = 10 / (1 - 10 * law.mean())
+drive = signal_spectrum(Cosine(lam, 0.9 * lam, f), angular_frequency(f), 8)
+alpha = solve_active_spectrum(HarmonicSystem(angular_frequency(f), 8, law, drive))
+print(alpha.order, alpha.coeffs.tobytes().hex())
+"""
+
+
+def test_library_solve_at_each_blas_thread_count():
+    # a library caller keeps its own BLAS threads; the threaded K-64 solve
+    # stays within 1e-14 of the one-thread solve
+    coeffs = {}
+    for blas in ("1", "2"):
+        done = subprocess.run([sys.executable, "-c", _THREADED_SOLVE], capture_output=True,
+                              text=True, env=_blas_env(blas), check=True, timeout=120)
+        order, hexed = done.stdout.split()
+        assert int(order) == 64
+        coeffs[blas] = np.frombuffer(bytes.fromhex(hexed), dtype=complex)
+    assert np.max(np.abs(coeffs["1"] - coeffs["2"])) <= 1e-14 * np.max(np.abs(coeffs["1"]))
+
+
+def _blas_after(code, blas=None):
+    """OPENBLAS_NUM_THREADS and the thread count of a fresh interpreter,
+    started with the variable at ``blas``, after running ``code``."""
+    probe = f"import os\n{code}\nprint(os.environ.get('OPENBLAS_NUM_THREADS'), " \
             "len(os.listdir('/proc/self/task')))"
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=dict(_fresh_env(), OPENBLAS_NUM_THREADS="4"), check=True, timeout=120)
-    blas, threads = done.stdout.split()
-    return blas, int(threads)
+                          env=_blas_env(blas), check=True, timeout=120)
+    setting, threads = done.stdout.splitlines()[-1].split()
+    return setting, int(threads)
+
+
+def _run_as_main(module):
+    return (f"import runpy, sys\nsys.argv = ['deadtime', '--help']\ntry:\n"
+            f"    runpy.run_module({module!r}, run_name='__main__')\nexcept SystemExit:\n    pass")
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="threads counted in /proc")
-def test_cli_pins_one_blas_thread_before_numpy_loads():
-    # pinned, the process runs no BLAS worker thread; a process that loaded
-    # NumPy first keeps its own setting
-    assert _blas_after("import deadtime.cli") == ("1", 1)
-    assert _blas_after("import numpy, deadtime.cli")[0] == "4"
+def test_only_the_command_line_entries_set_the_blas_threads():
+    # ``python -m deadtime.cli`` and ``python -m deadtime`` (the ``deadtime``
+    # script) start NumPy with no BLAS worker thread unless the user named a
+    # count; importing the module sets nothing, and ``main`` gives a caller
+    # its own count back
+    for module in ("deadtime.cli", "deadtime"):
+        assert _blas_after(_run_as_main(module)) == ("1", 1)
+        assert _blas_after(_run_as_main(module), "4")[0] == "4"
+    assert _blas_after("import deadtime.cli")[0] == "None"
+    caller = ("import numpy\nfrom deadtime import cli\nget, put = cli._openblas_threads()\nput(2)\n"
+              "cli.main(['hazard', '--law', 'fixed:0.01', '--lambda0', '10', '--tau-max', '0.1', "
+              "'--points', '3'])\nassert get() == 2, get()")
+    assert _blas_after(caller)[0] == "None"
 
 
 def test_importing_every_module_loads_no_scipy():
