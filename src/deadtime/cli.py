@@ -687,16 +687,13 @@ def _command_blas_threads():
     """Run the block at one OpenBLAS thread unless OPENBLAS_NUM_THREADS is
     set, then give the caller back its count.
 
-    A threaded solve or long dot product rounds its last bit differently,
-    so a command's bytes follow this count.  A fresh command process starts
-    OpenBLAS at it (see the top of this module), and a caller that loaded
-    NumPy at its own count, such as a test, runs the command at it here.
-    Where the variable is set, OpenBLAS started at the count it names,
-    capped at the usable cores, in either process.  One thread is the
-    default: on two cores a one-frequency ``periodic`` ran faster at one
-    thread than at two up to ``--harmonics 512`` (0.5 s against 0.7 to
-    1.1 s), and slower from 1024 on (2.4 s against 1.5 s, and 14.3 s
-    against 8.0 s at 2048).  Another BLAS keeps its own count.
+    A threaded solve rounds its last bit differently, so a command's bytes
+    follow this count, in a fresh command process (which starts OpenBLAS at
+    it, see the top of this module) and in a caller that loaded NumPy first
+    alike.  One thread is the default: on two cores a one-frequency
+    ``periodic`` ran faster at one thread than at two up to ``--harmonics
+    512``, and slower from 1024 on (2.4 s against 1.5 s).  Another BLAS
+    keeps its own count.
     """
     calls = _openblas_threads()
     before = calls[0]() if calls and "OPENBLAS_NUM_THREADS" not in os.environ else 1

@@ -1153,7 +1153,7 @@ def _blas_env(blas):
     return env if blas is None else dict(env, OPENBLAS_NUM_THREADS=blas)
 
 
-def test_periodic_bytes_follow_only_the_blas_setting(tmp_path):
+def test_periodic_bytes_at_each_blas_thread_count(tmp_path):
     # at 1.20967 Hz the harmonic solve reaches K 64, where a threaded BLAS
     # rounds differently; a command runs the count OPENBLAS_NUM_THREADS
     # names, one when unset, in a fresh process and in a caller that loaded
