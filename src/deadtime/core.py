@@ -98,15 +98,16 @@ def cumulative_trapezoid(y, x) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))))
 
 
-def tabulated_quantile(x, pdf, u):
-    """Inverse CDF at the levels ``u`` of the density sampled as ``pdf`` at ``x``.
+def tabulated_quantile(x, pdf):
+    """Inverse CDF, a function of the levels ``u``, of the density sampled as
+    ``pdf`` at ``x``.
 
     The trapezoid CDF is scaled to end at one, so ``pdf`` need not be
-    normalized.
+    normalized; it is built here once, however many levels are read.
     """
     cdf = cumulative_trapezoid(pdf, x)
     cdf /= cdf[-1]
-    return np.interp(u, cdf, x)
+    return lambda u: np.interp(u, cdf, x)
 
 
 def sorted_distinct(values) -> np.ndarray:
@@ -577,6 +578,10 @@ class Sampled(InputSignal):
 # dead-time laws
 # ---------------------------------------------------------------------------
 
+# quadrature nodes the generic recovery integral evaluates at a time: 511
+# rows of 513; the curve over both law kinds is in CHANGES.md
+_BLOCK_ELEMENTS = 1 << 18
+
 
 class DeadTimeLaw:
     """Distribution of the refractory duration that follows each event.
@@ -591,8 +596,9 @@ class DeadTimeLaw:
     table, nodes of its own.
     """
 
-    @property
+    @functools.cached_property
     def atom0(self) -> float:
+        """``1 - survivor(0)``, evaluated on the first read: a law does not change."""
         return 1.0 - float(self.survivor(0.0))
 
     @property
@@ -639,20 +645,32 @@ class DeadTimeLaw:
     def length_biased_quantile(self, u):
         """Inverse CDF of the size-biased law ``x*rho(x)/mean``, elementwise."""
         x, pdf = self.density_table(8193)
-        return tabulated_quantile(x, x * pdf, u)
+        return tabulated_quantile(x, x * pdf)(u)
 
-    def integrate(self, fn, a, b) -> np.ndarray:
-        """``int fn(x) dF(x)`` over ``[a, b]`` for each pair of limits, the atom at zero
-        counting where ``a == 0``.  ``fn`` maps a 2-d array of abscissae, one row
-        per pair, to integrand values.  Simpson's rule on 512 cells per row."""
-        a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))
+    def integrate(self, fn, a, b, *params) -> np.ndarray:
+        """``int fn(x, *params) dF(x)`` over ``[a, b]`` for each pair of limits, the
+        atom at zero counting where ``a == 0``.  ``fn`` maps a 2-d array of
+        abscissae, one row per pair, and each of ``params``, one value per pair
+        as a column, to integrand values.  Simpson's rule on 512 cells per row,
+        a block of about ``_BLOCK_ELEMENTS`` nodes at a time: each row is
+        reduced alone, so the blocks move no bit and bound the temporaries."""
+        a, b, *params = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b), *params)
         n = 512
+        nodes = np.linspace(0.0, 1.0, n + 1)
+        weights = simpson_weights(n, 1.0)
         span = b - a
-        x = a[:, None] + span[:, None] * np.linspace(0.0, 1.0, n + 1)
-        rho = np.asarray(self.density(x.ravel()), dtype=float).reshape(x.shape)
-        out = (fn(x) * rho * simpson_weights(n, 1.0)).sum(axis=1) * (span / n)
-        if self.atom0 > 0.0:
-            out = out + self.atom0 * np.where(a == 0.0, fn(a[:, None])[:, 0], 0.0)
+        out = np.empty(span.shape)
+        step = max(1, _BLOCK_ELEMENTS // (n + 1))
+        for start in range(0, span.size, step):
+            rows = slice(start, start + step)
+            x = a[rows, None] + span[rows, None] * nodes
+            rho = np.asarray(self.density(x.ravel()), dtype=float).reshape(x.shape)
+            out[rows] = (fn(x, *(p[rows, None] for p in params)) * rho * weights).sum(axis=1)
+        out *= span / n
+        atom = self.atom0
+        if atom > 0.0:
+            at_zero = fn(a[:, None], *(p[:, None] for p in params))[:, 0]
+            out = out + atom * np.where(a == 0.0, at_zero, 0.0)
         return out
 
     def tilted_closed_form(self, c: float) -> bool:
@@ -665,8 +683,7 @@ class DeadTimeLaw:
         As in :meth:`integrate`, the atom counts where ``a == 0``.  The
         discount sits inside the exponent, so no factor exceeds one.
         """
-        a, b, s = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b), np.atleast_1d(s))
-        return self.integrate(lambda x: np.exp(c * x - s[:, None]), a, b)
+        return self.integrate(lambda x, s: np.exp(c * x - s), a, b, np.atleast_1d(s))
 
     def survivor_weights(self, h: float) -> np.ndarray:
         """Weights of ``int g(x) S(x) dx`` on the nodes ``j*h`` of the memory window:
@@ -766,11 +783,12 @@ class FixedDeadTime(DeadTimeLaw):
         w[0] = w[-1] = 0.5 * h
         return w
 
-    def integrate(self, fn, a, b):
+    def integrate(self, fn, a, b, *params):
         # the point mass, in (a, b]; at zero duration it is the atom
-        a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))
+        a, b, *params = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b), *params)
         inside = ((a < self.duration) | (a == 0.0)) & (self.duration <= b)
-        return np.where(inside, fn(np.full((a.size, 1), self.duration))[:, 0], 0.0)
+        at = fn(np.full((a.size, 1), self.duration), *(p[:, None] for p in params))[:, 0]
+        return np.where(inside, at, 0.0)
 
     def survivor_transform(self, omega, ks):
         return _closed_transform(self, omega, ks, lambda s: cmath.exp(-s * self.duration))

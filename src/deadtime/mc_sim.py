@@ -50,8 +50,13 @@ __all__ = [
     "read_events_csv",
 ]
 
-# components processed per vectorized pass; estimates do not depend on it
-_CHUNK = 1 << 18
+# components processed per vectorized pass (about 146 B each in the
+# generative sampler, 460 B in the rejection sweep): the smallest power of
+# two at which neither sampler ran slower than at 2**18 (orders 10 and 50,
+# 1e4 to 1e6 components).  Events, counts and the rate columns do not
+# depend on it; the rejection sampler sums its occupations per chunk, so
+# its active fraction moves within 1e-12
+_CHUNK = 1 << 16
 # largest occupation table (nodes); a table capped there evaluates older ages
 # exactly
 _TABLE_MAX_NODES = 1 << 16
@@ -160,15 +165,13 @@ def _interval_survivor_general(sig: InputSignal, law: DeadTimeLaw, t, tau, surv)
     t, tau = np.broadcast_arrays(np.asarray(t, dtype=float), tau)
     window = float(law.support_window())
 
+    def exposed(x, start, big_t):
+        recovered = np.asarray(sig.cumulative_rate(start + x), dtype=float)
+        return np.exp(-(big_t - recovered))
+
     def recovery(rows, a, b):
         big_t = np.asarray(sig.cumulative_rate(t[rows]), dtype=float)
-        start = (t - tau)[rows]
-
-        def exposed(x):
-            recovered = np.asarray(sig.cumulative_rate(start[:, None] + x), dtype=float)
-            return np.exp(-(big_t[:, None] - recovered))
-
-        return law.integrate(exposed, a, b)
+        return law.integrate(exposed, a, b, (t - tau)[rows], big_t)
 
     out = recovery(slice(None), 0.0, np.minimum(tau, window))
     # past the window lies the tail mass survivor(window); past a zero
@@ -555,19 +558,20 @@ def read_events_csv(path):
 # ---------------------------------------------------------------------------
 
 
-def _stationary_age_quantile(law: DeadTimeLaw, lam0: float, u: np.ndarray):
-    """Inverse CDF of the stationary age of the last event.
+def _stationary_age_quantile(law: DeadTimeLaw, lam0: float):
+    """Inverse CDF of the stationary age of the last event, a function of the levels.
 
     The age density is proportional to the expected interval survivor at
     the pre-span constant rate; past the dead-time support it decays like
-    the bare exponential, so forty e-folds of margin close the table.
+    the bare exponential, so forty e-folds of margin close the table.  The
+    table is built here, once per run, and read by every chunk.
     """
     w = float(law.support_window())
     if lam0 <= 0.0:
-        return np.full_like(u, w + 1.0)
+        return lambda u: np.full_like(u, w + 1.0)
     tau = np.linspace(0.0, w + 40.0 / lam0, 8193)
     pdf = _expected_interval_survivor(Constant(lam0), law, 0.0, tau, law.survivor(tau))
-    return tabulated_quantile(tau, pdf, u)
+    return tabulated_quantile(tau, pdf)
 
 
 def _validate_bound(sig: InputSignal, cfg: SimConfig) -> None:
@@ -836,6 +840,8 @@ class _BirthSweep:
         held = np.cumsum(arrive - depart)
         bounds = np.concatenate(([0], np.cumsum(arrive + depart)))
         order = np.argsort(np.concatenate((start, stop)))
+        if order.size < 2**31:
+            order = order.astype(np.int32)  # held through the sweep: half the bytes
         ring = np.zeros(k + 3)
         group = int(start.min())
         for b in range(group, n_bins):
@@ -843,6 +849,7 @@ class _BirthSweep:
                 # the stencils of the next bins, about _GROUP of them, with the
                 # ring slots of their nodes; the last three slots wrap
                 group = max(b + 1, int(np.searchsorted(bounds, bounds[b] + _GROUP, side="right")) - 1)
+                weight = slot = None  # the last group's, freed before this one is built
                 sel = order[bounds[b] : bounds[group]]
                 seg = sel % start.size
                 weight = _stencils(frac.take(seg), np.where(sel < start.size, 1.0, -1.0))
@@ -1007,9 +1014,9 @@ def simulate_rejection(
     n_bins = cfg.n_bins
     t_stop = t0 + n_bins * bw
     lam_max = cfg.lambda_max
-    lam0 = float(sig.rate_left(t0))
     tables = _occupation_tables(sig, law, bw)
     sweep = _BirthSweep(sig, law, cfg, tables)
+    age_quantile = _stationary_age_quantile(law, float(sig.rate_left(t0)))
     ts = sig.switch_time() if _closed_switch(sig, tables) else None
 
     counts = np.zeros(n_bins, dtype=np.int64)
@@ -1019,7 +1026,7 @@ def simulate_rejection(
         comp = np.arange(c_lo, min(c_lo + _CHUNK, cfg.components), dtype=np.int64)
         # the counter word of each component's next draw
         ctr = _component_keys(cfg.seed, comp)
-        last_ev = t0 - _stationary_age_quantile(law, lam0, _draw(ctr))
+        last_ev = t0 - age_quantile(_draw(ctr))
         t = np.full(comp.size, t0)
         # the last birth of each component, set as it leaves the span
         final = np.empty(comp.size)

@@ -1120,17 +1120,43 @@ print(proc.returncode, usage.ru_maxrss)
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def _peak_mb(argv, cwd) -> float:
+    """Peak resident size in MB of the command ``argv`` run in a fresh process, which must exit 0."""
+    done = subprocess.run([sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "deadtime.cli",
+                           *map(str, argv)], env=_fresh_env(), cwd=cwd, capture_output=True,
+                          text=True, check=True, timeout=120)
+    code, peak_kib = map(int, done.stdout.split())
+    assert code == 0
+    return peak_kib / 1024.0
+
+
+_ON_LINUX = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                               reason="ru_maxrss is in KiB on Linux")
+
+
+@_ON_LINUX
 def test_represent_peak_memory_budget(tmp_path):
     # the 524,289-node lognormal law: its convolution check runs in row
     # blocks, so the whole process peaks near 70 MB (152 MB with one grid)
     argv = ["represent", "--process", "lognormal:0,0.8,0.1", "--out", "law.csv"]
-    done = subprocess.run([sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "deadtime.cli",
-                           *argv], env=_fresh_env(), cwd=tmp_path, capture_output=True,
-                          text=True, check=True, timeout=120)
-    code, peak_kib = map(int, done.stdout.split())
-    assert code == 0
-    assert peak_kib / 1024.0 <= 100.0
+    assert _peak_mb(argv, tmp_path) <= 100.0
+
+
+@_ON_LINUX
+@pytest.mark.parametrize("argv, budget", [
+    # the general recovery route above the gamma rate, in row blocks
+    # (427 MB with one 20,001-row grid)
+    (["hazard", "--law", "gamma:10,137.5", "--lambda0", 900, "--tau-max", 1.2,
+      "--points", 20001], 100.0),
+    # the generative sampler in chunks of components (72 MB at 2**18 a chunk)
+    (["step", "--d", 0.08, "--nu0", 5, "--nu1", 10, "--mc", 1000000], 55.0),
+    # the rejection sampler, two trials in one process (97 MB at 2**18 a
+    # chunk); its occupation sweep peaks near 30 MB a 2**16-component chunk
+    (["pprd-step", "--mean", 0.08, "--shape", 10, "--nu0", 5, "--nu1", 10, "--t-max", 0.6,
+      "--dt", 0.005, "--trials", 2, "--mc", 100000, "--threads", 1], 75.0),
+], ids=["hazard-above-rate", "step-mc", "pprd-step-mc"])
+def test_peak_memory_budget(tmp_path, argv, budget):
+    assert _peak_mb([*argv, "--out", "out.csv"], tmp_path) <= budget
 
 
 def test_first_scipy_import_in_worker_threads_keeps_bytes(tmp_path):

@@ -7,6 +7,7 @@ alone.  Every law's mean is its ``q_0``, bit for bit.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from scipy import integrate, special
 from deadtime import cli, core, dde
 from deadtime.core import (
     Constant,
+    Cosine,
     DeadTimeLaw,
     FixedDeadTime,
     GammaDeadTime,
@@ -286,3 +288,63 @@ class TestOneMean:
         system = HarmonicSystem(omega, 4, law, signal_spectrum(Constant(lam), omega, 4))
         alpha_0 = solve_active_spectrum(system).coefficient(0)
         assert equilibrium_history(lam, law.mean()).active(0.0) == alpha_0.real
+
+
+class CountingGamma(GammaDeadTime):
+    """A gamma law that counts its survivor's evaluations at zero, the reads of ``atom0``."""
+
+    zero_reads = 0
+
+    def survivor(self, x):
+        if np.ndim(x) == 0 and float(x) == 0.0:
+            type(self).zero_reads += 1
+        return super().survivor(x)
+
+
+class TestRowBlocks:
+    """The general recovery route reduces each row alone, so the row blocks it
+    runs in move no bit, and the law's atom is read once whatever their count."""
+
+    LAWS = {"gamma": GammaDeadTime(10, 137.5), "table": _table(),
+            "shifted": ShiftedGamma(0.01, 3, 300.0)}
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        name=st.sampled_from(sorted(LAWS)),
+        kind=st.sampled_from(["constant", "cosine"]),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(name="gamma", kind="constant", n=40, seed=0)
+    @example(name="table", kind="cosine", n=17, seed=1)
+    @example(name="shifted", kind="constant", n=9, seed=2)
+    def test_blocks_move_no_bit(self, name, kind, n, seed):
+        law = self.LAWS[name]
+        # above the gamma rate, so no law has its closed tilt here
+        sig = Constant(900.0) if kind == "constant" else Cosine(600.0, 300.0, 3.0)
+        rng = np.random.default_rng(seed)
+        # ages out to four support windows, so the piece past the window runs too
+        tau = rng.uniform(0.0, 4.0 * law.support_window(), n)
+        t = rng.uniform(0.0, 0.5, n)
+        a = rng.uniform(0.0, 0.5, n) * tau
+
+        def run():
+            return (hazard_pprd(sig, law, t, tau),
+                    law.tilted_integral(900.0, a, tau, 900.0 * tau))
+
+        with mock.patch.object(core, "_BLOCK_ELEMENTS", 1 << 62):
+            whole = run()
+        for rows in (1, 7, None):
+            size = core._BLOCK_ELEMENTS if rows is None else rows * 513
+            with mock.patch.object(core, "_BLOCK_ELEMENTS", size):
+                for got, want in zip(run(), whole):
+                    np.testing.assert_array_equal(got, want)
+
+    def test_atom_is_read_once_whatever_the_block_count(self):
+        law = CountingGamma(10, 137.5)
+        tau = np.linspace(0.0, 4.0 * law.support_window(), 60)
+        CountingGamma.zero_reads = 0
+        with mock.patch.object(core, "_BLOCK_ELEMENTS", 513):
+            for _ in range(3):
+                hazard_pprd(Constant(900.0), law, 0.0, tau)
+        assert CountingGamma.zero_reads == 1

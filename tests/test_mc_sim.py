@@ -544,7 +544,7 @@ def reference_rejection(sig, law, cfg, return_events=False):
         comp = np.arange(c_lo, min(c_lo + mc_sim._CHUNK, cfg.components), dtype=np.int64)
         keys = mc_sim._component_keys(cfg.seed, comp)
         u_age = _uniform(keys, np.zeros(1, dtype=np.int64))
-        last_ev = t0 - mc_sim._stationary_age_quantile(law, lam0, u_age)
+        last_ev = t0 - mc_sim._stationary_age_quantile(law, lam0)(u_age)
         t_cur = np.full(comp.size, t0)
         excess = None if ts is None else np.full(comp.size, np.nan)
         crossing = True
@@ -1192,6 +1192,54 @@ class TestEstimateFromEvents:
         np.testing.assert_allclose(back.rate_hat, est.rate_hat)
 
 
+class TestChunkInvariance:
+    """Every draw is a function of its component and index alone, so the
+    chunks a run is cut into move no event.  The rejection sampler sums its
+    occupations per chunk, so its active fraction may move by rounding."""
+
+    @settings(max_examples=24, deadline=None, derandomize=True)
+    @given(
+        sampler=st.sampled_from(["generative", "rejection"]),
+        kind=st.sampled_from(["constant", "up", "down", "cosine"]),
+        order=st.sampled_from([None, 0, 10, 50]),
+        seed=st.integers(0, 2**40),
+    )
+    @example(sampler="rejection", kind="cosine", order=50, seed=1)
+    @example(sampler="rejection", kind="up", order=10, seed=2)
+    @example(sampler="generative", kind="down", order=None, seed=3)
+    @example(sampler="generative", kind="cosine", order=0, seed=4)
+    def test_events_and_counts_do_not_depend_on_the_chunk(self, sampler, kind, order, seed):
+        lo, hi = 6.0, 15.0
+        sig = {
+            "constant": Constant(hi),
+            "up": Step(lo, hi, 0.03),
+            "down": Step(hi, lo, 0.03),
+            "cosine": Cosine(0.5 * (lo + hi), 0.5 * (hi - lo), 4.0),
+        }[kind]
+        # dead times of mean 0.04 s
+        law = FixedDeadTime(0.04) if order is None else GammaDeadTime(order, (order + 1) / 0.04)
+        cfg = SimConfig(components=1100, seed=seed, t_span=(-0.01, 0.1), bin_width=0.01,
+                        lambda_max=hi)
+        simulate = simulate_generative if sampler == "generative" else simulate_rejection
+        runs = []
+        for chunk in (mc_sim._CHUNK, 1000, 37):
+            with mock.patch.object(mc_sim, "_CHUNK", chunk):
+                runs.append(simulate(sig, law, cfg, return_events=True))
+        (whole, events), cut = runs[0], runs[1:]
+        assert events[0].size > 0
+        for est, ev in cut:
+            np.testing.assert_array_equal(ev[0], events[0])
+            np.testing.assert_array_equal(ev[1], events[1])
+            for name in ("rate_hat", "rate_se", "event_count"):
+                np.testing.assert_array_equal(getattr(est, name), getattr(whole, name))
+            for name in ("active_hat", "active_se"):
+                if sampler == "generative":
+                    np.testing.assert_array_equal(getattr(est, name), getattr(whole, name))
+                else:
+                    np.testing.assert_allclose(getattr(est, name), getattr(whole, name),
+                                               rtol=0.0, atol=1e-12)
+
+
 class TestSamplingInternals:
     def test_length_biased_gamma_quantile_against_numeric_inverse(self):
         law = GammaDeadTime(3, 50.0)
@@ -1209,13 +1257,13 @@ class TestSamplingInternals:
         law = FixedDeadTime(d)
         total = d + 1.0 / lam
         # below the dead time the age density is flat
-        got = float(mc_sim._stationary_age_quantile(law, lam, np.array([0.3]))[0])
+        got = float(mc_sim._stationary_age_quantile(law, lam)(np.array([0.3]))[0])
         assert got == pytest.approx(0.3 * total, abs=1e-4)
         # beyond it the exponential tail takes over
         u = 0.8
         rest = u * total - d
         want = d - math.log(1.0 - rest * lam / 1.0) / lam
-        got = float(mc_sim._stationary_age_quantile(law, lam, np.array([u]))[0])
+        got = float(mc_sim._stationary_age_quantile(law, lam)(np.array([u]))[0])
         assert got == pytest.approx(want, abs=1e-4)
 
     def test_uniform_stream_is_stable(self):
