@@ -28,7 +28,6 @@ from .core import (MAX_TRUNCATION, DeadTimeLaw, NumericalError, Spectrum, TimeGr
 
 __all__ = [
     "HarmonicSystem",
-    "qk_law",
     "qk_array",
     "solve_active_spectrum",
     "output_spectrum",
@@ -49,32 +48,30 @@ _CF_TOL = 1e-13
 _CF_MAX_ORDER = 512
 
 
-def qk_law(law: DeadTimeLaw, omega: float, k: int) -> complex:
-    """Coupling coefficient of an arbitrary dead-time law at harmonic ``k``.
-
-    This is the Fourier-Laplace transform of the survivor function at
-    ``i*k*omega`` (:meth:`DeadTimeLaw.survivor_transform`): a closed form
-    for fixed and gamma laws, exact on a table's own nodes, and Simpson's
-    rule for any other law.  At ``k = 0`` it is ``int S``, the law's mean
-    dead time.
-    """
-    if not (omega > 0.0):
-        raise ValueError("angular frequency must be positive")
-    return complex(law.survivor_transform(omega, [k])[0])
-
-
 def qk_array(law: DeadTimeLaw, omega: float, kmax: int) -> np.ndarray:
-    """Coefficients ``q_k`` for ``k = -kmax .. kmax`` (Hermitian by symmetry).
-
-    Each call evaluates ``q_0 .. q_kmax`` afresh, one harmonic at a time, so
-    a harmonic has the same bits whatever ``kmax`` it is asked with.
-    """
+    """Coefficients ``q_k`` for ``k = -kmax .. kmax`` (Hermitian by symmetry), each
+    evaluated afresh by :meth:`DeadTimeLaw.survivor_transform`; ``q_0`` is the mean."""
     if kmax < 0:
         raise ValueError("kmax must be non-negative")
+    return _grow(law, omega, np.empty(0, dtype=complex), kmax)
+
+
+def _grow(law: DeadTimeLaw, omega: float, q: np.ndarray, kmax: int) -> np.ndarray:
+    """The ladder ``q`` of ``q_k`` over ``|k| <= n`` grown to ``|k| <= kmax``.
+
+    Only the harmonics past ``n`` are evaluated, all of them from an empty
+    ladder, so one problem evaluates each ``q_k`` once.  That is exact: a
+    law's ``survivor_transform`` gives a harmonic the same bits whatever
+    other harmonics it is asked with.
+    """
     if not (omega > 0.0):
         raise ValueError("angular frequency must be positive")
-    pos = law.survivor_transform(omega, range(kmax + 1))
-    return np.concatenate((pos[:0:-1].conj(), pos))
+    n = q.size // 2
+    start = n + 1 if q.size else 0
+    if kmax < start:
+        return q
+    half = np.concatenate((q[n:], law.survivor_transform(omega, range(start, kmax + 1))))
+    return np.concatenate((half[:0:-1].conj(), half))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,10 +100,6 @@ class HarmonicSystem:
         q = qk_array(self.law, self.omega, 2 * self.K)
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
-
-    def with_truncation(self, K: int) -> "HarmonicSystem":
-        """The same scenario at truncation ``K``."""
-        return HarmonicSystem(self.omega, K, self.law, self.input_spectrum)
 
 
 def _input_band(spectrum: Spectrum) -> int:
@@ -143,16 +136,17 @@ def _conditioned_solve(mat, rhs, limit: float, failure: str):
     return np.linalg.solve(mat, rhs), cond
 
 
-def _solve_truncated(sys: HarmonicSystem) -> np.ndarray:
-    k_range = np.arange(-sys.K, sys.K + 1)
+def _solve_truncated(q: np.ndarray, K: int, spectrum: Spectrum) -> np.ndarray:
+    """Active-fraction coefficients at truncation ``K`` over a ladder reaching ``K``."""
+    k_range = np.arange(-K, K + 1)
     size = k_range.size
-    lam_pad = _padded_coefficients(sys.input_spectrum, 2 * sys.K)
+    lam_pad = _padded_coefficients(spectrum, 2 * K)
     diff = k_range[:, None] - k_range[None, :]
-    q_rows = sys.q[k_range + 2 * sys.K].copy()
+    q_rows = q[k_range + q.size // 2]
     q_rows[np.abs(q_rows) <= Q_ZERO] = 0.0
-    mat = np.eye(size, dtype=complex) + q_rows[:, None] * lam_pad[diff + 2 * sys.K]
+    mat = np.eye(size, dtype=complex) + q_rows[:, None] * lam_pad[diff + 2 * K]
     rhs = np.zeros(size, dtype=complex)
-    rhs[sys.K] = 1.0
+    rhs[K] = 1.0
     failure = "truncated harmonic system is numerically singular"
     return _conditioned_solve(mat, rhs, 1e14, failure)[0]
 
@@ -162,24 +156,25 @@ def solve_active_spectrum(sys: HarmonicSystem) -> Spectrum:
 
     The truncation is doubled until all coefficients in the outer half of
     the band are below 1e-12, so the returned spectrum is insensitive to the
-    starting ``K``.
+    starting ``K``.  Each doubling grows the system's own ladder of ``q_k``.
     """
     band = _input_band(sys.input_spectrum)
     if band > 0 and sys.K < 4 * band:
         raise ValueError(
             f"truncation {sys.K} too small for input band {band}; need at least {4 * band}"
         )
-    current = sys
+    q, K = sys.q, sys.K
     while True:
-        alpha = _solve_truncated(current)
-        tail = np.abs(alpha[np.abs(np.arange(-current.K, current.K + 1)) > current.K // 2])
+        q = _grow(sys.law, sys.omega, q, K)
+        alpha = _solve_truncated(q, K, sys.input_spectrum)
+        tail = np.abs(alpha[np.abs(np.arange(-K, K + 1)) > K // 2])
         if tail.size == 0 or float(np.max(tail)) < 1e-12:
             return Spectrum(sys.omega, alpha, tol=1e-8)
-        if current.K >= MAX_TRUNCATION:
+        if K >= MAX_TRUNCATION:
             raise NumericalError(
                 f"active-fraction spectrum did not decay within truncation {MAX_TRUNCATION}"
             )
-        current = current.with_truncation(2 * current.K)
+        K *= 2
 
 
 def output_spectrum(sys: HarmonicSystem, alpha: Spectrum) -> Spectrum:
@@ -250,13 +245,14 @@ def cosine_continued_fraction(
     is pushed out geometrically until the bottom ratio stabilizes to
     ``_CF_TOL`` relative; resonant harmonics with vanishing ``q_k``
     terminate the chain exactly.  The ratios of the converged pass give
-    the spectrum.
+    the spectrum; the passes share one ladder of ``q_k``, grown with the depth.
     """
     if eps < 0.0:
         raise ValueError("modulation amplitude must be non-negative")
     if lam0 < eps:
         raise ValueError("modulation must not push the rate negative")
-    q0 = qk_law(law, omega, 0).real
+    q = _grow(law, omega, np.empty(0, dtype=complex), 0)
+    q0 = float(q[0].real)
     if eps == 0.0:
         coeffs = np.zeros(2 * 1 + 1, dtype=complex)
         coeffs[1] = stationary_active_fraction(lam0, q0)
@@ -264,11 +260,12 @@ def cosine_continued_fraction(
 
     def backward_ratios(start: int) -> np.ndarray:
         """``ratios[k-1] = alpha_k / alpha_{k-1}`` up to ``k = _CF_MAX_ORDER``, from ``start`` down."""
-        q = qk_array(law, omega, start)[start:]
+        nonlocal q
+        q = _grow(law, omega, q, start)
         ratios = np.empty(min(start, _CF_MAX_ORDER), dtype=complex)
         r = 0.0 + 0.0j
         for k in range(start, 0, -1):
-            qk = complex(q[k])
+            qk = complex(q[start + k])
             if abs(qk) <= Q_ZERO:
                 r = 0.0 + 0.0j
             else:
@@ -312,10 +309,11 @@ def periodic_rate(sys: HarmonicSystem, beta: Spectrum, grid: TimeGrid) -> Trace:
     any other grid by the direct sum (:meth:`Spectrum.evaluate`).
     """
     b = beta.order
-    q = qk_array(sys.law, sys.omega, b)
+    q = _grow(sys.law, sys.omega, sys.q, b)
+    n = q.size // 2
     alpha = np.empty(2 * b + 1, dtype=complex)
     for k in range(-b, b + 1):
-        alpha[k + b] = (1.0 if k == 0 else 0.0) - q[k + b] * beta.coefficient(k)
+        alpha[k + b] = (1.0 if k == 0 else 0.0) - q[k + n] * beta.coefficient(k)
     active_spectrum = Spectrum(sys.omega, alpha, tol=1e-8)
     period = 2.0 * math.pi
     if grid.t0 == 0.0 and abs(grid.dt * (grid.n - 1) * sys.omega - period) <= 1e-12 * period:

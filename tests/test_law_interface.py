@@ -3,7 +3,8 @@
 A law defined only in this file runs through every route of the package,
 and every closed form or own grid of a shipped law agrees with the generic
 body the base class builds from ``survivor``, ``density`` and ``quantile``
-alone.  Every law's mean is its ``q_0``, bit for bit.
+alone.  Every law's mean is its ``q_0``, bit for bit, and every ``q_k`` has
+the same bits whatever other harmonics it is asked with.
 """
 
 import math
@@ -288,6 +289,32 @@ class TestOneMean:
         system = HarmonicSystem(omega, 4, law, signal_spectrum(Constant(lam), omega, 4))
         alpha_0 = solve_active_spectrum(system).coefficient(0)
         assert equilibrium_history(lam, law.mean()).active(0.0) == alpha_0.real
+
+
+class TestEachHarmonicAlone:
+    """A law's ``q_k`` does not depend on the other harmonics of its call, so
+    a harmonic problem can grow one ladder of them rather than start afresh."""
+
+    X_END = float(_table().x[-1])
+    CASES = {
+        "fixed": (FixedDeadTime(0.08), 2.0 * math.pi * 7.0),
+        "gamma": (GammaDeadTime(10, 137.5), 2.0 * math.pi * 7.0),
+        "table-by-parts": (_table(), 2.0 * math.pi * 7.0),
+        # |k omega x_end| < 1 up to k = 19, so only the extension leaves the series
+        "table-series": (_table(), 0.05 / X_END),
+        "generic": (ShiftedGamma(0.01, 3, 300.0), 2.0 * math.pi * 7.0),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_bits_do_not_depend_on_the_other_harmonics(self, name):
+        law, omega = self.CASES[name]
+        ks = list(range(-3, 13))
+        shuffled = [int(k) for k in np.random.default_rng(5).permutation(ks)]
+        extended = shuffled + [40, 25, -31, 0]
+        for asked in (ks, shuffled, extended):
+            got = law.survivor_transform(omega, asked)
+            alone = np.array([law.survivor_transform(omega, [k])[0] for k in asked])
+            assert np.array_equal(got.view(np.int64), alone.view(np.int64))
 
 
 class CountingGamma(GammaDeadTime):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, special
 
+from deadtime import cli
 from deadtime.core import (
     Constant,
     Cosine,
@@ -22,6 +23,7 @@ from deadtime.core import (
     TimeGrid,
     angular_frequency,
     signal_spectrum,
+    write_law_csv,
 )
 from deadtime.spectral import (
     HarmonicSystem,
@@ -30,7 +32,6 @@ from deadtime.spectral import (
     output_spectrum,
     periodic_rate,
     qk_array,
-    qk_law,
     solve_active_spectrum,
 )
 
@@ -48,22 +49,22 @@ def fig3_system(f, K=16):
 
 class TestQkFixed:
     def test_zeroth_is_the_dead_time(self):
-        assert qk_law(FixedDeadTime(0.08), 5.0, 0) == 0.08
+        assert FixedDeadTime(0.08).survivor_transform(5.0, [0])[0] == 0.08
 
     def test_resonance_vanishes(self):
         d = 0.08
         w = 2 * math.pi / d
-        assert abs(qk_law(FixedDeadTime(d), w, 1)) < 1e-15
+        assert abs(FixedDeadTime(d).survivor_transform(w, [1])[0]) < 1e-15
 
     def test_small_argument_expansion(self):
         d, w = 0.01, 0.01
-        got = qk_law(FixedDeadTime(d), w, 1)
+        got = FixedDeadTime(d).survivor_transform(w, [1])[0]
         assert abs(got - (d - 1j * w * d**2 / 2)) < 1e-10
 
     def test_hermitian(self):
         for k in (1, 3, 7):
-            assert qk_law(FixedDeadTime(0.05), 12.0, -k) == pytest.approx(
-                qk_law(FixedDeadTime(0.05), 12.0, k).conjugate()
+            assert FixedDeadTime(0.05).survivor_transform(12.0, [-k])[0] == pytest.approx(
+                FixedDeadTime(0.05).survivor_transform(12.0, [k])[0].conjugate()
             )
 
     def test_matches_survivor_integral(self):
@@ -71,7 +72,8 @@ class TestQkFixed:
         d, w, k = 0.07, 9.0, 3
         re = integrate.quad(lambda y: math.cos(k * w * y), 0, d)[0]
         im = integrate.quad(lambda y: -math.sin(k * w * y), 0, d)[0]
-        assert qk_law(FixedDeadTime(d), w, k) == pytest.approx(re + 1j * im, abs=1e-12)
+        got = FixedDeadTime(d).survivor_transform(w, [k])[0]
+        assert got == pytest.approx(re + 1j * im, abs=1e-12)
 
 
 class TestQkLaw:
@@ -81,11 +83,11 @@ class TestQkLaw:
         for k in range(9):
             s = 1j * k * w
             closed = (1.0 - cmath.exp(-s * 0.08)) / s if k else 0.08
-            assert qk_law(law, w, k) == pytest.approx(closed, abs=1e-14)
+            assert law.survivor_transform(w, [k])[0] == pytest.approx(closed, abs=1e-14)
 
     def test_gamma_mean(self):
         law = GammaDeadTime(order=10, rate=137.5)
-        assert qk_law(law, 3.0, 0) == pytest.approx(11 / 137.5, abs=1e-15)
+        assert law.survivor_transform(3.0, [0])[0] == pytest.approx(11 / 137.5, abs=1e-15)
 
     def test_gamma_against_survivor_quadrature(self):
         law = GammaDeadTime(order=10, rate=137.5)
@@ -97,7 +99,7 @@ class TestQkLaw:
 
         re = integrate.quad(lambda y: surv(y) * math.cos(k * w * y), 0, 0.5, limit=200)[0]
         im = integrate.quad(lambda y: -surv(y) * math.sin(k * w * y), 0, 0.5, limit=200)[0]
-        assert qk_law(law, w, k) == pytest.approx(re + 1j * im, abs=1e-9)
+        assert law.survivor_transform(w, [k])[0] == pytest.approx(re + 1j * im, abs=1e-9)
 
     def test_tabulated_tracks_gamma(self):
         ref = GammaDeadTime(order=3, rate=50.0)
@@ -106,7 +108,8 @@ class TestQkLaw:
         law = TabulatedDeadTime(x, pdf / np.trapezoid(pdf, x))
         w = angular_frequency(6.0)
         for k in (0, 1, 4):
-            assert qk_law(law, w, k) == pytest.approx(qk_law(ref, w, k), abs=2e-6)
+            got, want = law.survivor_transform(w, [k])[0], ref.survivor_transform(w, [k])[0]
+            assert got == pytest.approx(want, abs=2e-6)
 
     def test_array_is_hermitian(self):
         q = qk_array(GammaDeadTime(2, 40.0), 11.0, 6)
@@ -163,15 +166,30 @@ class TestQkTabulated:
         assert abs(q[0] - ref) <= 1e-12 * abs(ref)
         assert abs(q[1] - ref.conjugate()) <= 1e-12 * abs(ref)
 
-    @pytest.mark.parametrize("law", [tabulated_gamma(), GammaDeadTime(3, 50.0)])
-    def test_doubled_truncation_is_a_fresh_system(self, law):
-        w = angular_frequency(20.0)
-        lam_spec = signal_spectrum(Cosine(LAM0, EPS, 20.0), w, order=1)
-        sys = HarmonicSystem(w, 4, law, lam_spec)
-        doubled = sys.with_truncation(8)
-        fresh = HarmonicSystem(w, 8, law, lam_spec)
-        assert np.array_equal(doubled.q, fresh.q)
-        assert np.array_equal(sys.q, fresh.q[8:-8])
+    @pytest.mark.parametrize(
+        "law", [FixedDeadTime(D), GammaDeadTime(3, 50.0), tabulated_gamma()],
+        ids=["fixed", "gamma", "table"],
+    )
+    def test_doubled_solve_is_a_fresh_system(self, law):
+        # the doublings grow the system's ladder: every public result is the
+        # one a system built at the converged truncation gives, bit for bit
+        f = 4.0
+        w = angular_frequency(f)
+        lam_spec = signal_spectrum(Cosine(LAM0, EPS, f), w, order=1)
+        grid = TimeGrid(0.0, 1.0 / f / 64, 65)
+
+        def run(K):
+            sys = HarmonicSystem(w, K, law, lam_spec)
+            alpha = solve_active_spectrum(sys)
+            beta = output_spectrum(sys, alpha)
+            trace = periodic_rate(sys, beta, grid)
+            return alpha.coeffs, beta.coeffs, trace.active, trace.rate
+
+        doubled = run(4)
+        final_K = doubled[0].size // 2
+        assert final_K > 8  # doubled past the system's own ladder of |k| <= 8
+        for got, want in zip(doubled, run(final_K)):
+            assert np.array_equal(got, want)
 
     def test_one_system_shared_between_threads(self):
         law = tabulated_gamma()
@@ -198,6 +216,47 @@ class TestQkTabulated:
         for got in shared:
             for a, b in zip(got, serial):
                 assert np.array_equal(a, b)
+
+
+def recorded_harmonics(monkeypatch, cls):
+    """The harmonics of each call to ``cls.survivor_transform``, as the calls come."""
+    calls = []
+    inner = cls.survivor_transform
+
+    def record(self, omega, ks):
+        calls.append(list(ks))
+        return inner(self, omega, ks)
+
+    monkeypatch.setattr(cls, "survivor_transform", record)
+    return calls
+
+
+class TestEachCouplingOnce:
+    """A harmonic problem evaluates each ``q_k``, ``k >= 1``, once."""
+
+    def test_periodic_table_run(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_law_csv(tabulated_gamma(nodes=201), "law.csv")
+        calls = recorded_harmonics(monkeypatch, TabulatedDeadTime)
+        argv = ["periodic", "--law", "table:law.csv", "--nu0", "5", "--mod-depth", "0.5",
+                "--f", "50", "--harmonics", "4", "--samples", "16", "--out-prefix", "p"]
+        assert cli.main(argv) == 0
+        beta = Spectrum.from_csv("p-beta-f50.csv", angular_frequency(50.0))
+        assert beta.order == 8 + 4  # the solve doubled once, from truncation 4 to 8
+        ks = [k for call in calls for k in call]
+        positive = [k for k in ks if k >= 1]
+        assert len(positive) == len(set(positive))
+        assert set(ks) == set(range(beta.order + 1))
+
+    @pytest.mark.parametrize("law", [FixedDeadTime(D), GammaDeadTime(10, 137.5)],
+                             ids=["fixed", "gamma"])
+    def test_continued_fraction(self, law, monkeypatch):
+        calls = recorded_harmonics(monkeypatch, type(law))
+        cosine_continued_fraction(LAM0, EPS, law, angular_frequency(6.0))
+        ks = sorted(k for call in calls for k in call)
+        depth = ks[-1]
+        assert ks == list(range(depth + 1))
+        assert depth >= 64 and depth & (depth - 1) == 0  # a doubling of the first depth, 32
 
 
 class TestSolveActiveSpectrum:
