@@ -784,11 +784,14 @@ class FixedDeadTime(DeadTimeLaw):
         return w
 
     def integrate(self, fn, a, b, *params):
-        # the point mass, in (a, b]; at zero duration it is the atom
+        # the point mass, in (a, b]; at zero duration it is the atom.  fn runs
+        # on the rows that hold it only, where its value is finite
         a, b, *params = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b), *params)
         inside = ((a < self.duration) | (a == 0.0)) & (self.duration <= b)
-        at = fn(np.full((a.size, 1), self.duration), *(p[:, None] for p in params))[:, 0]
-        return np.where(inside, at, 0.0)
+        out = np.zeros(a.shape)
+        at = np.full((np.count_nonzero(inside), 1), self.duration)
+        out[inside] = fn(at, *(p[inside, None] for p in params))[:, 0]
+        return out
 
     def survivor_transform(self, omega, ks):
         return _closed_transform(self, omega, ks, lambda s: cmath.exp(-s * self.duration))
@@ -1078,7 +1081,8 @@ class GammaDeadTime(DeadTimeLaw):
 
 @dataclass(frozen=True, eq=False)
 class TabulatedDeadTime(DeadTimeLaw):
-    """Dead-time law given by density samples plus an optional atom at zero.
+    """Dead-time law with a piecewise-linear density through its samples, plus an
+    optional atom at zero.
 
     Parameters
     ----------
@@ -1091,7 +1095,13 @@ class TabulatedDeadTime(DeadTimeLaw):
         Probability mass sitting exactly at zero dead time.
 
     The total mass ``atom_at_zero + trapezoid(pdf)`` must equal one within
-    ``1e-9``.
+    ``1e-9``; the trapezoid is the exact mass of the density.
+
+    The density is the linear interpolant of the samples on ``[x[0], x[-1]]``
+    and zero outside, and every other method is an exact integral of it.  The
+    survivor is ``1 - atom - int_0^x rho``, quadratic in each cell, held at
+    zero where the node CDF reaches one, and ``1 - _cdf`` at the nodes; a mass
+    short of one sits at ``x[-1]``.
     """
 
     x: np.ndarray
@@ -1123,11 +1133,28 @@ class TabulatedDeadTime(DeadTimeLaw):
     def atom0(self):
         return self.atom_at_zero
 
+    @functools.cached_property
+    def _slope_jumps(self) -> np.ndarray:
+        """Jump of the density's slope at each node, zero slope outside the nodes."""
+        slope = np.diff(self.pdf)
+        slope /= np.diff(self.x)
+        jumps = np.empty(slope.size + 1)
+        jumps[0], jumps[-1] = slope[0], -slope[-1]
+        np.subtract(slope[1:], slope[:-1], out=jumps[1:-1])
+        jumps.setflags(write=False)
+        return jumps
+
     def survivor(self, x):
+        """The node's survivor less the density's mass from the node at or left of
+        ``x``, clipped at zero; ``1 - atom`` below the first node, zero past the last."""
         arr = _abscissae(x)
-        cdf = np.interp(arr, self.x, self._cdf, left=self.atom_at_zero, right=1.0)
-        # below the first node the density has not started accruing
-        out = 1.0 - np.where(arr < self.x[0], self.atom_at_zero, cdf)
+        z, p = self.x, self.pdf
+        i = np.clip(np.searchsorted(z, arr, side="right") - 1, 0, z.size - 2)
+        t = arr - z[i]
+        slope = (p[i + 1] - p[i]) / (z[i + 1] - z[i])
+        inside = np.maximum((1.0 - self._cdf[i]) - t * (p[i] + 0.5 * slope * t), 0.0)
+        out = np.select([arr < z[0], arr < z[-1], arr == z[-1]],
+                        [1.0 - self.atom_at_zero, inside, 1.0 - self._cdf[-1]])
         return _wrap_scalar(x, out)
 
     def density(self, x):
@@ -1135,45 +1162,95 @@ class TabulatedDeadTime(DeadTimeLaw):
         return _wrap_scalar(x, np.interp(arr, self.x, self.pdf, left=0.0, right=0.0))
 
     def quantile(self, q):
+        """Smallest ``x`` whose CDF reaches ``q``: the root of the quadratic in the
+        first cell whose node CDF reaches it, so cells of zero density are skipped."""
         arr = _check_levels(q)
-        out = np.where(arr <= self.atom_at_zero, 0.0, np.interp(arr, self._cdf, self.x))
+        z, p, cdf = self.x, self.pdf, self._cdf
+        j = np.clip(np.searchsorted(cdf, arr, side="left"), 1, z.size - 1) - 1
+        h = z[j + 1] - z[j]
+        r = np.maximum(arr - cdf[j], 0.0)  # mass wanted inside the cell
+        # p t + (slope/2) t^2 = r, its positive root divided out: no cancellation
+        den = p[j] + np.sqrt(np.maximum(p[j] ** 2 + 2.0 * r * (p[j + 1] - p[j]) / h, 0.0))
+        t = np.array(h)  # the whole cell where no mass is left to place
+        np.divide(2.0 * r, den, out=t, where=den > 0.0)
+        out = np.where(arr <= self.atom_at_zero, 0.0, z[j] + np.minimum(t, h))
         return _wrap_scalar(q, out)
 
     def density_table(self, n_nodes=2048):
         return self.x, self.pdf
 
     def survivor_transform(self, omega, ks):
-        """Exact ``q_k`` over ``[0, x[-1]]`` of :meth:`survivor`, linear between the nodes.
+        """Exact ``q_k = int_0^x[-1] S(y) exp(-i k omega y) dy``.
 
-        By parts, ``q_k`` is one exponential per node weighted by the survivor's
-        slope jumps; that sum cancels as ``(k omega x[-1])**-2``, so below
-        ``|k omega x[-1]| = 1`` the power series in the survivor's moments is
-        summed instead.  ``q_0 = int S`` is the law's mean; :meth:`density`
-        stays the interpolant of the samples, not this survivor's derivative.
+        ``q_0`` sums the quadratic survivor's integral over the cells.  For
+        ``k != 0``, ``S`` is flat before and after the nodes ``[a, b]`` that its
+        density touches, and those pieces are closed forms.  On ``[a, b]``, ``S``
+        integrated by parts three times leaves its end values, the density at
+        ``a`` and ``b``, and one exponential per node, phased from ``a`` and
+        weighted by the density's slope jump there.  That sum cancels as
+        ``(k omega (b - a))**-3``, so below ``|k omega (b - a)| = 2`` a 25-term
+        power series in the survivor's moments about ``a``, from the same
+        jumps, is summed instead.
         """
-        z, s = self.x, 1.0 - self._cdf
-        if z[0] > 0.0:  # the survivor holds 1 - atom0 from 0 up to the first node
-            z, s = np.concatenate(([0.0], z)), np.concatenate(([1.0 - self.atom_at_zero], s))
-        jumps = np.diff(np.diff(s) / np.diff(z), prepend=0.0, append=0.0)
-        end, s_end = float(z[-1]), float(s[-1])
-        series = any(0 < abs(k * omega) * end < 1.0 for k in ks)
-        # moments int S(y) (y/end)**p dy / end, from the same jumps by parts
-        moments = [s_end / (p + 1) + end * (jumps @ (z / end) ** (p + 2)) / ((p + 1) * (p + 2))
-                   for p in range(20 if series else 0)]
+        z, p, cdf = self.x, self.pdf, self._cdf
+        s_0, s_end = 1.0 - self.atom_at_zero, 1.0 - float(cdf[-1])
+        first = max(int(np.argmax(p > 0.0)) - 1, 0)
+        last = min(z.size - int(np.argmax(p[::-1] > 0.0)), z.size - 1)
+        a, b, span = float(z[first]), float(z[last]), float(z[last] - z[first])
+        # the sums over the jumps run a block of nodes at a time, beside the cached jumps
+        blocks = [slice(lo, min(lo + _BLOCK_ELEMENTS, last + 1))
+                  for lo in range(first, last + 1, _BLOCK_ELEMENTS)]
+
+        def flat(level, lo, hi, w):  # level * int_lo^hi exp(-i w y) dy, cancellation-free
+            phi = w * (hi - lo)
+            return level * cmath.exp(-1j * w * lo) * complex(
+                math.sin(phi), -2.0 * math.sin(0.5 * phi) ** 2) / w
+
         out = np.empty(len(ks), dtype=complex)
+        moments = []
         for i, k in enumerate(ks):
             w = k * omega
-            if k == 0:
-                out[i] = np.trapezoid(s, z)
-            elif abs(w) * end < 1.0:
+            if k == 0:  # h (s_j - h (2 p_j + p_j+1) / 6) a cell, none where S holds zero
+                h = np.diff(z)
+                cells = np.multiply(p[:-1], 2.0)
+                cells += p[1:]
+                cells *= h
+                cells /= -6.0
+                cells += 1.0
+                cells -= cdf[:-1]
+                cells[cdf[:-1] >= 1.0] = 0.0
+                out[i] = float(z[0]) * s_0 + float(h @ cells)
+                del h, cells  # the node arrays of one harmonic at a time
+                continue
+            if abs(w) * span < 2.0:
+                if not moments:  # int_a^b S(y) ((y - a)/span)**m dy / span, by parts
+                    sums = np.zeros(25)
+                    for block in blocks:
+                        u = (z[block] - a) / span
+                        power = u**3
+                        for m in range(25):
+                            sums[m] += self._slope_jumps[block] @ power
+                            power *= u
+                    del u, power
+                    moments = [s_end / (m + 1) + span * p[last] / ((m + 1) * (m + 2))
+                               + span**2 * sums[m] / ((m + 1) * (m + 2) * (m + 3))
+                               for m in range(25)]
                 acc = 0j
-                for p in reversed(range(20)):
-                    acc = acc * (-1j * w * end) / (p + 1) + moments[p]
-                out[i] = end * acc
+                for m in reversed(range(25)):
+                    acc = acc * (-1j * w * span) / (m + 1) + moments[m]
+                body = span * acc
             else:
-                phase = w * z
-                tail = complex(jumps @ np.cos(phase), -(jumps @ np.sin(phase)))
-                out[i] = (s[0] - s_end * cmath.exp(-1j * w * end)) / (1j * w) - tail / w**2
+                c = s = 0.0
+                for block in blocks:
+                    phase = z[block] - a
+                    phase *= w
+                    c += self._slope_jumps[block] @ np.cos(phase)
+                    s += self._slope_jumps[block] @ np.sin(phase, out=phase)
+                e_b = cmath.exp(-1j * w * span)
+                body = ((s_0 - s_end * e_b) / (1j * w) + (p[first] - p[last] * e_b) / w**2
+                        - complex(s, c) / w**3)
+            out[i] = (flat(s_0, 0.0, a, w) + cmath.exp(-1j * w * a) * body
+                      + flat(s_end, b, float(z[-1]), w))
         return out
 
 

@@ -79,9 +79,13 @@ class HarmonicSystem:
     """Truncated harmonic coupling problem for one periodic scenario.
 
     Holds the base angular frequency, the truncation order ``K``, the
-    dead-time law, the input spectrum, and the coupling coefficients
-    ``q_k`` for ``|k| <= 2K`` (enough for the output convolution and the
-    inverse map).  An immutable value: threads may share one.
+    dead-time law, the input spectrum, and the ladder ``q`` of coupling
+    coefficients ``q_k``, built for ``|k| <= 2K`` (enough for the output
+    convolution and the inverse map).  A solve that doubles past ``2K``
+    leaves its longer ladder here, read-only, so the output cross-check
+    covers the whole solved band and ``periodic_rate`` evaluates no harmonic
+    twice.  Each ``q_k`` has the same bits in every ladder, so any ladder is
+    a valid prefix of a longer one and threads may share one system.
     """
 
     omega: float
@@ -169,6 +173,9 @@ def solve_active_spectrum(sys: HarmonicSystem) -> Spectrum:
         alpha = _solve_truncated(q, K, sys.input_spectrum)
         tail = np.abs(alpha[np.abs(np.arange(-K, K + 1)) > K // 2])
         if tail.size == 0 or float(np.max(tail)) < 1e-12:
+            if q.size > sys.q.size:
+                q.setflags(write=False)
+                object.__setattr__(sys, "q", q)
             return Spectrum(sys.omega, alpha, tol=1e-8)
         if K >= MAX_TRUNCATION:
             raise NumericalError(
@@ -194,9 +201,10 @@ def output_spectrum(sys: HarmonicSystem, alpha: Spectrum) -> Spectrum:
     # residual of alpha_k + q_k beta_k = delta_k: a short dead time's
     # cancellation in delta - alpha_k is not divided by q_k; the bound is
     # 1e-10 relative to beta_k, times |q_k|, floored at the residual's rounding
-    band = min(ka, 2 * sys.K)
+    n = sys.q.size // 2
+    band = min(ka, n)
     k = np.arange(-band, band + 1)
-    q, a, b = sys.q[k + 2 * sys.K], alpha.coeffs[k + ka], beta[k + out_order]
+    q, a, b = sys.q[k + n], alpha.coeffs[k + ka], beta[k + out_order]
     residual = np.abs(np.where(k == 0, 1.0, 0.0) - a - q * b)
     bound = np.maximum(1e-10 * np.maximum(1.0, np.abs(b)) * np.abs(q),
                        4.0 * np.finfo(float).eps * (1.0 + np.abs(a) + np.abs(q * b)))

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from deadtime import cli, core, dde
+from deadtime import cli, core, dde, mc_sim
 from deadtime.core import (
     Constant,
     Cosine,
@@ -262,6 +262,21 @@ _LAWS = st.one_of(
     st.builds(FixedDeadTime, st.just(0.0) | st.floats(0.0, 10.0)),
     st.builds(GammaDeadTime, st.integers(0, 200), st.floats(1e-3, 1e4)),
 )
+
+
+class TestTableHazardBounds:
+    """On a table, the hazard lies between zero and the input rate, as E[F] >= S."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(law=_tables(), log_share=st.floats(-3.0, 3.0))
+    def test_hazard_between_zero_and_the_rate(self, law, log_share):
+        rate = 10.0**log_share / law.mean()
+        sig = Constant(rate)
+        tau = np.linspace(0.0, 2.0 * float(law.x[-1]), 41)
+        h = hazard_pprd(sig, law, np.zeros_like(tau), tau)
+        assert np.all((h >= 0.0) & (h <= rate))
+        surv = law.survivor(tau)
+        assert np.all(mc_sim._expected_interval_survivor(sig, law, 0.0, tau, surv) >= surv)
 
 
 class TestOneMean:

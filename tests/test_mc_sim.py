@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -62,6 +63,15 @@ class TestHazard:
         got = hazard_pprd(sig, law, t, np.full_like(t, 0.05))
         assert np.array_equal(got, sig.rate(t))
         assert np.all(hazard_pprd(sig, law, t, np.full_like(t, 0.01)) == 0.0)
+
+    def test_fixed_law_far_above_its_rate_overflows_nothing(self):
+        # 9000 Hz * 0.08 s = 720: the exposure exp(lam (d - tau)) overflows at
+        # the ages below d, whose rows do not hold the point mass
+        tau = np.linspace(0.0, 0.2, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = hazard_pprd(Constant(9000.0), FixedDeadTime(0.08), np.zeros_like(tau), tau)
+        assert np.array_equal(got, np.where(tau >= 0.08, 9000.0, 0.0))
 
     def test_zero_age_vanishes_without_atom(self):
         assert hazard_pprd(Constant(7.0), GammaDeadTime(10, 137.5), 1.0, 0.0) == 0.0

@@ -2,6 +2,7 @@ import cmath
 import math
 from concurrent.futures import ThreadPoolExecutor
 from sys import getswitchinterval, setswitchinterval
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, special
 
-from deadtime import cli
+from deadtime import cli, core
 from deadtime.core import (
     Constant,
     Cosine,
@@ -22,6 +23,7 @@ from deadtime.core import (
     TabulatedDeadTime,
     TimeGrid,
     angular_frequency,
+    read_law_csv,
     signal_spectrum,
     write_law_csv,
 )
@@ -123,33 +125,78 @@ def tabulated_gamma(order=3, rate=50.0, nodes=2001):
     return TabulatedDeadTime(x, pdf / np.trapezoid(pdf, x))
 
 
-def mp_survivor_transform(law, omega, k):
-    """``int S(y) exp(-i k omega y) dy`` cell by cell at 50 digits, ``S`` linear
-    between the law's nodes (and flat from zero to the first)."""
-    z = law.x if law.x[0] == 0.0 else np.concatenate(([0.0], law.x))
+def mp_cell(law, j):
+    """Cell ``j`` of the table at 50 digits, as ``(x_j, h, s_j, p_j, slope)``: on it
+    ``S(x_j + t) = s_j - p_j t - slope t^2 / 2`` exactly, ``s_j`` the law's own
+    survivor at the node (``1 - _cdf[j]``) and ``p_j + slope t`` its density."""
+    x0, x1 = (mpmath.mpf(float(v)) for v in law.x[j:j + 2])
+    p0, p1 = (mpmath.mpf(float(v)) for v in law.pdf[j:j + 2])
+    s = mpmath.mpf(float(law.survivor(law.x[j])))
+    return x0, x1 - x0, s, p0, (p1 - p0) / (x1 - x0)
+
+
+def mp_survivor(law, v):
+    """``S(v)`` at 50 digits: the survivor of the cell holding ``v`` from its left
+    node, held at zero once it would go below, and zero past the last node."""
     with mpmath.workdps(50):
-        z_mp = [mpmath.mpf(float(v)) for v in z]
-        s_mp = [mpmath.mpf(float(v)) for v in law.survivor(z)]
+        if v < law.x[0]:
+            return 1 - mpmath.mpf(law.atom0)
+        if v >= law.x[-1]:
+            return mpmath.mpf(float(law.survivor(law.x[-1]))) if v == law.x[-1] else 0
+        a, h, s, p, slope = mp_cell(law, int(np.searchsorted(law.x, v, side="right")) - 1)
+        t = mpmath.mpf(float(v)) - a
+        return max(s - p * t - slope * t**2 / 2, mpmath.mpf(0))
+
+
+def mp_quantile(law, q):
+    """The quantile at 50 digits: in the first cell whose right node's CDF
+    reaches ``q``, the root of ``_cdf[j] + p_j t + slope t^2 / 2 = q``."""
+    with mpmath.workdps(50):
+        if q <= law.atom0:
+            return mpmath.mpf(0)
+        j = next((j for j in range(law.x.size - 1) if law._cdf[j + 1] >= q), law.x.size - 2)
+        a, h, _, p, slope = mp_cell(law, j)
+        r = mpmath.mpf(float(q)) - mpmath.mpf(float(law._cdf[j]))
+        if slope == 0:
+            t = r / p if p > 0 else h
+        else:
+            t = (mpmath.sqrt(max(p**2 + 2 * slope * r, 0)) - p) / slope
+        return a + min(max(t, mpmath.mpf(0)), h)
+
+
+def mp_survivor_transform(law, omega, k):
+    """``int S(y) exp(-i k omega y) dy`` cell by cell at 50 digits, ``S`` the
+    quadratic of :func:`mp_cell` in each cell (and flat from zero to the first
+    node)."""
+    with mpmath.workdps(50):
         w = mpmath.mpf(k) * mpmath.mpf(omega)
-        total = mpmath.mpc(0)
-        for a, b, sa, sb in zip(z_mp[:-1], z_mp[1:], s_mp[:-1], s_mp[1:]):
-            theta = w * (b - a)
+        x0 = mpmath.mpf(float(law.x[0]))
+        total = (1 - mpmath.mpf(law.atom0)) * (1 - mpmath.expj(-w * x0)) / (1j * w)
+        for j in range(law.x.size - 1):
+            a, h, s, p, slope = mp_cell(law, j)
+            theta = w * h
             e = mpmath.expj(-theta)
-            phi0 = (1 - e) / (1j * theta)  # int_0^1 exp(-i theta u) du
-            phi1 = (phi0 - e) / (1j * theta)  # int_0^1 u exp(-i theta u) du
-            total += (b - a) * mpmath.expj(-w * a) * (sa * phi0 + (sb - sa) * phi1)
+            # phi[m] = int_0^1 u^m exp(-i theta u) du
+            phi = [(1 - e) / (1j * theta)]
+            for m in (1, 2):
+                phi.append((m * phi[-1] - e) / (1j * theta))
+            cell = s * h * phi[0] - p * h**2 * phi[1] - slope * h**3 * phi[2] / 2
+            total += mpmath.expj(-w * a) * cell
         return complex(total)
 
 
 @st.composite
 def tables(draw):
-    """A table law on 2 to 24 random nodes from ``x[0] >= 0``, with an atom below 0.5."""
+    """A table law on 2 to 24 random nodes from ``x[0] >= 0``, with an atom below
+    0.5 and, in some, a run of cells of zero density."""
     n = draw(st.integers(2, 24))
     first = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
     gaps = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n - 1, max_size=n - 1)))
     scale = 10.0 ** draw(st.floats(-3.0, 1.0))
     x = scale * (first + np.concatenate(([0.0], np.cumsum(gaps))))
     pdf = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    zero = draw(st.integers(0, n - 1))
+    pdf[zero:zero + draw(st.integers(0, n // 2))] = 0.0
     pdf[draw(st.integers(0, n - 1))] += 0.1  # some mass in the density
     atom = draw(st.floats(0.0, 0.5, exclude_max=True))
     return TabulatedDeadTime(x, pdf * ((1.0 - atom) / np.trapezoid(pdf, x)), atom)
@@ -218,6 +265,91 @@ class TestQkTabulated:
                 assert np.array_equal(a, b)
 
 
+class TestTableIsItsDensity:
+    """A table is the piecewise-linear density of its samples plus its atom, and
+    its survivor, quantile and ``q_k`` (above) are exact integrals of it."""
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def cell_points(law):
+        """Three points inside each cell, one below the first node, the last node
+        and one past it."""
+        x = law.x
+        inner = (x[:-1, None] + np.diff(x)[:, None] * np.array([0.1, 0.5, 0.9])).ravel()
+        return np.concatenate((inner, [0.5 * x[0], x[-1], 1.5 * x[-1]]))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(law=tables(), levels=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    def test_survivor_and_quantile_match_the_cell_reference(self, law, levels):
+        for v, got in zip(*(lambda pts: (pts, law.survivor(pts)))(self.cell_points(law))):
+            # within 1e-12 of the cell's left node, the scale its value is rounded at
+            scale = float(law.survivor(law.x[max(np.searchsorted(law.x, v, "right") - 1, 0)]))
+            assert abs(got - float(mp_survivor(law, v))) <= 1e-12 * scale
+        for q in levels + [float(law.atom0), 1.0]:
+            got, ref = law.quantile(q), float(mp_quantile(law, q))
+            # where the density vanishes at the root, the root is double, and the
+            # level's last bit moves it by the bit's square root: there the CDF at
+            # the quantile must still meet the level to its rounding
+            assert (abs(got - ref) <= 1e-12 * ref
+                    or abs(1 - mp_survivor(law, got) - q) <= 4 * self.EPS)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(law=tables(), log_span=st.floats(-1.0, 1.0), k=st.integers(1, 40))
+    def test_transform_summed_in_node_blocks(self, law, log_span, k):
+        # the sums over the jumps run a block of nodes at a time; three here
+        omega = 10.0**log_span / (k * float(law.x[-1]))
+        with mock.patch.object(core, "_BLOCK_ELEMENTS", 3):
+            q = law.survivor_transform(omega, [k])[0]
+        ref = mp_survivor_transform(law, omega, k)
+        assert abs(q - ref) <= 1e-12 * abs(ref)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(law=tables())
+    def test_nodes_keep_the_trapezoid_cdf(self, law):
+        assert np.array_equal(law.survivor(law.x), 1.0 - law._cdf)
+        assert law.survivor(0.5 * law.x[0]) == 1.0 - law.atom0
+        assert law.survivor(np.nextafter(law.x[-1], np.inf)) == 0.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(law=tables())
+    def test_survivor_falls_by_the_density(self, law):
+        # a central difference is exact on the quadratic: S(a) - S(b) = (b - a) rho(m)
+        # at the midpoint m, the mean of the linear density's ends
+        a = law.x[:-1] + 0.25 * np.diff(law.x)
+        b = law.x[1:] - 0.25 * np.diff(law.x)
+        drop = law.survivor(a) - law.survivor(b)
+        mean = 0.5 * (law.density(a) + law.density(b))
+        assert np.all(np.abs(drop - (b - a) * mean) <= 8 * self.EPS)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(law=tables())
+    def test_quantile_inverts_the_survivor(self, law):
+        v = self.cell_points(law)[:-3]
+        rho = law.density(v)
+        v, rho = v[rho > 0.0], rho[rho > 0.0]
+        back = law.quantile(1.0 - law.survivor(v))
+        # the level 1 - S carries one rounding, which the density turns into x;
+        # where the CDF moves less than that rounding, as across a cell of zero
+        # density next to a tail of 1e-15, the survivor must still agree
+        forward = np.abs(back - v) * rho <= 4 * self.EPS * (v * rho + 1.0)
+        assert np.all(forward | (np.abs(law.survivor(back) - law.survivor(v)) <= 4 * self.EPS))
+
+    def test_one_law_on_the_gamma_table(self, tmp_path):
+        # the 2,048-node table write_law_csv makes of gamma:10,137.5, where the
+        # trapezoid CDF between the nodes missed the density's by 2.5e-6
+        write_law_csv(GammaDeadTime(10, 137.5), tmp_path / "law.csv")
+        law = read_law_csv(tmp_path / "law.csv")
+        assert law.x.size == 2048
+        rng = np.random.default_rng(3)
+        v = rng.uniform(0.0, law.x[-1], 200)
+        gap = max(abs(float(mp_survivor(law, a)) - float(b)) for a, b in zip(v, law.survivor(v)))
+        assert gap <= 1e-15
+        q = rng.uniform(0.0, 1.0, 200)
+        gap = max(abs(1 - float(mp_survivor(law, a)) - b) for a, b in zip(law.quantile(q), q))
+        assert gap <= 1e-15
+
+
 def recorded_harmonics(monkeypatch, cls):
     """The harmonics of each call to ``cls.survivor_transform``, as the calls come."""
     calls = []
@@ -247,6 +379,38 @@ class TestEachCouplingOnce:
         positive = [k for k in ks if k >= 1]
         assert len(positive) == len(set(positive))
         assert set(ks) == set(range(beta.order + 1))
+
+    def test_periodic_run_doubling_past_the_system_ladder(self, tmp_path, monkeypatch):
+        # a narrow law at 12.5 Hz: the solve doubles from 4 to 16, past the
+        # system's own ladder of |k| <= 8, and periodic_rate reads that ladder
+        monkeypatch.chdir(tmp_path)
+        write_law_csv(GammaDeadTime(200, 201 / 0.08), "law.csv", n_nodes=4001)
+        calls = recorded_harmonics(monkeypatch, TabulatedDeadTime)
+        argv = ["periodic", "--law", "table:law.csv", "--nu0", "10", "--mod-depth", "0.9",
+                "--f", "12.5", "--harmonics", "4", "--samples", "64", "--out-prefix", "p"]
+        assert cli.main(argv) == 0
+        beta = Spectrum.from_csv("p-beta-f12.5.csv", angular_frequency(12.5))
+        assert beta.order == 16 + 4  # the solve doubled twice, from truncation 4 to 16
+        ks = [k for call in calls for k in call]
+        positive = [k for k in ks if k >= 1]
+        assert len(positive) == len(set(positive))
+        assert set(ks) == set(range(beta.order + 1))
+
+    def test_output_cross_check_covers_the_whole_solved_band(self):
+        w = angular_frequency(12.5)
+        lam_spec = signal_spectrum(Cosine(10.0 / (1.0 - 0.8), 0.9 * 10.0 / (1.0 - 0.8), 12.5),
+                                   w, order=1)
+        sys = HarmonicSystem(w, 4, GammaDeadTime(200, 201 / 0.08), lam_spec)
+        alpha = solve_active_spectrum(sys)
+        assert alpha.order == 16 and sys.q.size == 2 * 16 + 1
+        output_spectrum(sys, alpha)
+        k = 12  # past the built ladder's 2K = 8, inside the solved band
+        coeffs = alpha.coeffs.copy()
+        coeffs[16 + k] += 1e-6
+        coeffs[16 - k] = coeffs[16 + k].conjugate()
+        # the convolution spreads the error to the harmonics k - 1 .. k + 1
+        with pytest.raises(NumericalError, match="output harmonic -13 disagrees"):
+            output_spectrum(sys, Spectrum(w, coeffs, tol=1e-8))
 
     @pytest.mark.parametrize("law", [FixedDeadTime(D), GammaDeadTime(10, 137.5)],
                              ids=["fixed", "gamma"])
