@@ -25,12 +25,10 @@ from .core import (GammaDeadTime, History, NumericalError, TimeGrid, Trace, _wra
 
 __all__ = [
     "PpdParams",
-    "interval_density",
     "kfold_interval_density",
     "renewal_density",
     "fundamental_solution",
     "equilibrium_active_fraction",
-    "equilibrium_rate",
     "step_response",
     "solve_with_history",
 ]
@@ -51,15 +49,6 @@ class PpdParams:
             raise ValueError(f"rate must be finite and non-negative, got {self.lam}")
         if not (self.d >= 0.0) or not math.isfinite(self.d):
             raise ValueError(f"dead time must be finite and non-negative, got {self.d}")
-
-
-def interval_density(p: PpdParams, t):
-    """Density of the time between consecutive events of one component.
-
-    Zero during the dead time, then an exponential decay starting at rate
-    ``lam``.
-    """
-    return kfold_interval_density(p, 1, t)
 
 
 def kfold_interval_density(p: PpdParams, k: int, t):
@@ -132,11 +121,6 @@ def equilibrium_active_fraction(lam: float, d: float) -> float:
     if lam < 0.0 or d < 0.0:
         raise ValueError("rate and dead time must be non-negative")
     return stationary_active_fraction(lam, d)
-
-
-def equilibrium_rate(lam: float, d: float) -> float:
-    """Stationary ensemble event rate ``lam/(1 + lam*d)``."""
-    return lam * equilibrium_active_fraction(lam, d)
 
 
 def step_response(lam0: float, lam1: float, d: float, grid: TimeGrid) -> Trace:

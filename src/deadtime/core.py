@@ -674,7 +674,9 @@ class DeadTimeLaw:
         return out
 
     def tilted_closed_form(self, c: float) -> bool:
-        """Whether :meth:`tilted_integral` at rate ``c`` is a closed form."""
+        """Whether :meth:`tilted_integral` at rate ``c`` is a closed form; a law
+        that claims one also gives its log, ``log_tilted_integral``, finite
+        where the integral underflows."""
         return False
 
     def tilted_integral(self, c: float, a, b, s) -> np.ndarray:
@@ -902,9 +904,84 @@ def _gamma_tail(a: int, z, upper: bool, log: bool = False) -> np.ndarray:
     return out[()]
 
 
-def _log_gammainc(a: int, z):
-    """Log of the regularized lower incomplete gamma function, finite where it underflows."""
-    return _gamma_tail(a, z, upper=False, log=True)
+def _log_kummer(n1: int, y: np.ndarray) -> np.ndarray:
+    """``log sum_j n1/(n1 + j) y**j/j!`` for ``-1 <= y < 2 n1`` by Horner's rule,
+    to 2**-53: 20 terms where ``|y| <= 1``, else as many as a Poisson(2 n1)
+    sum needs (checked up to n1 = 1e6).  An element past 2**600 is scaled
+    down with its unit, so none overflows."""
+    small = np.abs(y) <= 1.0
+    if np.any(small) and not np.all(small):
+        out = np.empty_like(y)
+        out[small], out[~small] = _log_kummer(n1, y[small]), _log_kummer(n1, y[~small])
+        return out
+    s, unit, scale = np.ones_like(y), np.ones_like(y), np.zeros_like(y)
+    terms = 20 if np.all(small) else math.ceil(2 * n1 + 9 * math.sqrt(2 * n1) + 30)
+    for j in range(terms, 0, -1):
+        s *= y * ((n1 + j - 1) / (j * (n1 + j)))
+        s += unit
+        if j % 16 == 0:
+            big = s > 2.0**600
+            s[big], unit[big] = s[big] / 2.0**600, unit[big] / 2.0**600
+            scale[big] += 600 * math.log(2.0)
+    return np.log(s) + scale
+
+
+def _log_tilted(order: int, rate: float, c: float, a, b, s) -> np.ndarray:
+    """``log int_[a, b] exp(c x - s) dF(x)`` of a gamma law over flat arrays.
+    Where ``x**n exp(k x)``, ``k = c - rate``, varies by at most ``e`` on the
+    interval, 16-point Gauss-Legendre is exact; elsewhere the masses from 0
+    (to inf, upper side below the rate) at its ends differ by ``e**0.5`` or
+    more.  With ``y = k x`` the mass of ``exp(c t) rho(t)`` on ``[0, x]`` is
+    ``(rate x)**(n+1)/(n+1)! M(n+1, n+2, y)`` for ``-1 <= y < 2(n+1)``, then
+    ``(rate/k) rho(x) exp(c x)`` times an alternating sum of twofold falling
+    terms, and below ``y = -1`` an incomplete gamma function (DLMF 8.2, 8.7).
+    The discount stays in the exponent as ``(c x - s) - rate x``."""
+    n, n1, k = order, order + 1, c - rate
+
+    def log_mass(x, s, upper):
+        y = k * x
+        alt = y >= 2.0 * n1
+        ser = ~alt & (y >= -1.0) & ~upper
+        out = np.empty(x.shape)
+        if np.any(ser):
+            rx = rate * x[ser]
+            out[ser] = _log_poisson_term(n1, rx) + (rx - s[ser]) + _log_kummer(n1, y[ser])
+        if np.any(alt):
+            xa, ya = x[alt], y[alt]
+            terms = np.ones_like(ya)
+            for j in range(min(n, 54), 0, -1):  # sum_j (-1)**j n!/(n - j)! y**-j
+                terms = 1.0 - terms * ((n - j + 1) / ya)
+            terms += (-1) ** n1 * np.exp(math.lgamma(n1) - ya - n * np.log(ya))
+            out[alt] = (math.log(rate / k) + _log_poisson_term(n, rate * xa)
+                        + (c * xa - s[alt]) + np.log(terms))
+        for side in (False, True):
+            at = ~(alt | ser) & (upper == side)
+            if np.any(at):
+                out[at] = n1 * math.log(rate / -k) - s[at] + _gamma_tail(n1, -y[at], side, True)
+        return out
+
+    out = np.empty(b.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        narrow = abs(k) * (b - a) + (n * np.log1p((b - a) / a) if n else 0.0) <= 1.0
+        if np.any(narrow):
+            t, w = np.polynomial.legendre.leggauss(16)  # loaded on first use
+            bn, half = b[narrow], 0.5 * (b[narrow] - a[narrow])
+            back = half[:, None] * (1.0 - t)
+            log_f = (_log_poisson_term(n, rate * (bn[:, None] - back)) - c * back
+                     + (c * bn - s[narrow])[:, None])
+            peak = log_f.max(axis=1)
+            out[narrow] = (math.log(rate) + np.log(half) + peak
+                           + np.log(np.exp(log_f - peak[:, None]) @ w))
+        wide = ~narrow
+        if k >= 0.0:
+            out[wide & (b == np.inf)] = np.inf
+            wide &= b < np.inf
+        aw, bw, sw = a[wide], b[wide], s[wide]
+        upper = -k * aw >= n1
+        hi = log_mass(np.where(upper, aw, bw), sw, upper)
+        lo = log_mass(np.where(upper, bw, aw), sw, upper)
+        out[wide] = np.where(lo < hi, hi + np.log1p(-np.exp(lo - hi)), -np.inf)
+    return out
 
 
 def _normal_upper_quantile(p: np.ndarray) -> np.ndarray:
@@ -1021,57 +1098,45 @@ class GammaDeadTime(DeadTimeLaw):
         return _gammainccinv(self.order + 2, 1.0 - u) / self.rate
 
     def tilted_closed_form(self, c):
-        return self.rate > c * (1.0 + 1e-9)
+        return True
 
     def tilted_integral(self, c, a, b, s):
-        """Closed form below the gamma rate: ``rho(x) exp(c x)`` is the gamma
-        density at the rate ``rate - c`` times ``(rate/(rate - c))**(order + 1)``,
-        so its mass is a difference of regularized incomplete gamma functions,
-        taken on whichever tail keeps the two terms well separated."""
-        if not self.tilted_closed_form(c):
-            return super().tilted_integral(c, a, b, s)
+        """Closed form at every rate ``c >= 0``.  Below the gamma rate, where
+        ``(rate/(rate - c))**(order + 1)``, ``exp(-s)`` and a difference of
+        regularized incomplete gamma functions at the rate ``rate - c`` (on
+        the tail that keeps its terms apart) are normal floats, it is their
+        product; ``_log_tilted`` takes every other element."""
         n1 = self.order + 1
+        a_arr, b_arr, s_arr = (np.asarray(v, dtype=float) for v in (a, b, s))
+        shape = np.broadcast_shapes(a_arr.shape, b_arr.shape, s_arr.shape)
         shift = self.rate - c
-        a_arr = np.asarray(a, dtype=float)
-        zb = shift * np.asarray(b, dtype=float)
-        if a_arr.ndim == 0 and float(a_arr) == 0.0:
-            za, delta = 0.0, _gamma_tail(n1, zb, upper=False)
-        else:
-            za, zb = np.broadcast_arrays(shift * a_arr, zb)
-            lower_a = _gamma_tail(n1, za, upper=False)
-            delta = np.empty_like(lower_a)
-            hi = lower_a > 0.5
-            if np.any(hi):
-                delta[hi] = _gamma_tail(n1, za[hi], True) - _gamma_tail(n1, zb[hi], True)
-            lo = ~hi
-            if np.any(lo):
-                delta[lo] = _gamma_tail(n1, zb[lo], False) - lower_a[lo]
-        delta = np.clip(delta, 0.0, None)
-        ratio = self.rate / shift
-        s = np.asarray(s, dtype=float)
+        ratio = self.rate / shift if shift > 0.0 else math.inf
         # the float power raises where it would overflow, so test its log first
-        near = n1 * math.log(ratio) < 700.0 and ratio**n1 < 1e290
-        if near:
-            out = np.exp(-s) * (delta * ratio**n1)
-            # where exp(-s) alone leaves the normal range the product need
-            # not: those elements take the log form below, the others keep
-            # their bits
-            deep = np.broadcast_to(s > _EXP_NORMAL_FLOOR, out.shape)
-            if not np.any(deep):
-                return out
-        # a far tilt (the factor overflows and the mass underflows) or a deep
-        # discount: add logs, summing a lower tail that underflowed by its series
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_delta = np.log(delta)
-            lost = (delta < 1e-300) & (zb < n1)
-            if np.any(lost):
-                # the series costs tens of array passes, so sum it only where needed
-                lb = _log_gammainc(n1, zb[lost])
-                la = _log_gammainc(n1, np.broadcast_to(za, np.shape(zb))[lost])
-                log_delta = np.array(log_delta)
-                log_delta[lost] = np.where(la < lb, lb + np.log1p(-np.exp(la - lb)), -np.inf)
-        via_logs = np.exp(n1 * math.log(ratio) + log_delta - s)
-        return np.where(deep, via_logs, out) if near else via_logs
+        if n1 * math.log(ratio) < 700.0 and ratio**n1 < 1e290:
+            zb = shift * b_arr
+            if a_arr.ndim == 0 and float(a_arr) == 0.0:
+                delta = _gamma_tail(n1, zb, upper=False)
+            else:
+                za, zb = np.broadcast_arrays(shift * a_arr, zb)
+                lower_a = _gamma_tail(n1, za, upper=False)
+                delta = np.empty_like(lower_a)
+                hi = lower_a > 0.5
+                delta[hi] = _gamma_tail(n1, za[hi], True) - _gamma_tail(n1, zb[hi], True)
+                delta[~hi] = _gamma_tail(n1, zb[~hi], False) - lower_a[~hi]
+            delta = np.clip(delta, 0.0, None)
+            out = np.array(np.broadcast_to(np.exp(-s_arr) * (delta * ratio**n1), shape))
+            kept = (delta >= sys.float_info.min) | (b_arr <= a_arr)  # an empty interval's 0 is exact
+            rest = ~np.broadcast_to((s_arr <= _EXP_NORMAL_FLOOR) & kept, shape)
+        else:
+            out, rest = np.empty(shape), np.ones(shape, dtype=bool)
+        if np.any(rest):
+            ends = (np.broadcast_to(v, shape)[rest] for v in (a_arr, b_arr, s_arr))
+            out[rest] = np.exp(_log_tilted(self.order, self.rate, c, *ends))
+        return out[()]
+
+    def log_tilted_integral(self, c, a, b, s):
+        a, b, s = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, s)))
+        return _log_tilted(self.order, self.rate, c, a.ravel(), b.ravel(), s.ravel()).reshape(b.shape)[()]
 
     def survivor_transform(self, omega, ks):
         return _closed_transform(

@@ -43,7 +43,6 @@ __all__ = [
     "hazard_pprd",
     "simulate_generative",
     "simulate_rejection",
-    "estimate_from_events",
     "write_estimate_csv",
     "read_estimate_csv",
     "write_events_csv",
@@ -214,10 +213,25 @@ def _occupation(sig, law, t, tau):
     tau_arr = np.asarray(tau, dtype=float)
     surv = np.asarray(law.survivor(tau_arr), dtype=float)
     ef = _expected_interval_survivor(sig, law, t, tau_arr, surv)
-    # E[F] >= survivor, so where E[F] underflows the dead time is over
+    # E[F] >= survivor, so where E[F] underflows q reads 1 here
     with np.errstate(divide="ignore", invalid="ignore"):
         held = np.where(ef > 0.0, surv / ef, 0.0)
-    return np.clip(1.0 - held, 0.0, 1.0)
+    q = np.clip(1.0 - held, 0.0, 1.0)
+    # where r = E[F] - S is below S's rounding or E[F] below the normal range,
+    # 1 - held loses q = r/(r + S): under a closed tilt take it from logs
+    lost = ((held == 1.0) & (surv < 1.0)) | (ef < np.finfo(float).tiny)
+    if np.any(lost):
+        t, tau_arr, surv = (np.broadcast_to(np.asarray(v, dtype=float), q.shape)
+                            for v in (t, tau_arr, surv))
+        rate = np.where(lost, sig.window_rate(t, tau_arr), np.nan)
+        for lam in dict.fromkeys(sig.levels()):
+            at = rate == lam
+            if law.tilted_closed_form(lam) and np.any(at):
+                under = surv[at] < np.finfo(float).tiny
+                x, log_s = tau_arr[at], np.log(np.where(under, 1.0, surv[at]))
+                log_s[under] = law.log_tilted_integral(0.0, x[under], np.inf, 0.0)
+                q[at] = 1.0 / (1.0 + np.exp(log_s - law.log_tilted_integral(lam, 0.0, x, lam * x)))
+    return q
 
 
 def hazard_pprd(sig: InputSignal, law: DeadTimeLaw, t, tau):
@@ -352,7 +366,9 @@ class _OccupationTable:
 
 
 def _occupation_tables(sig, law, width: float | None = None) -> dict:
-    """Age tables for the levels of ``sig`` at which the law has its closed form.
+    """Age tables for the levels of ``sig`` at which the law has its closed
+    form and ``int exp(lam x) dF`` is finite: where it diverges, as a gamma
+    law's does at or above its rate, the occupation never saturates.
 
     Each table takes its own ``_table_step`` unless a bin ``width`` is
     given: then all share ``width/m``, with ``m`` the fewest nodes per bin
@@ -361,6 +377,7 @@ def _occupation_tables(sig, law, width: float | None = None) -> dict:
     takes no table, so birth coordinates in nodes stay exact integers.
     """
     levels = [lam for lam in dict.fromkeys(sig.levels()) if law.tilted_closed_form(lam)
+              and np.isfinite(law.log_tilted_integral(lam, 0.0, np.inf, 0.0))
               and (width is None or width / _table_step(law, lam) <= _TABLE_MAX_NODES)]
     h = None
     if width is not None and levels:
@@ -595,11 +612,12 @@ def _mark_dead(diff, t0, bw, n_bins, start, stop):
         diff -= np.bincount(hi[keep], minlength=n_bins + 1)
 
 
-def _estimate(grid: TimeGrid, m: int, counts, active_hat, spread) -> EnsembleEstimate:
-    """Estimate over ``m`` components from the event counts per bin of ``grid``,
-    the active fraction and its variance across components, ``spread``."""
-    bw = grid.dt
-    return EnsembleEstimate(
+def _finish_estimate(cfg: SimConfig, counts, active_hat, spread, collect):
+    """A sampler's estimate from its counts per bin, active fraction and its
+    variance across components, ``spread``, paired with the ``collect``-ed
+    events sorted by component, then time, unless ``collect`` is None."""
+    grid, m, bw = cfg.bin_grid(), cfg.components, cfg.bin_width
+    est = EnsembleEstimate(
         grid,
         counts / (m * bw),
         np.sqrt(counts) / (m * bw),
@@ -607,12 +625,6 @@ def _estimate(grid: TimeGrid, m: int, counts, active_hat, spread) -> EnsembleEst
         np.sqrt(np.clip(spread, 0.0, None) / m),
         counts,
     )
-
-
-def _finish_estimate(cfg: SimConfig, counts, active_hat, spread, collect):
-    """A sampler's estimate, paired with the ``collect``-ed events sorted by
-    component, then time, unless ``collect`` is None."""
-    est = _estimate(cfg.bin_grid(), cfg.components, counts, active_hat, spread)
     if collect is None:
         return est
     comp = np.concatenate([c for c, _ in collect] or [np.empty(0, dtype=np.int64)])
@@ -1070,48 +1082,3 @@ def simulate_rejection(
     active_hat = sweep.q_sum / cfg.components
     spread = sweep.q_sq / cfg.components - active_hat**2
     return _finish_estimate(cfg, counts, active_hat, spread, collect)
-
-
-def estimate_from_events(
-    events, grid: TimeGrid, components: int | None = None, dead_durations=None
-):
-    """Bin a recorded event stream back into an ensemble estimate.
-
-    ``events`` is a ``(component ids, event times)`` pair sorted by
-    component then time, as produced by the samplers; ``grid`` gives the
-    bin centers.  ``dead_durations``, when provided per event, feeds the
-    refractory bookkeeping behind the active-fraction columns; without it
-    those columns are NaN.
-    """
-    comp = np.asarray(events[0], dtype=np.int64)
-    times = np.asarray(events[1], dtype=float)
-    if comp.shape != times.shape or comp.ndim != 1:
-        raise ValueError("events must be parallel 1-d component and time arrays")
-    if comp.size:
-        if np.any(comp < 0):
-            raise ValueError("component ids must be non-negative")
-        if np.any(comp[1:] < comp[:-1]):
-            raise ValueError("events must be sorted by component, then time")
-        tied = comp[1:] == comp[:-1]
-        if np.any(tied & (times[1:] < times[:-1])):
-            raise ValueError("events must be sorted by component, then time")
-    m = components if components is not None else (
-        int(comp.max()) + 1 if comp.size else 1
-    )
-    if comp.size and m <= int(comp.max()):
-        raise ValueError("component count below the largest component id")
-    bw = grid.dt
-    t_lo = grid.t0 - 0.5 * bw
-    # binned as the samplers bin; events outside [t_lo, t_lo + n*bw] are dropped
-    inside = times[(times >= t_lo) & (times <= t_lo + bw * grid.n)]
-    counts = np.bincount(_bin_index(inside, t_lo, bw, grid.n), minlength=grid.n)
-    # without dead durations the active-fraction columns, and their errors, are NaN
-    active_hat = np.full(grid.n, np.nan)
-    if dead_durations is not None:
-        x = np.asarray(dead_durations, dtype=float)
-        if x.shape != times.shape:
-            raise ValueError("need one dead duration per event")
-        diff = np.zeros(grid.n + 1, dtype=np.int64)
-        _mark_dead(diff, t_lo, bw, grid.n, times, times + x)
-        active_hat = 1.0 - np.minimum(np.cumsum(diff[:-1]), m) / m
-    return _estimate(grid, m, counts, active_hat, active_hat * (1.0 - active_hat))

@@ -10,9 +10,7 @@ from deadtime.core import History, TimeGrid, equilibrium_history
 from deadtime.analytic_ppd import (
     PpdParams,
     equilibrium_active_fraction,
-    equilibrium_rate,
     fundamental_solution,
-    interval_density,
     kfold_interval_density,
     renewal_density,
     solve_with_history,
@@ -49,35 +47,31 @@ TRIPLE_CONV_AT_HALF = 0.9196986029286058
 
 class TestIntervalDensity:
     def test_inside_dead_time(self):
-        assert interval_density(P, 0.05) == 0.0
+        assert kfold_interval_density(P, 1, 0.05) == 0.0
 
     def test_at_edge(self):
-        assert interval_density(P, 0.1) == 5.0
+        assert kfold_interval_density(P, 1, 0.1) == 5.0
 
     def test_exponential_tail(self):
-        assert interval_density(P, 0.3) == pytest.approx(5.0 * math.exp(-1.0), rel=1e-15)
+        assert kfold_interval_density(P, 1, 0.3) == pytest.approx(5.0 * math.exp(-1.0), rel=1e-15)
 
     def test_normalized_with_mean(self):
         # integrate from the support edge; a grid straddling the jump at d
         # would pick up first-order quadrature error
         t = np.linspace(P.d, 6.0, 600001)
-        pdf = interval_density(P, t)
+        pdf = kfold_interval_density(P, 1, t)
         assert np.trapezoid(pdf, t) == pytest.approx(1.0, abs=1e-7)
         assert np.trapezoid(t * pdf, t) == pytest.approx(P.d + 1.0 / P.lam, abs=1e-6)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            interval_density(P, -0.1)
+            kfold_interval_density(P, 1, -0.1)
 
 
 class TestKfold:
     def test_k0_rejected(self):
         with pytest.raises(ValueError):
             kfold_interval_density(P, 0, 0.5)
-
-    def test_k1_reduces_to_interval_density(self):
-        t = np.linspace(0.0, 1.0, 101)
-        assert_allclose(kfold_interval_density(P, 1, t), interval_density(P, t))
 
     def test_boundary_vanishes_for_k2(self):
         assert kfold_interval_density(P, 2, 2 * P.d) == 0.0
@@ -148,10 +142,10 @@ class TestRenewalDensity:
         # one-sided limits of the integrand, supplied analytically
         t_probe = 0.5
         s = np.linspace(P.d, t_probe - P.d, 60001)
-        vals = interval_density(P, s) * renewal_density(P, np.clip(t_probe - s, 1e-12, None))
-        vals[-1] = interval_density(P, t_probe - P.d) * P.lam  # R(d+) = lam
+        vals = kfold_interval_density(P, 1, s) * renewal_density(P, np.clip(t_probe - s, 1e-12, None))
+        vals[-1] = kfold_interval_density(P, 1, t_probe - P.d) * P.lam  # R(d+) = lam
         conv = np.trapezoid(vals, s)
-        expect = renewal_density(P, t_probe) - interval_density(P, t_probe)
+        expect = renewal_density(P, t_probe) - kfold_interval_density(P, 1, t_probe)
         assert conv == pytest.approx(expect, abs=1e-8)
 
 
@@ -186,7 +180,7 @@ class TestEquilibrium:
     def test_reference_point(self):
         lam = 1.0 / (0.2 - 0.02)
         assert equilibrium_active_fraction(lam, 0.02) == pytest.approx(0.9, abs=1e-12)
-        assert equilibrium_rate(lam, 0.02) == pytest.approx(5.0, abs=1e-12)
+        assert lam * equilibrium_active_fraction(lam, 0.02) == pytest.approx(5.0, abs=1e-12)
 
     def test_no_input(self):
         assert equilibrium_active_fraction(0.0, 0.5) == 1.0
@@ -264,7 +258,7 @@ class TestStepResponse:
         h = d / m
         grid = TimeGrid(0.0, h, 6 * m + 1)
         tr = step_response(lam0, lam1, d, grid)
-        nu0 = equilibrium_rate(lam0, d)
+        nu0 = lam0 * equilibrium_active_fraction(lam0, d)
         t = grid.times()
 
         def window_integral(j):

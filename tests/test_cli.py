@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import io
 import itertools
 import math
 import multiprocessing
@@ -354,6 +355,27 @@ class TestHazardCmd:
         sigma = math.sqrt(11.0) / 137.5
         far = data[:, 0] > 0.08 + 10.0 * sigma
         assert np.all(np.abs(data[far, 1] - 1.0) < 1e-6)
+
+
+    def test_above_the_gamma_rate_the_hazard_tends_to_the_rate(self, capsys):
+        # 50-digit mpmath hazards (Hz) over lambda0: above its rate the gamma
+        # law's own tail is the slower one, so h tends to 137.5/900
+        assert run(["hazard", "--law", "gamma:10,137.5", "--lambda0", 900, "--tau-max", 5,
+                    "--points", 6, "--out", "-"]) == 0
+        rows = np.loadtxt(io.StringIO(capsys.readouterr().out), delimiter=",", skiprows=1)
+        want = np.array([127.564365654717, 132.515485069975, 135.502421283412]) / 900.0
+        np.testing.assert_allclose(rows[[1, 2, 5], 1], want, rtol=1e-12, atol=0.0)
+
+    def test_at_an_extreme_rate_the_hazard_is_the_laws_own(self, capsys):
+        # every recovery lies in the last instant, so the hazard is rho/S;
+        # exp(c x - s) keeps c x - s exact at 1e300
+        assert run(["hazard", "--law", "gamma:10,137.5", "--lambda0", 1e300, "--tau-max", 1,
+                    "--points", 3, "--out", "-"]) == 0
+        rows = np.loadtxt(io.StringIO(capsys.readouterr().out), delimiter=",", skiprows=1)
+        law = GammaDeadTime(10, 137.5)
+        tau = rows[1:, 0]
+        want = law.density(tau) / law.survivor(tau) / 1e300
+        np.testing.assert_allclose(rows[1:, 1], want, rtol=1e-12, atol=0.0)
 
 
 class TestRepresentCmd:
@@ -1144,8 +1166,8 @@ def test_represent_peak_memory_budget(tmp_path):
 
 @_ON_LINUX
 @pytest.mark.parametrize("argv, budget", [
-    # the general recovery route above the gamma rate, in row blocks
-    # (427 MB with one 20,001-row grid)
+    # above the gamma rate, its closed tilt at 20,001 ages (the general
+    # recovery route it took before peaked at 427 MB with one grid)
     (["hazard", "--law", "gamma:10,137.5", "--lambda0", 900, "--tau-max", 1.2,
       "--points", 20001], 100.0),
     # the generative sampler in chunks of components (72 MB at 2**18 a chunk)

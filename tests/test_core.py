@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -205,26 +205,62 @@ class TestLaws:
     def test_gamma_tilted_integral_sums_the_series_only_where_the_mass_underflows(
         self, monkeypatch, start
     ):
-        # order 200 at 0.97 of its rate, where the tilt factor alone would
-        # overflow: the lower tail underflows below z = 2.4, and past z = 1e8
-        # the series costs time linear in z
-        law, c = GammaDeadTime(200, 100.0), 97.0
-        b = np.array([0.5, 1.0, 0.7, 1e3, 1e8, 3e10])
+        # order 200 at 0.6 of its rate, where the plain product serves every
+        # element but those whose mass underflows: a lower tail below z = 2.2
+        # and, from the array of starts, the far intervals' upper tails
+        law, c = GammaDeadTime(200, 100.0), 60.0
+        b = np.array([0.05, 0.1, 0.04, 1e3, 1e8, 3e10])
         a = 0.0 if start == "zero" else b / 2.0
         sizes = []
-        series = core._log_gammainc
+        logs = core._log_tilted
 
-        def spy(order, z):
-            sizes.append(np.size(z))
-            return series(order, z)
+        def spy(order, rate, c, a, b, s):
+            sizes.append(np.size(b))
+            return logs(order, rate, c, a, b, s)
 
-        monkeypatch.setattr(core, "_log_gammainc", spy)
+        monkeypatch.setattr(core, "_log_tilted", spy)
         got = law.tilted_integral(c, a, b, 0.0)
-        assert sizes == [2, 2]
+        assert sizes == [2 if start == "zero" else 5]
         alone = [law.tilted_integral(c, a if start == "zero" else a[k], b[k], 0.0)
                  for k in range(b.size)]
         assert got.tobytes() == np.array(alone).tobytes()
         assert np.all(got[[0, 2]] > 0.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        order=st.integers(0, 200),
+        ratio=st.one_of(st.floats(1.0, 10.0), st.floats(1.0 - 1e-8, 1.0 + 1e-8)),
+        log_width=st.floats(-6.0, 2.0),
+        log_start=st.one_of(st.none(), st.floats(-2.0, 0.6)),
+    )
+    @example(order=10, ratio=1.0, log_width=-6.0, log_start=0.0)
+    @example(order=0, ratio=1.0 + 1e-9, log_width=-6.0, log_start=None)
+    @example(order=200, ratio=10.0, log_width=-6.0, log_start=0.3)
+    def test_gamma_tilted_integral_at_and_above_the_rate(self, order, ratio, log_width, log_start):
+        # a 50-digit mpmath reference by Kummer's function: the mass of
+        # x**n exp(k x) over [0, x] is x**(n+1) M(n+1, n+2, k x)/(n+1).  The
+        # interval is 10**log_width long in units of 1/|rate - c| (of the law's
+        # shape (n+1)/rate at c = rate) and starts at zero or 10**log_start shapes
+        import mpmath
+
+        rate = (order + 1) / 0.08
+        c = ratio * rate
+        shape = (order + 1) / rate
+        unit = 1.0 / abs(rate - c) if c != rate else shape
+        a = 0.0 if log_start is None else 10.0**log_start * shape
+        b = a + 10.0**log_width * unit
+        with mpmath.workdps(50):
+            n1, k = order + 1, mpmath.mpf(c) - mpmath.mpf(rate)
+
+            def head(x):
+                x = mpmath.mpf(x)
+                return x**n1 * mpmath.hyp1f1(n1, n1 + 1, k * x) / n1
+
+            want = (mpmath.mpf(rate)**n1 / mpmath.factorial(order)
+                    * mpmath.exp(-mpmath.mpf(c) * mpmath.mpf(b)) * (head(b) - head(a)))
+            assume(1e-300 < want)
+            got = GammaDeadTime(order, rate).tilted_integral(c, a, b, c * b)
+            assert float(abs(got - want) / want) <= 1e-12
 
     def test_tabulated_requires_unit_mass(self):
         x = np.linspace(0.0, 1.0, 200)
@@ -333,7 +369,7 @@ class TestErlangKernels:
         kernels = [
             (lambda v: core._gamma_tail(a, v, False), z),
             (lambda v: core._gamma_tail(a, v, True), z),
-            (lambda v: core._log_gammainc(a, v), z[z < a]),
+            (lambda v: core._gamma_tail(a, v, False, log=True), z[z < a]),
             (lambda v: core._gammainccinv(a, v), levels),
         ]
         for fn, arg in kernels:

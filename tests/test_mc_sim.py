@@ -27,7 +27,6 @@ from deadtime.core import (
 from deadtime.mc_sim import (
     EnsembleEstimate,
     SimConfig,
-    estimate_from_events,
     hazard_pprd,
     read_estimate_csv,
     simulate_generative,
@@ -184,6 +183,72 @@ class TestHazard:
         general = hazard_pprd(Constant(lam), NoClosedTilt(200, 201.0), 0.0, tau)
         np.testing.assert_allclose(closed, [100.99, 134.16], rtol=1e-4)
         np.testing.assert_allclose(general, closed, rtol=1e-5)
+
+
+class TestAboveTheGammaRate:
+    """A gamma law's tilt is closed at every input rate: at or above the law's
+    rate its hazard tends to that rate, and no window takes the general
+    recovery quadrature."""
+
+    def test_hazard_matches_mpmath(self):
+        # 50-digit mpmath hazards c R/(R + S), R by Kummer's function, at
+        # the ages w, 2w and 3w (w the law's support window), 1, 2 and 5 s
+        law = GammaDeadTime(10, 137.5)
+        tau = np.array([0.38039518461229266, 0.7607903692245853, 1.141185553836878,
+                        1.0, 2.0, 5.0])
+        want = [111.715837671360805589243423299, 124.469703100145855046313567328,
+                128.786139671881939765185921240, 127.564365654717163705117572709,
+                132.515485069974582746410130811, 135.502421283412437686824832160]
+        got = hazard_pprd(Constant(900.0), law, 0.0, tau)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_no_gamma_law_takes_the_general_quadrature(self, monkeypatch):
+        generic = DeadTimeLaw.integrate
+
+        def refuse(law, *args):
+            if isinstance(law, GammaDeadTime):
+                raise AssertionError("a gamma law reached the 512-cell quadrature")
+            return generic(law, *args)
+
+        monkeypatch.setattr(DeadTimeLaw, "integrate", refuse)
+        law = GammaDeadTime(10, 137.5)
+        tau = np.linspace(0.0, 2.0, 41)
+        for share in (1.0, 1.5, 7.0):
+            h = hazard_pprd(Constant(share * law.rate), law, 0.0, tau)
+            assert np.all((h >= 0.0) & (h <= share * law.rate))
+        for sig in (Step(50.0, 300.0, 0.1), Step(300.0, 50.0, 0.1)):
+            # every window with tau > 0.05 holds the switch
+            h = hazard_pprd(sig, law, 0.15, tau)
+            assert np.all((h >= 0.0) & (h <= sig.rate(0.15)))
+        ages = mc_sim._stationary_age_quantile(law, 300.0)(np.linspace(0.01, 0.99, 9))
+        assert np.all(np.diff(ages) > 0.0)
+        cfg = SimConfig(components=300, seed=4, t_span=(0.0, 0.2), bin_width=0.01,
+                        lambda_max=300.0)
+        est = simulate_rejection(Step(50.0, 300.0, 0.1), law, cfg)
+        assert np.all(np.isfinite(est.active_hat))
+
+    def test_levels_at_or_above_the_rate_take_no_table(self):
+        law = GammaDeadTime(10, 137.5)
+        assert list(mc_sim._occupation_tables(Step(50.0, 300.0, 0.1), law, 0.005)) == [50.0]
+        assert mc_sim._occupation_tables(Constant(law.rate), law) == {}
+        # R(tau) is infinite there: no node saturates, with no NaN on the way
+        for lam in (law.rate, 300.0):
+            assert mc_sim._saturation_node(law, lam, mc_sim._table_step(law, lam)) is None
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(order=st.integers(0, 200), share=st.one_of(st.floats(0.05, 0.9), st.floats(1.1, 10.0)))
+    @example(order=10, share=900.0 / 137.5)
+    @example(order=0, share=1.0)
+    @example(order=200, share=1.0)
+    def test_hazard_stays_below_the_input_rate_and_tends_to_the_slower_rate(self, order, share):
+        law = GammaDeadTime(order, (order + 1) / 0.08)
+        c = share * law.rate
+        tau = np.concatenate([[0.0], np.geomspace(1e-4, 100.0, 60)]) * law.mean()
+        h = hazard_pprd(Constant(c), law, 0.0, tau)
+        assert np.all((h >= 0.0) & (h <= c))
+        # at 10**4 shapes the slower of the two tails sets the rate to 1e-3
+        old = hazard_pprd(Constant(c), law, 0.0, 1e4 * law.mean())
+        assert old == pytest.approx(min(c, law.rate), rel=1e-3)
 
 
 class TestConfigAndEstimate:
@@ -1113,93 +1178,6 @@ class TestBirthSweep:
         # only first bins under one node and stencils across the switch are exact
         assert n not in sizes
         assert sum(sizes) < n
-
-
-class TestEstimateFromEvents:
-    def test_empty_events(self):
-        grid = TimeGrid(0.05, 0.1, 4)
-        est = estimate_from_events((np.array([], dtype=int), np.array([])), grid)
-        assert np.all(est.rate_hat == 0.0)
-        assert np.all(est.event_count == 0)
-        assert np.all(np.isnan(est.active_hat))
-
-    def test_single_component_exact_counts(self):
-        grid = TimeGrid(0.5, 1.0, 3)  # bins [0,1), [1,2), [2,3)
-        times = np.array([0.1, 0.2, 1.5, 2.9])
-        est = estimate_from_events((np.zeros(4, dtype=int), times), grid)
-        np.testing.assert_array_equal(est.event_count, [2, 1, 1])
-        np.testing.assert_allclose(est.rate_hat, [2.0, 1.0, 1.0])
-
-    def test_unsorted_events_rejected(self):
-        grid = TimeGrid(0.5, 1.0, 2)
-        with pytest.raises(ValueError, match="sorted"):
-            estimate_from_events(
-                (np.array([0, 0]), np.array([1.5, 0.5])), grid
-            )
-        with pytest.raises(ValueError, match="sorted"):
-            estimate_from_events(
-                (np.array([1, 0]), np.array([0.5, 0.5])), grid
-            )
-
-    def test_poisson_streams_recover_rate(self):
-        lam, m, t_end = 5.0, 10_000, 2.0
-        rng = np.random.default_rng(99)
-        n_ev = rng.poisson(lam * t_end, size=m)
-        comp = np.repeat(np.arange(m), n_ev)
-        times = rng.uniform(0.0, t_end, size=int(n_ev.sum()))
-        order = np.lexsort((times, comp))
-        grid = TimeGrid(0.125, 0.25, 8)
-        est = estimate_from_events((comp[order], times[order]), grid, components=m)
-        assert np.all(np.abs(est.rate_hat - lam) < 3.0 * est.rate_se)
-
-    def test_dead_durations_recover_active_fraction(self):
-        # one component, one event with a dead time covering two bin centers
-        grid = TimeGrid(0.5, 1.0, 4)
-        est = estimate_from_events(
-            (np.array([0, 1]), np.array([1.2, 3.7])),
-            grid,
-            components=2,
-            dead_durations=np.array([1.5, 0.1]),
-        )
-        np.testing.assert_allclose(est.active_hat, [1.0, 0.5, 0.5, 1.0])
-
-    def test_events_beside_edges_fall_where_the_samplers_put_them(self):
-        # every interior edge and one ulp either side, over 5 widths x 4 origins
-        n = 200
-        got, want = [], []
-        for width in (1e-3, 5e-3, 0.01, 0.1, 0.3):
-            for origin in (-0.1, 0.0, 0.37, 12.5):
-                grid = TimeGrid(origin + 0.5 * width, width, n)
-                t_lo = grid.t0 - 0.5 * width
-                edges = t_lo + width * np.arange(1, n)
-                times = np.sort(np.concatenate(
-                    [np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)]
-                ))
-                est = estimate_from_events((np.zeros(times.size, dtype=int), times), grid)
-                assert est.event_count.sum() == times.size
-                got.append(est.event_count)
-                want.append(np.bincount(mc_sim._bin_index(times, t_lo, width, n), minlength=n))
-        np.testing.assert_array_equal(np.concatenate(got), np.concatenate(want))
-
-    def test_events_outside_the_span_are_dropped(self):
-        grid = TimeGrid(0.05, 0.1, 4)
-        ends = np.array([0.0, 0.4])
-        times = np.concatenate([np.nextafter(ends, -np.inf), ends, np.nextafter(ends, np.inf)])
-        order = np.argsort(times)
-        est = estimate_from_events((np.zeros(6, dtype=int), times[order]), grid)
-        # the lower end and the ulp above it open the first bin; the upper end closes the last
-        np.testing.assert_array_equal(est.event_count, [2, 0, 0, 2])
-
-    def test_round_trip_from_simulator(self):
-        lam = 9.0
-        law = FixedDeadTime(0.03)
-        cfg = SimConfig(
-            components=2_000, seed=31, t_span=(0.0, 1.0), bin_width=0.1, lambda_max=lam
-        )
-        est, events = simulate_generative(Constant(lam), law, cfg, return_events=True)
-        back = estimate_from_events(events, cfg.bin_grid(), components=cfg.components)
-        np.testing.assert_array_equal(back.event_count, est.event_count)
-        np.testing.assert_allclose(back.rate_hat, est.rate_hat)
 
 
 class TestChunkInvariance:
