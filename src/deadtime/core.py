@@ -673,11 +673,11 @@ class DeadTimeLaw:
             out = out + atom * np.where(a == 0.0, at_zero, 0.0)
         return out
 
-    def tilted_closed_form(self, c: float) -> bool:
-        """Whether :meth:`tilted_integral` at rate ``c`` is a closed form; a law
-        that claims one also gives its log, ``log_tilted_integral``, finite
-        where the integral underflows."""
-        return False
+    # ``log_tilted_integral(c, a, b, s)``, the log of :meth:`tilted_integral`
+    # at every rate ``c >= 0``, finite where the integral underflows.  A law
+    # defines it exactly when its tilted integral is a closed form; None
+    # marks one that is not
+    log_tilted_integral = None
 
     def tilted_integral(self, c: float, a, b, s) -> np.ndarray:
         """``int exp(c*x - s) dF(x)`` over ``[a, b]``, for a discount ``s >= c*b``.
@@ -1096,9 +1096,6 @@ class GammaDeadTime(DeadTimeLaw):
 
     def length_biased_quantile(self, u):
         return _gammainccinv(self.order + 2, 1.0 - u) / self.rate
-
-    def tilted_closed_form(self, c):
-        return True
 
     def tilted_integral(self, c, a, b, s):
         """Closed form at every rate ``c >= 0``.  Below the gamma rate, where

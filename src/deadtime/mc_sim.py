@@ -137,7 +137,7 @@ def _interval_survivor_constant(law: DeadTimeLaw, lam: float, tau, surv):
     """
     if lam == 0.0:
         return np.ones_like(tau)
-    if not law.tilted_closed_form(lam):
+    if law.log_tilted_integral is None:
         return _interval_survivor_general(Constant(lam), law, 0.0, tau, surv)
     return law.tilted_integral(lam, 0.0, tau, lam * tau) + surv
 
@@ -181,38 +181,29 @@ def _interval_survivor_general(sig: InputSignal, law: DeadTimeLaw, t, tau, surv)
     return out + surv
 
 
-def _expected_interval_survivor(sig, law, t, tau, surv):
-    """Probability that a component's current inter-event span reaches age tau.
-
-    Windows at one constant rate and windows across the switch of a step
-    take the closed forms of the law where it has them; every other window
-    goes through the general quadrature.
+def _occupation(sig, law, t, tau):
+    """Probability of being active at ``t`` given the last event was tau ago:
+    ``q = 1 - S/E[F]``, ``E[F]`` the chance that the current inter-event span
+    reaches age ``tau``.  Each window is classified once by its rate: windows
+    at one constant rate and across the switch of a step take the law's
+    closed forms where it has them, all others the general quadrature.
     """
-    t, tau = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(t, dtype=float)), np.atleast_1d(np.asarray(tau, dtype=float))
+    tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    t, tau, surv = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(t, dtype=float)), tau, np.asarray(law.survivor(tau), dtype=float)
     )
-    surv = np.broadcast_to(np.asarray(surv, dtype=float), tau.shape)
+    closed = law.log_tilted_integral is not None
     rate = sig.window_rate(t, tau)
-    out = np.empty(tau.shape)
+    ef = np.empty(tau.shape)
     for lam in dict.fromkeys(sig.levels()):
         at = rate == lam
         if np.any(at):
-            out[at] = _interval_survivor_constant(law, lam, tau[at], surv[at])
+            ef[at] = _interval_survivor_constant(law, lam, tau[at], surv[at])
     varying = np.isnan(rate)
     if np.any(varying):
-        closed = sig.switch_time() is not None and all(
-            law.tilted_closed_form(lam) for lam in sig.levels()
-        )
-        fn = _interval_survivor_switch if closed else _interval_survivor_general
-        out[varying] = fn(sig, law, t[varying], tau[varying], surv[varying])
-    return out
-
-
-def _occupation(sig, law, t, tau):
-    """Probability of being active at ``t`` given the last event was tau ago."""
-    tau_arr = np.asarray(tau, dtype=float)
-    surv = np.asarray(law.survivor(tau_arr), dtype=float)
-    ef = _expected_interval_survivor(sig, law, t, tau_arr, surv)
+        switch = closed and sig.switch_time() is not None
+        fn = _interval_survivor_switch if switch else _interval_survivor_general
+        ef[varying] = fn(sig, law, t[varying], tau[varying], surv[varying])
     # E[F] >= survivor, so where E[F] underflows q reads 1 here
     with np.errstate(divide="ignore", invalid="ignore"):
         held = np.where(ef > 0.0, surv / ef, 0.0)
@@ -220,15 +211,12 @@ def _occupation(sig, law, t, tau):
     # where r = E[F] - S is below S's rounding or E[F] below the normal range,
     # 1 - held loses q = r/(r + S): under a closed tilt take it from logs
     lost = ((held == 1.0) & (surv < 1.0)) | (ef < np.finfo(float).tiny)
-    if np.any(lost):
-        t, tau_arr, surv = (np.broadcast_to(np.asarray(v, dtype=float), q.shape)
-                            for v in (t, tau_arr, surv))
-        rate = np.where(lost, sig.window_rate(t, tau_arr), np.nan)
+    if closed and np.any(lost):
         for lam in dict.fromkeys(sig.levels()):
-            at = rate == lam
-            if law.tilted_closed_form(lam) and np.any(at):
+            at = lost & (rate == lam)
+            if np.any(at):
                 under = surv[at] < np.finfo(float).tiny
-                x, log_s = tau_arr[at], np.log(np.where(under, 1.0, surv[at]))
+                x, log_s = tau[at], np.log(np.where(under, 1.0, surv[at]))
                 log_s[under] = law.log_tilted_integral(0.0, x[under], np.inf, 0.0)
                 q[at] = 1.0 / (1.0 + np.exp(log_s - law.log_tilted_integral(lam, 0.0, x, lam * x)))
     return q
@@ -269,16 +257,15 @@ def _saturation_node(law: DeadTimeLaw, lam: float, h: float) -> int | None:
     stays at or below ``lam``: ``S(tau)`` is at most ``exp(-lam tau)`` times
     the numerator and ``E[F](tau)`` at least ``exp(-lam tau)`` times the
     denominator.  ``R`` falls as ``tau`` grows, so the first node with
-    ``R(k h) <= _SATURATION`` certifies every later age.  Both integrals
-    are the law's closed tilt; None where they cannot certify any age.
+    ``R(k h) <= _SATURATION`` certifies every later age.  ``log R`` is the
+    difference of the law's two log tilted integrals, which no age
+    underflows; None where ``R`` is infinite at every node.
     """
 
     def saturated(k):
         tau = k * h
-        s = lam * tau
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            r = law.tilted_integral(lam, tau, np.inf, s) / law.tilted_integral(lam, 0.0, tau, s)
-        return r <= _SATURATION  # NaN (both integrals lost) certifies nothing
+        log_r = law.log_tilted_integral(lam, tau, np.inf, 0.0)
+        return log_r - law.log_tilted_integral(lam, 0.0, tau, 0.0) <= math.log(_SATURATION)
 
     # bracket the first saturated node between powers of two up to 2**32,
     # then narrow the bracket 64-fold per pass
@@ -298,31 +285,29 @@ def _saturation_node(law: DeadTimeLaw, lam: float, h: float) -> int | None:
 class _OccupationTable:
     """Occupation at one constant input rate as a function of age alone.
 
-    For a law under its closed form (``tilted_closed_form``).  Holds the
+    For a law whose tilt is closed (``log_tilted_integral``).  Holds the
     exact ``_occupation`` at the ages ``k*h`` and interpolates between them
-    with the four-point Lagrange cubic, evaluated in Newton's form.  The
-    step ``h`` defaults to ``_table_step``, which keeps the error below
-    ``_TABLE_BOUND`` (1e-8) for gamma laws of any order and rate; a finer
-    step only lowers it.  The table is built whole when it is made, and
-    every half-node ``k + 1/2`` is checked once against the exact value
-    then; a miss raises ``NumericalError``.
+    with the four-point Lagrange cubic, evaluated in Newton's form.  A step
+    ``h`` at most ``_table_step`` keeps the error below ``_TABLE_BOUND``
+    (1e-8) for gamma laws of any order and rate.  The table is built whole
+    when it is made, and every half-node ``k + 1/2`` is checked once against
+    the exact value then; a miss raises ``NumericalError``.
 
     Nodes from ``saturation`` (``_saturation_node``) on read exactly 1.0,
-    so the table holds at most ``saturation + 3`` nodes and every older age
-    reads 1.0.  Where that exceeds ``_TABLE_MAX_NODES``, the table stops
-    there and ages past it are evaluated exactly.
+    so the table holds at most ``saturation + 3`` nodes, and ages past its
+    last stencil read 1.0 from the saturation node on.  A table stops at
+    ``_TABLE_MAX_NODES``; ages past it and short of saturation are
+    evaluated exactly.
     """
 
-    def __init__(self, law: DeadTimeLaw, lam: float, h: float | None = None):
-        self.sig = Constant(lam)
-        self.law = law
-        self.h = _table_step(law, lam) if h is None else h
-        self.saturation = _saturation_node(law, lam, self.h)
-        self.saturates = self.saturation is not None and self.saturation + 3 <= _TABLE_MAX_NODES
-        n = self.nodes = self.saturation + 3 if self.saturates else _TABLE_MAX_NODES
-        cut = n if self.saturation is None else min(self.saturation, n)
+    def __init__(self, law: DeadTimeLaw, lam: float, h: float):
+        self.sig, self.law, self.h = Constant(lam), law, h
+        self.saturation = _saturation_node(law, lam, h)
+        last = _NEVER if self.saturation is None else self.saturation
+        n = self.nodes = min(last + 3, _TABLE_MAX_NODES)
+        cut = min(last, n)
         v = self.values = np.ones(n)
-        v[:cut] = _occupation(self.sig, law, 0.0, np.arange(cut) * self.h)
+        v[:cut] = _occupation(self.sig, law, 0.0, np.arange(cut) * h)
         # Newton coefficients of the cubic on each stencil of four nodes
         d1 = np.diff(v)
         d2 = np.diff(d1) / 2.0
@@ -330,23 +315,24 @@ class _OccupationTable:
         self.newton = np.stack([v[:-3], d1[:-2], d2[:-1], d3])
         # the half-node k + 1/2 reads nodes up to k + 2
         x = np.arange(n - 2) + 0.5
-        exact = _occupation(self.sig, law, 0.0, x * self.h)
+        exact = _occupation(self.sig, law, 0.0, x * h)
         miss = np.abs(self._interpolate(x, np.maximum(np.floor(x) - 1.0, 0.0)) - exact)
         worst = int(np.argmax(miss))
         if not miss[worst] <= _TABLE_BOUND:
             raise NumericalError(
                 f"occupation table at rate {self.sig.level} misses the exact value by "
-                f"{miss[worst]:.3g} at age {x[worst] * self.h:.6g}, over its {_TABLE_BOUND:g} bound"
+                f"{miss[worst]:.3g} at age {x[worst] * h:.6g}, over its {_TABLE_BOUND:g} bound"
             )
 
     def __call__(self, tau: np.ndarray) -> np.ndarray:
         x = tau / self.h
         j0 = np.maximum(np.floor(x) - 1.0, 0.0)
         inside = j0 + 4.0 <= self.nodes
-        out = np.empty_like(tau)
+        out = np.ones_like(tau)
         if not np.all(inside):
-            far = ~inside
-            out[far] = 1.0 if self.saturates else _occupation(self.sig, self.law, 0.0, tau[far])
+            exact = ~inside & (x < (_NEVER if self.saturation is None else self.saturation))
+            if np.any(exact):
+                out[exact] = _occupation(self.sig, self.law, 0.0, tau[exact])
             x, j0 = x[inside], j0[inside]
         out[inside] = self._interpolate(x, j0)
         return out
@@ -365,23 +351,22 @@ class _OccupationTable:
         return np.clip(q, 0.0, 1.0, out=q)
 
 
-def _occupation_tables(sig, law, width: float | None = None) -> dict:
-    """Age tables for the levels of ``sig`` at which the law has its closed
-    form and ``int exp(lam x) dF`` is finite: where it diverges, as a gamma
-    law's does at or above its rate, the occupation never saturates.
+def _occupation_tables(sig, law, width: float) -> dict:
+    """Age tables for the levels of ``sig`` when the law's tilt is closed,
+    at those where ``int exp(lam x) dF`` is finite: where it diverges, as a
+    gamma law's does at or above its rate, no age is saturated.
 
-    Each table takes its own ``_table_step`` unless a bin ``width`` is
-    given: then all share ``width/m``, with ``m`` the fewest nodes per bin
-    that make the step no longer than any of theirs.  A level whose own
-    step would lay more than ``_TABLE_MAX_NODES`` nodes in one bin then
-    takes no table, so birth coordinates in nodes stay exact integers.
+    All tables share the step ``width/m``, with ``m`` the fewest nodes per
+    bin ``width`` that make the step no longer than any of their
+    ``_table_step``.  A level whose own step would lay more than
+    ``_TABLE_MAX_NODES`` nodes in one bin takes no table, so birth
+    coordinates in nodes stay exact integers.
     """
-    levels = [lam for lam in dict.fromkeys(sig.levels()) if law.tilted_closed_form(lam)
+    closed = law.log_tilted_integral is not None
+    levels = [lam for lam in dict.fromkeys(sig.levels()) if closed
               and np.isfinite(law.log_tilted_integral(lam, 0.0, np.inf, 0.0))
-              and (width is None or width / _table_step(law, lam) <= _TABLE_MAX_NODES)]
-    h = None
-    if width is not None and levels:
-        h = width / math.ceil(width / min(_table_step(law, lam) for lam in levels))
+              and width / _table_step(law, lam) <= _TABLE_MAX_NODES]
+    h = width / math.ceil(width / min(_table_step(law, lam) for lam in levels)) if levels else None
     return {lam: _OccupationTable(law, lam, h) for lam in levels}
 
 
@@ -587,7 +572,7 @@ def _stationary_age_quantile(law: DeadTimeLaw, lam0: float):
     if lam0 <= 0.0:
         return lambda u: np.full_like(u, w + 1.0)
     tau = np.linspace(0.0, w + 40.0 / lam0, 8193)
-    pdf = _expected_interval_survivor(Constant(lam0), law, 0.0, tau, law.survivor(tau))
+    pdf = _interval_survivor_constant(law, lam0, tau, law.survivor(tau))
     return tabulated_quantile(tau, pdf)
 
 

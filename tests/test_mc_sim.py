@@ -5,6 +5,7 @@ import math
 import warnings
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -46,6 +47,12 @@ def tabulated_gamma(order: int, rate: float, n: int = 4001) -> TabulatedDeadTime
     pdf = ref.density(x)
     pdf = pdf / np.trapezoid(pdf, x)
     return TabulatedDeadTime(x, pdf)
+
+
+def _finest_step(sig, law) -> float:
+    """The smallest ``_table_step`` of the levels of ``sig``, as a bin width:
+    a table of one level keeps its own step, several share the finest."""
+    return min(mc_sim._table_step(law, lam) for lam in sig.levels())
 
 
 class TestHazard:
@@ -175,8 +182,7 @@ class TestHazard:
     def test_general_route_integrates_past_the_support_window(self):
         # under this tilt E[F] is mostly density beyond the 1 - 1e-12 window
         class NoClosedTilt(GammaDeadTime):
-            def tilted_closed_form(self, c):
-                return False
+            log_tilted_integral = None
 
         lam, tau = 200.799, np.array([2.0, 3.0])
         closed = hazard_pprd(Constant(lam), GammaDeadTime(200, 201.0), 0.0, tau)
@@ -230,7 +236,8 @@ class TestAboveTheGammaRate:
     def test_levels_at_or_above_the_rate_take_no_table(self):
         law = GammaDeadTime(10, 137.5)
         assert list(mc_sim._occupation_tables(Step(50.0, 300.0, 0.1), law, 0.005)) == [50.0]
-        assert mc_sim._occupation_tables(Constant(law.rate), law) == {}
+        sig = Constant(law.rate)
+        assert mc_sim._occupation_tables(sig, law, _finest_step(sig, law)) == {}
         # R(tau) is infinite there: no node saturates, with no NaN on the way
         for lam in (law.rate, 300.0):
             assert mc_sim._saturation_node(law, lam, mc_sim._table_step(law, lam)) is None
@@ -249,6 +256,80 @@ class TestAboveTheGammaRate:
         # at 10**4 shapes the slower of the two tails sets the rate to 1e-3
         old = hazard_pprd(Constant(c), law, 0.0, 1e4 * law.mean())
         assert old == pytest.approx(min(c, law.rate), rel=1e-3)
+
+
+# at the level before a switch at 0.1 s, after it, across it, and lost at
+# each level (at 50 Hz E[F] underflows, at 300 Hz S does)
+_STEP_ANCHORS = [(0.05, 0.02), (0.35, 0.1), (0.2, 0.15), (0.05, 20.0), (20.5, 20.0)]
+# per signal, anchor windows (t, tau) of every kind it has, and the spans
+# that map drawn unit pairs onto its windows
+_BATCH_CASES = {
+    "up": (Step(50.0, 300.0, 0.1), _STEP_ANCHORS, (0.4, 0.5)),
+    "down": (Step(300.0, 50.0, 0.1), _STEP_ANCHORS, (0.4, 0.5)),
+    # the general route, inside the support window and past it
+    "cosine": (Cosine(60.0, 40.0, 3.0), [(0.3, 0.2), (0.9, 0.6)], (1.0, 0.8)),
+    # young ages and lost ones: E[F] below the normal range, or r below S's rounding
+    "constant 900": (Constant(900.0), [(0.0, 0.05), (0.0, 8.0)], (0.0, 10.0)),
+    "constant 1e300": (Constant(1e300), [(0.0, 0.05), (0.0, 2.0)], (0.0, 5.0)),
+}
+
+
+class TestOccupationBatch:
+    """``_occupation`` classifies a batch's windows once; every element
+    gets the bits it gets when evaluated alone."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(units=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=6))
+    def test_each_element_as_alone(self, units):
+        law = GammaDeadTime(10, 137.5)
+        lost = 0
+        for sig, anchors, (t_span, tau_span) in _BATCH_CASES.values():
+            t, tau = np.array(anchors + [(u * t_span, v * tau_span) for u, v in units]).T
+            got = mc_sim._occupation(sig, law, t, tau)
+            alone = np.concatenate([mc_sim._occupation(sig, law, a, b) for a, b in zip(t, tau)])
+            assert got.tobytes() == alone.tobytes()
+            lost += np.count_nonzero(law.survivor(tau) < np.finfo(float).tiny)
+        # lost at both levels of each step, and under the constant 900 Hz
+        assert lost >= 5
+
+
+class TestSaturationNode:
+    """``_saturation_node`` forms ``log R`` from the law's log tilted
+    integrals, so it certifies levels whose integrals underflow."""
+
+    @pytest.mark.parametrize(
+        ("order", "share"), [(50, 0.9), (200, 0.9), (0, 0.99), (10, 0.99), (50, 0.99), (200, 0.99)]
+    )
+    def test_node_is_the_first_below_the_bound(self, order, share):
+        # R(tau) = Q(n + 1, z)/P(n + 1, z) at z = (rate - lam) tau, 40 digits
+        law = GammaDeadTime(order, (order + 1) / 0.08)
+        lam = share * law.rate
+        h = mc_sim._table_step(law, lam)
+        k = mc_sim._saturation_node(law, lam, h)
+        assert k is not None
+
+        def ratio(tau):
+            with mpmath.workdps(40):
+                z = (mpmath.mpf(law.rate) - mpmath.mpf(lam)) * mpmath.mpf(tau)
+                upper = mpmath.gammainc(order + 1, z, mpmath.inf, regularized=True)
+                return upper / mpmath.gammainc(order + 1, 0, z, regularized=True)
+
+        assert ratio(k * h) <= mc_sim._SATURATION < ratio((k - 1) * h)
+
+    @pytest.mark.parametrize(
+        ("order", "nodes"),
+        [(0, [2685, 2813, 3960, 4444]), (10, [1705, 1786, 2751, 3770]),
+         (50, [1925, 2017, 6688, 9166]), (200, [2724, 2854, 18788, 25750])],
+    )
+    def test_nodes_certified_from_linear_ratios_stay(self, order, nodes):
+        # the nodes that the ratio of the two tilted integrals gave, where
+        # neither underflowed
+        law = GammaDeadTime(order, (order + 1) / 0.08)
+        got = []
+        for share in (0.012, 0.057, 0.33, 0.403):
+            lam = share * law.rate
+            got.append(mc_sim._saturation_node(law, lam, mc_sim._table_step(law, lam)))
+        assert got == nodes
 
 
 class TestConfigAndEstimate:
@@ -750,9 +831,7 @@ class TestRejection:
             )
             # exposure-weighted expected ratio over the bin
             tau = np.linspace(a, b, 101)
-            surv = mc_sim._expected_interval_survivor(
-                Constant(lam), law, 0.0, tau, law.survivor(tau)
-            )
+            surv = mc_sim._interval_survivor_constant(law, lam, tau, law.survivor(tau))
             want = (surv[0] - surv[-1]) / integrate.simpson(surv, x=tau)
             have = hits / exposure
             assert abs(have - want) < 3.5 * math.sqrt(max(hits, 1)) / exposure
@@ -839,7 +918,7 @@ class TestOccupationTable:
     def test_matches_exact_occupation(self, order, lam_share):
         law = GammaDeadTime(order, (order + 1) / 0.08)
         lam = lam_share * law.rate
-        tables = mc_sim._occupation_tables(Constant(lam), law)
+        tables = mc_sim._occupation_tables(Constant(lam), law, mc_sim._table_step(law, lam))
         assert list(tables) == [lam]
         table = tables[lam]
         w = law.support_window()
@@ -852,23 +931,27 @@ class TestOccupationTable:
     def test_ages_past_the_table_are_exact(self, monkeypatch):
         monkeypatch.setattr(mc_sim, "_TABLE_MAX_NODES", 64)
         law = GammaDeadTime(10, 137.5)
-        table = mc_sim._occupation_tables(Constant(50.0), law)[50.0]
+        table = mc_sim._occupation_tables(Constant(50.0), law, mc_sim._table_step(law, 50.0))[50.0]
         tau = np.linspace(0.0, 0.5, 2001)
-        # a stencil starting at node floor(age/h) - 1 needs four nodes
+        # a stencil starting at node floor(age/h) - 1 needs four nodes; past
+        # them, ages short of the saturation node are exact and older ones 1.0
         far = tau / table.h >= 62.0
-        assert 0 < np.count_nonzero(far) < tau.size
+        old = tau / table.h >= table.saturation
+        assert 0 < np.count_nonzero(far & ~old) and 0 < np.count_nonzero(old) < tau.size
         got = table(tau)
         assert table.values.size <= 64
         want = mc_sim._occupation(Constant(50.0), law, 0.0, tau)
-        np.testing.assert_array_equal(got[far], want[far])
+        np.testing.assert_array_equal(got[far & ~old], want[far & ~old])
+        np.testing.assert_array_equal(got[old], 1.0)
         assert np.max(np.abs(got - want)) <= 1e-8
 
     def test_only_closed_form_regimes_are_tabulated(self):
         gamma = GammaDeadTime(3, 50.0)
-        assert list(mc_sim._occupation_tables(Step(10.0, 60.0, 0.0), gamma)) == [10.0]
-        assert mc_sim._occupation_tables(Cosine(10.0, 5.0, 2.0), gamma) == {}
+        step = Step(10.0, 60.0, 0.0)
+        assert list(mc_sim._occupation_tables(step, gamma, _finest_step(step, gamma))) == [10.0]
+        assert mc_sim._occupation_tables(Cosine(10.0, 5.0, 2.0), gamma, 0.005) == {}
         fixed = FixedDeadTime(0.08)
-        assert mc_sim._occupation_tables(Constant(10.0), fixed) == {}
+        assert mc_sim._occupation_tables(Constant(10.0), fixed, 0.005) == {}
 
     @pytest.mark.parametrize(
         "sig", [Constant(30.0), Step(8.0, 50.0, 0.1)], ids=["constant", "step"]
@@ -954,7 +1037,7 @@ class TestSqueeze:
         law = GammaDeadTime(10, 137.5)
         # the table checks itself as it is built
         with pytest.raises(NumericalError, match="occupation table"):
-            mc_sim._occupation_tables(Constant(30.0), law)
+            mc_sim._occupation_tables(Constant(30.0), law, mc_sim._table_step(law, 30.0))
         cfg = SimConfig(components=50, seed=1, t_span=(0.0, 0.1), bin_width=0.01,
                         lambda_max=30.0)
         with pytest.raises(NumericalError, match="occupation table"):
@@ -971,8 +1054,8 @@ class TestSqueeze:
             return occupation(sig, law, t, tau)
 
         monkeypatch.setattr(mc_sim, "_occupation", spy)
-        table = mc_sim._OccupationTable(law, 20.0)
-        assert table.saturates
+        table = mc_sim._OccupationTable(law, 20.0, h)
+        assert table.nodes == table.saturation + 3
         # one call for the nodes below saturation, one for every half-node k + 1/2
         # whose stencil, nodes max(k-1, 0) to k+2, is tabulated
         assert len(checked) == 2
@@ -1029,7 +1112,7 @@ class TestSwitchIdentity:
         ages = np.concatenate([np.geomspace(1e-4, 500.0, 150), [0.0]])
         ages = ages[since + ages < 600.0]
         sig, law, t, tau, a = _switch_case(order, share0, share1, since, ages)
-        tables = mc_sim._occupation_tables(sig, law)
+        tables = mc_sim._occupation_tables(sig, law, _finest_step(sig, law))
         assert mc_sim._closed_switch(sig, tables)
         excess = mc_sim._switch_excess(sig, law, a)
         assert np.all(excess >= -1e-15)
@@ -1041,7 +1124,7 @@ class TestSwitchIdentity:
         law = GammaDeadTime(10, 137.5)
         sig = Step(0.95 * law.rate, 0.05 * law.rate, 0.0)
         lam1 = sig.levels()[1]
-        tables = mc_sim._occupation_tables(sig, law)
+        tables = mc_sim._occupation_tables(sig, law, _finest_step(sig, law))
         assert list(tables) == list(sig.levels()) and not mc_sim._closed_switch(sig, tables)
         # downward D < 0: the identity cancels and amplifies the table's error
         t, tau = 0.0225, np.array([1.0354])
@@ -1119,16 +1202,16 @@ class TestBirthSweep:
     def test_ages_past_saturation_are_within_its_bound(self, order, share):
         law = GammaDeadTime(order, (order + 1) / 0.08)
         lam = share * law.rate
-        table = mc_sim._OccupationTable(law, lam)
+        table = mc_sim._OccupationTable(law, lam, mc_sim._table_step(law, lam))
         assume(table.saturation is not None)
         tau = table.saturation * table.h * np.geomspace(1.0, 50.0, 400)
         q = mc_sim._occupation(Constant(lam), law, 0.0, tau)
         assert np.all(1.0 - q <= mc_sim._SATURATION)
-        if table.saturates:
-            # every stencil past the saturation node reads exactly 1.0
-            past = tau >= (table.saturation + 1) * table.h
-            assert np.all(table(tau[past]) == 1.0)
-            assert table.values.size <= table.nodes
+        # every stencil past the saturation node reads exactly 1.0, also
+        # where the table stops short of it
+        past = tau >= (table.saturation + 1) * table.h
+        assert np.all(table(tau[past]) == 1.0)
+        assert table.values.size <= table.nodes
 
     def test_chunk_invariant_across_a_switch(self, monkeypatch):
         law = GammaDeadTime(10, 137.5)
